@@ -328,6 +328,16 @@ def _cmd_search(args) -> int:
 # argument parsing
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ezdlab",
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, ring=False):
-        p.add_argument("--bound", type=int, default=10,
+        p.add_argument("--bound", type=_non_negative_int, default=10,
                        help="homological degree bound (default 10)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", metavar="PATH",

@@ -3,6 +3,12 @@
 Matrices over GF(p) are stored as int64 numpy arrays with entries in
 [0, p); rational matrices use object arrays of Fraction.  Everything is
 immutable after construction and all operations are pure.
+
+``Matrix`` takes a read-only array of the field's dtype (int64 over GF(p),
+object over QQ) as it is, without reducing or copying it.  Such an array
+must therefore be canonical (every entry in [0, p), or a Fraction) and
+owned by no one else: nothing may still hold a writable view of it.
+``_adopt`` freezes an array its caller has just allocated for that path.
 """
 
 from __future__ import annotations
@@ -122,6 +128,18 @@ def _canon_array(field: Field, arr) -> np.ndarray:
     return a
 
 
+def _adopt(field: Field, arr: np.ndarray) -> "Matrix":
+    """Wrap ``arr`` without reducing it again.
+
+    Only for an array the caller has just allocated and knows is canonical:
+    a GF(p) int64 array already reduced mod p, or a fresh array of
+    Fractions.  ``arr`` is frozen in place, so it must not be a view of
+    anyone else's writable array.
+    """
+    arr.setflags(write=False)
+    return Matrix(field, arr)
+
+
 class Matrix:
     """An immutable exact matrix over a :class:`Field`."""
 
@@ -157,17 +175,15 @@ class Matrix:
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
         if field.p is not None:
-            return Matrix(field, np.zeros((rows, cols), dtype=np.int64))
-        arr = np.empty((rows, cols), dtype=object)
-        arr[...] = Fraction(0)
-        return Matrix(field, arr)
+            return _adopt(field, np.zeros((rows, cols), dtype=np.int64))
+        return _adopt(field, np.full((rows, cols), Fraction(0), dtype=object))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         m = Matrix.zeros(field, n, n).data.copy()
         for i in range(n):
             m[i, i] = field.one
-        return Matrix(field, m)
+        return _adopt(field, m)
 
     @staticmethod
     def column(field: Field, entries: Iterable) -> "Matrix":
@@ -175,13 +191,11 @@ class Matrix:
 
     @staticmethod
     def hstack(mats: list["Matrix"]) -> "Matrix":
-        field = mats[0].field
-        return Matrix(field, np.hstack([m.data for m in mats]))
+        return _adopt(mats[0].field, np.hstack([m.data for m in mats]))
 
     @staticmethod
     def vstack(mats: list["Matrix"]) -> "Matrix":
-        field = mats[0].field
-        return Matrix(field, np.vstack([m.data for m in mats]))
+        return _adopt(mats[0].field, np.vstack([m.data for m in mats]))
 
     @staticmethod
     def block_diag(mats: list["Matrix"]) -> "Matrix":
@@ -194,7 +208,7 @@ class Matrix:
             out[i : i + m.rows, j : j + m.cols] = m.data
             i += m.rows
             j += m.cols
-        return Matrix(field, out)
+        return _adopt(field, out)
 
     # -- basics -------------------------------------------------------
     @property
@@ -238,7 +252,8 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------
     def _wrap(self, arr) -> "Matrix":
         if self.field.p is not None:
-            arr = arr % self.field.p
+            return _adopt(self.field, arr % self.field.p)
+        # object arithmetic can yield plain ints (an empty dot product is 0)
         return Matrix(self.field, arr)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -261,7 +276,7 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.field, np.ascontiguousarray(self.data.T))
+        return _adopt(self.field, np.ascontiguousarray(self.data.T))
 
 
 @dataclass(frozen=True)
@@ -297,7 +312,8 @@ def _rref_inplace(a: np.ndarray, field: Field):
             colv[r] = 0
             tgt = np.nonzero(colv)[0]
             if tgt.size:
-                a[tgt] = (a[tgt] - np.outer(colv[tgt], a[r])) % p
+                # row r is zero left of its pivot, so columns < c stay as they are
+                a[tgt, c:] = (a[tgt, c:] - np.outer(colv[tgt], a[r, c:])) % p
         else:
             inv = Fraction(1) / a[r, c]
             a[r] = a[r] * inv
@@ -312,7 +328,7 @@ def _rref_inplace(a: np.ndarray, field: Field):
 def rref(m: Matrix) -> RrefResult:
     a = m.data.copy()
     pivots = _rref_inplace(a, m.field)
-    return RrefResult(Matrix(m.field, a), tuple(pivots), len(pivots))
+    return RrefResult(_adopt(m.field, a), tuple(pivots), len(pivots))
 
 
 def rank(m: Matrix) -> int:
@@ -320,19 +336,26 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Columns span the null space of ``m``; column count = cols - rank."""
+    """Columns span the null space of ``m``; column count = cols - rank.
+
+    Column k is the solution whose k-th free variable (in column order) is
+    one and whose other free variables are zero.
+    """
     res = rref(m)
-    red = res.reduced.data
-    pivots = list(res.pivot_columns)
-    free = [j for j in range(m.cols) if j not in set(pivots)]
-    out = Matrix.zeros(m.field, m.cols, len(free)).data.copy()
-    for k, j in enumerate(free):
-        out[j, k] = m.field.one
-        for r, pc in enumerate(pivots):
-            v = red[r, j]
-            if v != 0:
-                out[pc, k] = m.field.neg(v) if m.field.p is None else (-int(v)) % m.field.p
-    return Matrix(m.field, out)
+    field = m.field
+    pivots = np.array(res.pivot_columns, dtype=np.intp)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    coeffs = res.reduced.data[: res.rank][:, free]
+    if field.p is not None:
+        out = np.zeros((m.cols, free.size), dtype=np.int64)
+        out[pivots] = (-coeffs) % field.p
+    else:
+        out = np.full((m.cols, free.size), Fraction(0), dtype=object)
+        out[pivots] = -coeffs
+    out[free, np.arange(free.size)] = field.one
+    return _adopt(field, out)
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -356,7 +379,7 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     out = Matrix.zeros(a.field, a.cols, b.cols).data.copy()
     for r, pc in enumerate(pivots):
         out[pc, :] = red[r, a.cols :]
-    return Matrix(a.field, out)
+    return _adopt(a.field, out)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
@@ -379,17 +402,4 @@ def image_basis(m: Matrix) -> Matrix:
     cols = [m.data[:, [c]] for c in res.pivot_columns]
     if not cols:
         return Matrix.zeros(m.field, m.rows, 0)
-    return Matrix(m.field, np.hstack(cols))
-
-
-def subspace_equal(a: Matrix, b: Matrix) -> bool:
-    """Do the columns of a and b span the same subspace?"""
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    return rank(Matrix.hstack([a, b])) == ra
-
-
-def in_span(basis: Matrix, v: Matrix) -> bool:
-    return rank(Matrix.hstack([basis, v])) == rank(basis)
+    return _adopt(m.field, np.hstack(cols))

@@ -25,7 +25,6 @@ from .linalg import (
     rank,
     rref,
     solve_matrix,
-    subspace_equal,
 )
 from .poly import Polynomial
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import Matrix, image_basis, kernel_basis, rank, rref
+from .linalg import Matrix, _adopt, image_basis, kernel_basis, rank, rref
 from .module import Iso, Module, Morphism, dual_k, free_module, is_isomorphic
 
 __all__ = [
@@ -96,7 +96,7 @@ def _mon_stack(module: Module):
     return [module.monomial_action(m) for m in module.algebra.staircase]
 
 
-def _free_var_apply(var_mat: Matrix, v: np.ndarray, rank_: int, d: int, field):
+def _free_var_apply(var_mat: Matrix, v: np.ndarray, rank_: int, d: int, field) -> Matrix:
     """Apply the block-diagonal action (rank_ copies of var_mat) to columns v."""
     out = np.empty_like(np.asarray(v))
     a = var_mat.data
@@ -104,7 +104,7 @@ def _free_var_apply(var_mat: Matrix, v: np.ndarray, rank_: int, d: int, field):
         out[r * d : (r + 1) * d] = a.dot(v[r * d : (r + 1) * d])
     if field.p is not None:
         out = out % field.p
-    return out
+    return _adopt(field, out)
 
 
 class _ResolutionState:
@@ -132,7 +132,7 @@ class _ResolutionState:
         picks = [c - rad.cols for c in res.pivot_columns if c >= rad.cols]
         if not picks:
             return Matrix.zeros(self.field, kernel.rows, 0)
-        return Matrix(self.field, np.hstack([kernel.data[:, [c]] for c in picks]))
+        return _adopt(self.field, kernel.data[:, picks])
 
     def _step0(self):
         m = self.module
@@ -156,19 +156,23 @@ class _ResolutionState:
         d0 = np.hstack(cols)
         if self.field.p is not None:
             d0 = d0 % self.field.p
-        self._d0 = Matrix(self.field, d0)
+        self._d0 = _adopt(self.field, d0)
         self._next_kernel = kernel_basis(self._d0)
 
     @property
     def length(self) -> int:
         return len(self.betti) - 1
 
+    def _over_budget(self, step: int, total: int, max_total_dim: int):
+        return ResolutionBudgetExceeded(
+            f"resolution of {self.module.label or 'module'} needs {total} total "
+            f"dims at step {step}, over the budget of {max_total_dim}; "
+            f"betti so far {self.betti}"
+        )
+
     def ensure(self, target_len: int, max_total_dim: int):
         if self.cum_dim > max_total_dim:
-            raise ResolutionBudgetExceeded(
-                f"resolution of {self.module.label or 'module'} already at "
-                f"{self.cum_dim} total dims (> {max_total_dim})"
-            )
+            raise self._over_budget(self.length, self.cum_dim, max_total_dim)
         while not self.terminated and self.length < target_len:
             self._step(max_total_dim)
 
@@ -181,25 +185,19 @@ class _ResolutionState:
             self._next_kernel = None
             return
         self.kernels.append(kernel)
-        rad_imgs = []
-        for va in self.algebra.var_action:
-            rad_imgs.append(
-                Matrix(
-                    self.field,
-                    _free_var_apply(va, kernel.data, prev_rank, d, self.field),
-                )
-            )
+        rad_imgs = [
+            _free_var_apply(va, kernel.data, prev_rank, d, self.field)
+            for va in self.algebra.var_action
+        ]
         gens = self._min_gens_from_kernel(kernel, Matrix.hstack(rad_imgs))
         b = gens.cols
-        self.cum_dim += b * d
-        if self.cum_dim > max_total_dim:
-            # roll back so a later call with a larger budget can retry this step
-            self.cum_dim -= b * d
+        total = self.cum_dim + b * d
+        if total > max_total_dim:
+            # leave the state as it was so a later call with a larger budget
+            # can retry this step
             self.kernels.pop()
-            raise ResolutionBudgetExceeded(
-                f"resolution of {self.module.label or 'module'} exceeds "
-                f"{max_total_dim} total dims at step {self.length + 1}"
-            )
+            raise self._over_budget(self.length + 1, total, max_total_dim)
+        self.cum_dim = total
         # algebra-entry form of the new differential + minimality check
         entries = []
         for t in range(prev_rank):
@@ -236,7 +234,7 @@ class _ResolutionState:
                     if self.field.p is not None:
                         blk = blk % self.field.p
                     out[t * d : (t + 1) * d, j * d : (j + 1) * d] = blk
-        return Matrix(self.field, out)
+        return _adopt(self.field, out)
 
     def differential_matrix(self, i: int) -> Matrix:
         """k-linear d_i; i = 0 maps F_0 onto the module."""
@@ -519,10 +517,7 @@ def syzygy_module(module: Module, i: int, max_total_dim: int = DEFAULT_RESOLUTIO
 
     acts = []
     for va in algebra.var_action:
-        img = Matrix(
-            algebra.field,
-            _free_var_apply(va, basis.data, prev_rank, d, algebra.field),
-        )
+        img = _free_var_apply(va, basis.data, prev_rank, d, algebra.field)
         coords = solve_matrix(basis, img)
         if coords is None:
             raise AssertionError("syzygy subspace not invariant")

@@ -148,3 +148,21 @@ def test_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["bogus"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--ring", "GF(101)[x,y]/(x^2,y^2)", "--module", "k"],
+        ["ext", "--ring", "GF(101)[x]/(x^2)", "--from", "k", "--to", "k"],
+        ["verify-paper", "--prop", "fact-a"],
+        ["search", "--trials", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_bound_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--bound", "-3"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--bound" in err and "non-negative" in err

@@ -1,7 +1,9 @@
 """Property-based checks of the exact linear algebra layer."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,15 +32,65 @@ def _matrices(field, max_dim=6):
     )
 
 
+def _kernel_reference(m):
+    """The entry-by-entry kernel construction ``kernel_basis`` must match."""
+    res = rref(m)
+    red = res.reduced.data
+    pivots = list(res.pivot_columns)
+    free = [j for j in range(m.cols) if j not in pivots]
+    out = [[m.field.zero] * len(free) for _ in range(m.cols)]
+    for k, j in enumerate(free):
+        out[j][k] = m.field.one
+        for r, pc in enumerate(pivots):
+            out[pc][k] = m.field.neg(red[r, j])
+    return out
+
+
+def _check_kernel(m):
+    k = kernel_basis(m)
+    assert k.rows == m.cols
+    assert rank(m) + k.cols == m.cols
+    assert rank(k) == k.cols  # the columns are independent
+    if k.cols:
+        assert (m @ k).is_zero()
+    assert not k.data.flags.writeable
+    if m.field.p is not None:
+        assert k.data.dtype == np.int64
+        assert ((k.data >= 0) & (k.data < m.field.p)).all()
+    else:
+        assert all(type(v) is Fraction for v in k.data.reshape(-1))
+    assert k.to_lists() == _kernel_reference(m)
+    return k
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rank_nullity(field, data):
-    m = data.draw(_matrices(field))
-    k = kernel_basis(m)
-    assert rank(m) + k.cols == m.cols
-    if k.cols:
-        assert (m @ k).is_zero()
+    """Kernel bases are independent, canonical, read-only null spaces, equal
+    entry for entry to the reference construction."""
+    _check_kernel(data.draw(_matrices(field)))
+
+
+def _wide_sparse(field, rows=12, cols=120, seed=3):
+    """A sparse rows x cols matrix, shaped like a resolution differential."""
+    rng = random.Random(seed)
+    arr = [[0] * cols for _ in range(rows)]
+    for _ in range(3 * rows):
+        arr[rng.randrange(rows)][rng.randrange(cols)] = rng.randrange(1, 7)
+    return Matrix.from_rows(field, arr)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kernel_basis_edge_cases(field):
+    no_rows = _check_kernel(Matrix.zeros(field, 0, 4))
+    assert no_rows == Matrix.identity(field, 4)
+    all_zero = _check_kernel(Matrix.zeros(field, 3, 5))
+    assert all_zero == Matrix.identity(field, 5)
+    full_rank = Matrix.from_rows(field, [[1, 0, 0], [2, 1, 0], [3, 4, 1], [5, 6, 1]])
+    assert _check_kernel(full_rank).data.shape == (3, 0)
+    wide = _wide_sparse(field)
+    assert _check_kernel(wide).cols >= 120 - 12
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -1,5 +1,7 @@
 """Minimal free resolutions and the Ext/Tor tables built on them."""
 
+import pytest
+
 from ezdlab.module import (
     dual_k,
     free_module,
@@ -11,6 +13,7 @@ from ezdlab.resolution import (
     AtLeast,
     Exactly,
     NEG_INF,
+    ResolutionBudgetExceeded,
     ext,
     id_bounded,
     minimal_free_resolution,
@@ -19,7 +22,7 @@ from ezdlab.resolution import (
     tor,
 )
 
-from conftest import var
+from conftest import GF101, make_algebra, var
 
 
 def test_differentials_compose_to_zero(square_zero):
@@ -141,3 +144,28 @@ def test_tor_k_k_growth(square_zero):
     k = residue_field_module(square_zero)
     table = tor(k, k, 6)
     assert [table.entry(i) for i in range(7)] == [1, 2, 4, 8, 16, 32, 64]
+
+
+def test_betti_numbers_of_k_deep():
+    """k over k[x,y,z]/(x^3,y^3,z^3,xyz): large dense kernels from step 3 on."""
+    a = make_algebra(
+        GF101,
+        ["x", "y", "z"],
+        [{(3, 0, 0): 1}, {(0, 3, 0): 1}, {(0, 0, 3): 1}, {(1, 1, 1): 1}],
+    )
+    res = minimal_free_resolution(residue_field_module(a), 4)
+    assert res.betti == [1, 3, 7, 16, 37]
+
+
+def test_budget_message_names_module_step_betti_and_budget(hyper4):
+    """The budget stop says which module, at which step, how far it got."""
+    k = residue_field_module(hyper4)  # betti 1, 1, 1, ...: 4 dims per step
+    with pytest.raises(ResolutionBudgetExceeded) as exc:
+        minimal_free_resolution(k, 10, max_total_dim=10)
+    msg = str(exc.value)
+    assert "resolution of k " in msg
+    assert "at step 2" in msg
+    assert "budget of 10" in msg
+    assert "betti so far [1, 1]" in msg
+    # the stop leaves the state intact: a larger budget resumes from it
+    assert minimal_free_resolution(k, 3, max_total_dim=100).betti == [1, 1, 1, 1]
