@@ -97,10 +97,6 @@ class Algebra:
             acc = acc % self.field.p
         return Matrix(self.field, acc)
 
-    def radical_element_coords(self):
-        """Staircase coordinates of the monomial radical basis (degree >= 1)."""
-        return self.radical_indices
-
 
 @dataclass(frozen=True)
 class Element:

@@ -128,7 +128,7 @@ def _module_from_expr(env, text: str) -> Module:
         return residue_field_module(algebra)
     script = dsl.parse_script(f"ring A = GF(2)[t] / (t^2);\nmodule M = {text};")
     expr = script.statements[1].expr
-    return dsl._eval_module(env, expr)
+    return dsl._eval_module(env, expr, expr)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def _cmd_check(args) -> int:
         _env, results = dsl.run_script(
             script, default_bound=args.bound, seed=args.seed
         )
-    except (InfiniteDimensionalError, NonLocalError) as exc:
+    except (dsl.DslError, InfiniteDimensionalError, NonLocalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:

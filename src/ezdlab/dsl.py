@@ -14,7 +14,7 @@ and pretty_print(parse(text)) reparses to an equal Script.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +25,7 @@ from .groebner import (
     PairBudgetExceeded,
     QuotientPresentation,
 )
-from .linalg import Field
+from .linalg import Field, prime_field_error
 from .module import (
     Module,
     annihilator_submodule,
@@ -78,6 +78,18 @@ CHECK_NAMES = (
     "dim",
 )
 
+# arguments each check takes
+CHECK_ARITY = {
+    "ezd": 3,
+    "semidualizing": 1,
+    "in_gc": 2,
+    "in_ac": 2,
+    "in_bc": 2,
+    "isomorphic": 2,
+    "not_isomorphic": 2,
+    "dim": 2,
+}
+
 MODULE_OPS = {
     "free": 2,  # free(R, n)
     "quot": -2,  # quot(M, e1, ..., ek): quotient by the elements' images
@@ -99,6 +111,14 @@ class DslError(Exception):
 
 # ---------------------------------------------------------------------------
 # syntax tree
+#
+# ``pos`` fields hold the (line, column) that errors found while running a
+# script point at; they take no part in equality, so a pretty-printed script
+# still reparses to an equal tree.
+
+
+def _pos():
+    return field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -115,12 +135,14 @@ class ElemDecl:
     name: str
     poly: tuple
     ring: str
+    pos: tuple = _pos()  # of the ring name
 
 
 @dataclass(frozen=True)
 class ModuleExpr:
     op: str  # one of MODULE_OPS or "name"
     args: tuple  # nested ModuleExpr, str names, or ints
+    pos: tuple = _pos()
 
 
 @dataclass(frozen=True)
@@ -134,6 +156,7 @@ class CheckStmt:
     name: str
     args: tuple  # ModuleExpr / str / int per check
     bound: Optional[int]
+    pos: tuple = _pos()
 
 
 @dataclass(frozen=True)
@@ -291,8 +314,9 @@ class _Parser:
             ptok = self.expect("int")
             self.expect("sym", ")")
             p = int(ptok.value)
-            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-                self.error(f"{p} is not prime", ptok)
+            err = prime_field_error(p)
+            if err:
+                self.error(err, ptok)
             return p
         self.error(f"expected GF(p) or QQ, found {tok.value!r}", tok)
 
@@ -368,10 +392,13 @@ class _Parser:
             self.next()
         span = self.tokens[start : self.pos]
         self.expect("name", "in")
-        ring = self.expect("name").value
+        ring = self.expect("name")
         self.expect("sym", ";")
-        # positions are dropped so pretty-printing reparses to an equal tree
-        return ElemDecl(name, _RawPoly(tuple((t.kind, t.value) for t in span)), ring)
+        poly = _RawPoly(
+            tuple((t.kind, t.value) for t in span),
+            tuple((t.line, t.col) for t in span),
+        )
+        return ElemDecl(name, poly, ring.value, (ring.line, ring.col))
 
     def module_decl(self) -> ModuleDecl:
         self.expect("name", "module")
@@ -386,7 +413,7 @@ class _Parser:
         if tok.value not in MODULE_OPS:
             if self.peek().kind == "sym" and self.peek().value == "(":
                 self.error(f"unknown module constructor {tok.value!r}", tok)
-            return ModuleExpr("name", (tok.value,))
+            return ModuleExpr("name", (tok.value,), (tok.line, tok.col))
         op = tok.value
         self.expect("sym", "(")
         args = []
@@ -400,7 +427,7 @@ class _Parser:
             self.error(f"{op} expects {arity} argument(s), got {len(args)}", tok)
         if arity < 0 and len(args) < -arity:
             self.error(f"{op} expects at least {-arity} argument(s)", tok)
-        return ModuleExpr(op, tuple(args))
+        return ModuleExpr(op, tuple(args), (tok.line, tok.col))
 
     def module_arg(self):
         tok = self.peek()
@@ -421,21 +448,25 @@ class _Parser:
             while self.accept("sym", ","):
                 args.append(self.module_arg())
             self.expect("sym", ")")
+        if len(args) != CHECK_ARITY[name]:
+            want = CHECK_ARITY[name]
+            self.error(f"{name} expects {want} argument(s), got {len(args)}", tok)
         bound = None
         if self.peek().kind == "name" and self.peek().value == "bound":
             self.next()
             bound = int(self.expect("int").value)
         self.expect("sym", ";")
-        return CheckStmt(name, tuple(args), bound)
+        return CheckStmt(name, tuple(args), bound, (tok.line, tok.col))
 
 
 @dataclass(frozen=True)
 class _RawPoly:
     """Token span of an element polynomial, resolved against its ring later.
 
-    Stored as (kind, value) pairs without source positions."""
+    Stored as (kind, value) pairs; their positions do not count in equality."""
 
     tokens: tuple
+    positions: tuple = field(compare=False, repr=False)
 
     def text(self) -> str:
         out = []
@@ -551,25 +582,39 @@ def _build_ring(decl: RingDecl) -> Algebra:
     return Algebra(QuotientPresentation(ring, gens))
 
 
+def _ref(table: dict, kind: str, arg, at):
+    """The ring or element that the name argument ``arg`` refers to; ``at``
+    is the enclosing expression or check, whose position an argument that
+    is not a name is reported at."""
+    if not (isinstance(arg, ModuleExpr) and arg.op == "name"):
+        raise DslError(f"expected a {kind} name", *at.pos)
+    name = arg.args[0]
+    if name not in table:
+        raise DslError(f"undefined {kind} {name!r}", *arg.pos)
+    return table[name]
+
+
 def _resolve_elem(env: _Env, decl: ElemDecl) -> Element:
     algebra = env.rings.get(decl.ring)
     if algebra is None:
-        raise KeyError(f"undefined ring {decl.ring!r} in elem {decl.name!r}")
+        message = f"undefined ring {decl.ring!r} in elem {decl.name!r}"
+        raise DslError(message, *decl.pos)
     parser = _Parser.__new__(_Parser)
     parser.tokens = [
-        _Token(kind, value, 0, 0) for kind, value in decl.poly.tokens
-    ] + [_Token("eof", "", 0, 0)]
+        _Token(kind, value, *pos)
+        for (kind, value), pos in zip(decl.poly.tokens, decl.poly.positions)
+    ] + [_Token("eof", "", *decl.pos)]
     parser.pos = 0
     terms = parser.polynomial(list(algebra.ring.names))
     if parser.peek().kind != "eof":
-        tok = parser.peek()
-        raise DslError("trailing tokens in element polynomial", tok.line, tok.col)
+        parser.error("trailing tokens in element polynomial")
     return algebra.element_from_poly(_terms_to_polynomial(algebra.ring, terms))
 
 
-def _eval_module(env: _Env, expr) -> Module:
+def _eval_module(env: _Env, expr, at) -> Module:
+    """The module ``expr`` denotes; ``at`` encloses it (see ``_ref``)."""
     if isinstance(expr, int):
-        raise TypeError("expected a module expression, found an integer")
+        raise DslError("expected a module expression, found an integer", *at.pos)
     op, args = expr.op, expr.args
     if op == "name":
         name = args[0]
@@ -577,21 +622,23 @@ def _eval_module(env: _Env, expr) -> Module:
             return env.modules[name]
         if name in env.rings:
             return regular_module(env.rings[name], label=name)
-        raise KeyError(f"undefined module {name!r}")
+        raise DslError(f"undefined module {name!r}", *expr.pos)
     if op == "free":
-        algebra = env.rings[args[0].args[0]]
+        algebra = _ref(env.rings, "ring", args[0], expr)
+        if not isinstance(args[1], int):
+            raise DslError("free expects an integer rank", *expr.pos)
         return free_module(algebra, args[1])
     if op == "omega":
-        algebra = env.rings[args[0].args[0]]
+        algebra = _ref(env.rings, "ring", args[0], expr)
         return dual_k(regular_module(algebra), label=f"omega({args[0].args[0]})")
-    m = _eval_module(env, args[0])
+    m = _eval_module(env, args[0], expr)
     if op == "dualk":
         return dual_k(m)
     if op in ("hom", "tensor"):
-        n = _eval_module(env, args[1])
+        n = _eval_module(env, args[1], expr)
         return hom_module(m, n) if op == "hom" else tensor_module(m, n)
     if op in ("ann", "modx", "quot"):
-        elems = [env.elems[a.args[0]] for a in args[1:]]
+        elems = [_ref(env.elems, "element", a, expr) for a in args[1:]]
         if op == "ann":
             return annihilator_submodule(m, elems[0])[0]
         if op == "modx":
@@ -621,15 +668,15 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> Che
 
     try:
         if stmt.name == "ezd":
-            x = env.elems[stmt.args[0].args[0]]
-            y = env.elems[stmt.args[1].args[0]]
-            m = _eval_module(env, stmt.args[2])
+            x = _ref(env.elems, "element", stmt.args[0], stmt)
+            y = _ref(env.elems, "element", stmt.args[1], stmt)
+            m = _eval_module(env, stmt.args[2], stmt)
             rep = is_ezd_pair(x, y, m)
             if rep.holds:
                 return done("pass")
             return done("fail", witness=", ".join(rep.failing_checks()))
         if stmt.name == "semidualizing":
-            c = _eval_module(env, stmt.args[0])
+            c = _eval_module(env, stmt.args[0], stmt)
             cert = is_semidualizing(c, bound)
             if cert.holds:
                 status = "pass"
@@ -638,8 +685,8 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> Che
                 return done(status, witness, tables)
             return done("fail", witness=cert.failure)
         if stmt.name in ("in_gc", "in_ac", "in_bc"):
-            m = _eval_module(env, stmt.args[0])
-            c = _eval_module(env, stmt.args[1])
+            m = _eval_module(env, stmt.args[0], stmt)
+            c = _eval_module(env, stmt.args[1], stmt)
             fn = {"in_gc": in_G_C, "in_ac": in_A_C, "in_bc": in_B_C}[stmt.name]
             rep = fn(m, c, bound)
             tables = _table_dict(rep.tables)
@@ -649,8 +696,8 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> Che
                 return done("pass", f"up to bound {rep.verdict.bound}", tables)
             return done("fail", rep.verdict.witness, tables)
         if stmt.name in ("isomorphic", "not_isomorphic"):
-            m = _eval_module(env, stmt.args[0])
-            n = _eval_module(env, stmt.args[1])
+            m = _eval_module(env, stmt.args[0], stmt)
+            n = _eval_module(env, stmt.args[1], stmt)
             verdict = is_isomorphic(m, n, seed=seed)
             if isinstance(verdict, Iso):
                 return done("pass" if stmt.name == "isomorphic" else "fail")
@@ -661,8 +708,10 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> Che
                 )
             return done("inconclusive", witness="isomorphism search exhausted")
         if stmt.name == "dim":
-            m = _eval_module(env, stmt.args[0])
+            m = _eval_module(env, stmt.args[0], stmt)
             expected = stmt.args[1]
+            if not isinstance(expected, int):
+                raise DslError("dim expects an integer dimension", *stmt.pos)
             if m.dim == expected:
                 return done("pass")
             return done("fail", witness=f"dim = {m.dim}, expected {expected}")
@@ -685,7 +734,7 @@ def run_script(
         elif isinstance(stmt, ElemDecl):
             env.elems[stmt.name] = _resolve_elem(env, stmt)
         elif isinstance(stmt, ModuleDecl):
-            env.modules[stmt.name] = _eval_module(env, stmt.expr)
+            env.modules[stmt.name] = _eval_module(env, stmt.expr, stmt.expr)
             env.modules[stmt.name].label = stmt.name
         elif isinstance(stmt, CheckStmt):
             results.append(_run_check(env, stmt, default_bound, seed))

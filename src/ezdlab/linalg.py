@@ -31,19 +31,43 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with these bases is exact for every n below 3.3 * 10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# int64 products of two residues stay exact only while p < 2^31
+_PRIME_CAP = 2**31
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        y = pow(b, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def prime_field_error(p: int) -> Optional[str]:
+    """Why GF(p) cannot be computed with exactly, or None if it can."""
+    if p >= _PRIME_CAP:
+        return f"GF({p}) is too large: exact int64 arithmetic needs p < 2^31"
+    if not _is_prime(p):
+        return f"{p} is not prime"
+    return None
 
 
 @dataclass(frozen=True)
@@ -53,8 +77,10 @@ class Field:
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        if self.p is not None:
+            err = prime_field_error(self.p)
+            if err:
+                raise ValueError(err)
 
     @staticmethod
     def prime(p: int) -> "Field":
@@ -341,21 +367,35 @@ def kernel_basis(m: Matrix) -> Matrix:
     Column k is the solution whose k-th free variable (in column order) is
     one and whose other free variables are zero.
     """
+    return _kernel_with_free(m)[0]
+
+
+def _kernel_with_free(m: Matrix):
+    """``kernel_basis(m)`` and the indices of its free rows.
+
+    Those rows of the basis form an identity block, so the coordinates of
+    any vector in the kernel are its entries on them.
+    """
     res = rref(m)
     field = m.field
     pivots = np.array(res.pivot_columns, dtype=np.intp)
     is_free = np.ones(m.cols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
+    # coeffs is a copy, so the reduced matrix is freed before the basis is
+    # allocated, and it is negated in place: large kernels peak lower
     coeffs = res.reduced.data[: res.rank][:, free]
+    del res
     if field.p is not None:
         out = np.zeros((m.cols, free.size), dtype=np.int64)
-        out[pivots] = (-coeffs) % field.p
+        np.negative(coeffs, out=coeffs)
+        coeffs %= field.p
+        out[pivots] = coeffs
     else:
         out = np.full((m.cols, free.size), Fraction(0), dtype=object)
         out[pivots] = -coeffs
     out[free, np.arange(free.size)] = field.one
-    return _adopt(field, out)
+    return _adopt(field, out), free
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,11 +17,11 @@ from .algebra import Algebra, Element
 from .groebner import QuotientPresentation
 from .linalg import (
     Matrix,
+    _adopt,
+    _kernel_with_free,
     image_basis,
-    inverse,
     is_invertible,
     kernel_basis,
-    rank,
     rref,
     solve_matrix,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "tensor_module",
     "dual_k",
     "direct_sum",
-    "submodule_generated",
     "quotient_algebra",
     "transport_to_quotient",
     "transport_from_quotient",
@@ -213,25 +211,6 @@ def _restricted_actions(module: Module, basis: Matrix) -> list:
     return acts
 
 
-def _quotient_data(module: Module, sub_basis: Matrix):
-    """Projection P, section S and induced actions for M / span(sub_basis)."""
-    field = module.algebra.field
-    n = module.dim
-    w = image_basis(sub_basis)
-    res = rref(Matrix.hstack([w, Matrix.identity(field, n)]))
-    # pivots beyond the w-block pick complementary standard basis vectors
-    comp = [c - w.cols for c in res.pivot_columns if c >= w.cols]
-    section = Matrix.zeros(field, n, len(comp)).data.copy()
-    for k, j in enumerate(comp):
-        section[j, k] = field.one
-    section_m = Matrix(field, section)
-    # projection: coordinates of each standard vector modulo w in the comp basis
-    sol = solve_matrix(Matrix.hstack([w, section_m]), Matrix.identity(field, n))
-    proj = Matrix(field, np.ascontiguousarray(sol.data[w.cols :, :]))
-    acts = [proj @ a @ section_m for a in module.actions]
-    return proj, section_m, acts
-
-
 def annihilator_submodule(module: Module, x: Element):
     """(0:_M x) with its inclusion into M."""
     ax = module.element_action(x)
@@ -244,23 +223,11 @@ def annihilator_submodule(module: Module, x: Element):
 def scale_quotient(module: Module, x: Element):
     """M/xM with the projection from M."""
     ax = module.element_action(x)
-    proj, _section, acts = _quotient_data(module, ax)
+    proj, _section, acts = _quotient_space(
+        module.algebra.field, module.dim, ax, module.actions
+    )
     quot = Module(module.algebra, acts, label=f"{module.label or 'M'}/x")
     return quot, Morphism(module, quot, proj)
-
-
-def submodule_generated(module: Module, vectors: Matrix):
-    """Smallest action-closed subspace containing the given column vectors."""
-    basis = image_basis(vectors)
-    while True:
-        images = [a @ basis for a in module.actions]
-        bigger = image_basis(Matrix.hstack([basis] + images))
-        if bigger.cols == basis.cols:
-            break
-        basis = bigger
-    acts = _restricted_actions(module, basis)
-    sub = Module(module.algebra, acts, label="submodule")
-    return sub, Morphism(sub, module, basis)
 
 
 def direct_sum(m: Module, n: Module, label: str = "") -> Module:
@@ -277,7 +244,7 @@ def direct_sum(m: Module, n: Module, label: str = "") -> Module:
 class HomModule(Module):
     """Hom_A(M, N) as an A-module; remembers its matrix basis."""
 
-    __slots__ = ("hom_source", "hom_target", "basis")
+    __slots__ = ("hom_source", "hom_target", "basis", "_bmat", "_free")
 
     def __init__(self, source: Module, target: Module):
         if source.algebra != target.algebra:
@@ -295,58 +262,44 @@ class HomModule(Module):
             stacked = Matrix.vstack(constraints)
         else:
             stacked = Matrix.zeros(field, 0, ns * nt)
-        basis_vecs = kernel_basis(stacked)
+        # columns are vec(phi); its rows at ``free`` form an identity block
+        self._bmat, self._free = _kernel_with_free(stacked)
+        h = self._bmat.cols
         self.hom_source = source
         self.hom_target = target
-        self.basis = [
-            Matrix(field, np.ascontiguousarray(basis_vecs.data[:, k].reshape(nt, ns)))
-            for k in range(basis_vecs.cols)
-        ]
+        phis = np.ascontiguousarray(self._bmat.data.T).reshape(h, nt, ns)
+        phis.setflags(write=False)
+        self.basis = [Matrix(field, phi) for phi in phis]
         acts = []
-        bmat = basis_vecs  # (ns*nt) x h, columns are vec(phi)
         for ta in target.actions:
-            imgs = []
-            for phi in self.basis:
-                img = ta @ phi
-                imgs.append(img.data.reshape(ns * nt, 1))
-            if imgs:
-                img_m = Matrix(field, np.hstack(imgs))
-                coords = solve_matrix(bmat, img_m)
-            else:
-                coords = Matrix.zeros(field, 0, 0)
-            acts.append(coords)
+            imgs = ta.data @ phis
+            if field.p is not None:
+                imgs %= field.p
+            acts.append(self._coords(imgs.reshape(h, nt * ns).T))
         super().__init__(
             source.algebra,
             acts,
             label=f"Hom({source.label or 'M'},{target.label or 'N'})",
         )
 
+    def _coords(self, vecs: np.ndarray) -> Matrix:
+        """Coordinates of the canonical vec(phi) columns of ``vecs``."""
+        coords = _adopt(self._bmat.field, vecs[self._free])
+        if not np.array_equal((self._bmat @ coords).data, vecs):
+            raise ValueError("matrix is not in the Hom space")
+        return coords
+
     def element_matrix(self, coords: Matrix) -> Matrix:
         """The hom as a target-dim x source-dim matrix, from coordinates."""
-        field = self.algebra.field
-        acc = Matrix.zeros(field, self.hom_target.dim, self.hom_source.dim).data.copy()
-        for k, phi in enumerate(self.basis):
-            c = coords.data[k, 0]
-            if c != 0:
-                acc = acc + phi.data * c
-        if field.p is not None:
-            acc = acc % field.p
-        return Matrix(field, acc)
+        vec = (self._bmat @ coords).data
+        shape = (self.hom_target.dim, self.hom_source.dim)
+        return Matrix(self.algebra.field, vec.reshape(shape))
 
     def coordinates_of(self, mat: Matrix) -> Matrix:
         """Inverse of element_matrix; the hom must lie in the span."""
-        field = self.algebra.field
-        if not self.basis:
-            if mat.is_zero():
-                return Matrix.zeros(field, 0, 1)
-            raise ValueError("matrix is not in the Hom space")
-        bmat = Matrix(
-            field, np.hstack([phi.data.reshape(-1, 1) for phi in self.basis])
-        )
-        coords = solve_matrix(bmat, Matrix(field, mat.data.reshape(-1, 1)))
-        if coords is None:
-            raise ValueError("matrix is not in the Hom space")
-        return coords
+        if mat.data.shape != (self.hom_target.dim, self.hom_source.dim):
+            raise ValueError("matrix has the wrong shape for the Hom space")
+        return self._coords(mat.data.reshape(-1, 1))
 
 
 def _eye_arr(field, n):
@@ -398,12 +351,6 @@ class TensorModule(Module):
             acts,
             label=f"{left.label or 'M'}(x){right.label or 'N'}",
         )
-
-    def pure_tensor(self, u: Matrix, v: Matrix) -> Matrix:
-        """Image of u (x) v in the quotient coordinates."""
-        field = self.algebra.field
-        vec = _kron(field, u.data, v.data)
-        return self.projection @ Matrix(field, vec)
 
 
 def _quotient_space(field, n, sub: Matrix, action_mats: list):

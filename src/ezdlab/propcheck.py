@@ -70,7 +70,6 @@ __all__ = [
     "Instance",
     "VerificationResult",
     "load_corpus",
-    "builtin_corpus",
     "fact22_witness",
     "verify_fact_a",
     "verify_fact_b",
@@ -619,10 +618,6 @@ def load_corpus(directory: Optional[Path] = None, bound: int = DEFAULT_BOUND):
     return instances
 
 
-def builtin_corpus(bound: int = DEFAULT_BOUND):
-    return load_corpus(None, bound)
-
-
 # ---------------------------------------------------------------------------
 # randomized instance generation
 
@@ -781,20 +776,24 @@ def search_counterexamples(config: SearchConfig) -> dict:
         reg = regular_module(algebra, label="A")
         dual = dual_k(reg, label="dual")
         c_candidates = [("A", reg), ("dual_k(A)", dual)]
-        # membership answers repeat across pairs for the shared modules
-        gc_memo: dict = {}
+        # Base changes and G_C verdicts repeat across the pairs of a trial:
+        # each is built once, keyed by candidate names and the coordinate
+        # bytes of x and y.  Only results are stored, so a computation that
+        # raises runs (and raises) again wherever it is needed.
+        memo: dict = {}
 
-        def gc_holds(m, c):
-            key = (id(m), id(c))
-            if key not in gc_memo:
-                gc_memo[key] = _holds(in_G_C(m, c, config.bound))
-            return gc_memo[key]
+        def once(key, build):
+            if key not in memo:
+                memo[key] = build()
+            return memo[key]
 
         for x, y in pairs:
+            xb, yb = x.coords.data.tobytes(), y.coords.data.tobytes()
+            quot_y = once(("A/yA", yb), lambda: scale_quotient(reg, y)[0])
             m_candidates = [
-                ("A", reg),
-                ("dual_k(A)", dual),
-                ("A/yA", scale_quotient(reg, y)[0]),
+                ("A", "A", reg),
+                ("dual_k(A)", "dual_k(A)", dual),
+                ("A/yA", ("A/yA", yb), quot_y),
             ]
             for c_name, c in c_candidates:
                 try:
@@ -802,18 +801,24 @@ def search_counterexamples(config: SearchConfig) -> dict:
                         continue
                     if not is_semidualizing(c, config.bound).holds:
                         continue
-                    for m_name, m in m_candidates:
+                    for m_name, m_key, m in m_candidates:
                         if not is_ezd_pair(x, y, m).holds:
                             continue
-                        if not gc_holds(m, c):
+                        if not once(
+                            ("G_C", m_key, c_name),
+                            lambda: _holds(in_G_C(m, c, config.bound)),
+                        ):
                             continue
                         report["fully_gated"] += 1
-                        abar = quotient_algebra(algebra, x)
-                        m_bar = _bar(m, abar, x)
-                        c_bar = _bar(c, abar, x)
+                        abar = once(("A/xA", xb), lambda: quotient_algebra(algebra, x))
+                        m_bar = once(("bar", m_key, xb), lambda: _bar(m, abar, x))
+                        c_bar = once(("bar", c_name, xb), lambda: _bar(c, abar, x))
                         if not is_semidualizing(c_bar, config.bound).holds:
                             continue
-                        concl = in_G_C(m_bar, c_bar, config.bound)
+                        concl = once(
+                            ("G_C", m_key, c_name, xb),
+                            lambda: in_G_C(m_bar, c_bar, config.bound),
+                        )
                         if isinstance(concl.verdict, Fails):
                             report["counterexamples"].append(
                                 {

@@ -354,45 +354,23 @@ def _block_map(res: FreeResolution, other: Module, i: int, transpose: bool) -> M
     return Matrix(field, out)
 
 
-def _hom_complex_dims(res: FreeResolution, other: Module, bound: int) -> tuple:
-    """Cohomology dims of Hom(F_., other) in degrees 0..bound."""
+def _complex_dims(
+    res: FreeResolution, other: Module, bound: int, transpose: bool
+) -> tuple:
+    """(Co)homology dims in degrees 0..bound of Hom(F_., other)
+    (transpose=True) or of F_. (x) other (transpose=False).
+
+    Degree i has dimension betti_i * dim(other) less the ranks of the two
+    maps at that degree, so each map is reduced once."""
     nN = other.dim
     L = res.length
-    maps = {}
+    ranks = {0: 0}
     for i in range(1, min(L, bound + 1) + 1):
-        maps[i] = _block_map(res, other, i, transpose=True)
-    dims = []
-    for i in range(bound + 1):
-        if i > L:
-            dims.append(0)
-            continue
-        dom = res.betti[i] * nN
-        if (i + 1) in maps:
-            ker = kernel_basis(maps[i + 1]).cols
-        else:
-            ker = dom  # next map is zero
-        prev_rank = rank(maps[i]) if i >= 1 else 0
-        dims.append(ker - prev_rank)
-    return tuple(dims)
-
-
-def _tensor_complex_dims(res: FreeResolution, other: Module, bound: int) -> tuple:
-    """Homology dims of F_. (x) other in degrees 0..bound."""
-    nN = other.dim
-    L = res.length
-    maps = {}
-    for i in range(1, min(L, bound + 1) + 1):
-        maps[i] = _block_map(res, other, i, transpose=False)
-    dims = []
-    for i in range(bound + 1):
-        if i > L:
-            dims.append(0)
-            continue
-        dom = res.betti[i] * nN
-        ker = kernel_basis(maps[i]).cols if i >= 1 else dom
-        nxt = rank(maps[i + 1]) if (i + 1) in maps else 0
-        dims.append(ker - nxt)
-    return tuple(dims)
+        ranks[i] = rank(_block_map(res, other, i, transpose))
+    return tuple(
+        res.betti[i] * nN - ranks[i] - ranks.get(i + 1, 0) if i <= L else 0
+        for i in range(bound + 1)
+    )
 
 
 def ext(
@@ -415,11 +393,11 @@ def ext(
         try:
             if rt == "projective":
                 res = minimal_free_resolution(m, bound + 1, budget)
-                dims = _hom_complex_dims(res, n, bound)
+                dims = _complex_dims(res, n, bound, transpose=True)
             else:
                 dn = dual_k(n)
                 res = minimal_free_resolution(dn, bound + 1, budget)
-                dims = _tensor_complex_dims(res, m, bound)
+                dims = _complex_dims(res, m, bound, transpose=False)
             return ExtTable(dims, bound, res.terminated, rt)
         except ResolutionBudgetExceeded as e:
             last_err = e
@@ -442,10 +420,10 @@ def tor(
         try:
             if rt == "left":
                 res = minimal_free_resolution(m, bound + 1, budget)
-                dims = _tensor_complex_dims(res, n, bound)
+                dims = _complex_dims(res, n, bound, transpose=False)
             else:
                 res = minimal_free_resolution(n, bound + 1, budget)
-                dims = _tensor_complex_dims(res, m, bound)
+                dims = _complex_dims(res, m, bound, transpose=False)
             return TorTable(dims, bound, res.terminated, rt)
         except ResolutionBudgetExceeded as e:
             last_err = e

@@ -166,3 +166,29 @@ def test_negative_bound_rejected(argv, capsys):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert "--bound" in err and "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "body, where, message",
+    [
+        ("elem ex = x in B;", "line 2, column 16", "undefined ring 'B'"),
+        ("check dim(Q, 4);", "line 2, column 11", "undefined module 'Q'"),
+        ("check ezd(ex, ey, free(A, 1));", "line 2, column 11", "undefined element 'ex'"),
+    ],
+    ids=["ring", "module", "element"],
+)
+def test_undefined_name_exit_code(tmp_path, capsys, body, where, message):
+    script = tmp_path / "undefined.ezd"
+    script.write_text(f"ring A = GF(101)[x] / (x^2);\n{body}\n")
+    code, _, err = run(["check", str(script)], capsys)
+    assert code == 2
+    assert f"{where}: {message}" in err
+
+
+@pytest.mark.parametrize("p", [2305843009213693951, 4294967291, 2**31])
+def test_prime_over_cap_exit_code(tmp_path, capsys, p):
+    script = tmp_path / "big.ezd"
+    script.write_text(f"ring A = GF({p})[x] / (x^2);\n")
+    code, _, err = run(["check", str(script)], capsys)
+    assert code == 2
+    assert "line 1, column 13" in err and "2^31" in err

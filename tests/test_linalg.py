@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ezdlab.linalg import Field, Matrix, inverse, kernel_basis, rank, rref, solve
+from ezdlab.linalg import (
+    Field,
+    Matrix,
+    _is_prime,
+    inverse,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+)
 
 GF101 = Field.prime(101)
 GF2 = Field.prime(2)
@@ -144,3 +153,23 @@ def test_rational_exactness():
     assert rank(hilbert) == n
     hi = inverse(hilbert)
     assert hilbert @ hi == Matrix.identity(QQ, n)
+
+
+def test_is_prime_matches_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in range(-2, 5000):
+        assert _is_prime(n) == by_division(n), n
+    # strong pseudoprimes to small bases and Carmichael numbers
+    for n in (561, 1105, 2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n), n
+    for n in (2147483647, 4294967291, 2305843009213693951):
+        assert _is_prime(n), n
+
+
+def test_field_rejects_primes_over_cap():
+    assert Field(2147483647).p == 2**31 - 1
+    for p in (4294967291, 2305843009213693951):
+        with pytest.raises(ValueError, match="2\\^31"):
+            Field(p)

@@ -1,8 +1,14 @@
 """Module constructions: Hom, tensor, k-duals, quotients and isomorphism
 testing, against frozen dimension oracles."""
 
+import random
+
+import pytest
+
+from ezdlab.linalg import Matrix
 from ezdlab.module import (
     Iso,
+    Morphism,
     NotIso,
     annihilator_submodule,
     direct_sum,
@@ -18,7 +24,7 @@ from ezdlab.module import (
     transport_to_quotient,
 )
 
-from conftest import var
+from conftest import GF2, GF101, QQ, make_algebra, var
 
 
 def test_hom_tensor_dims_square_zero(square_zero):
@@ -127,3 +133,27 @@ def test_residue_field(sprime):
     assert k.dim == 1
     for a in k.actions:
         assert a.is_zero()
+
+
+@pytest.mark.parametrize("field", [GF2, GF101, QQ], ids=str)
+def test_hom_coordinates_round_trip(field):
+    """Hom coordinates are read off the kernel's free rows: they invert
+    element_matrix, and a matrix outside the Hom space is refused."""
+    alg = make_algebra(field, ["x", "y"], [{(1, 1): 1}, {(2, 0): 1, (0, 2): -1}])
+    r = regular_module(alg)
+    omega = dual_k(r)
+    cyclic = scale_quotient(r, var(alg, 0))[0]
+    rng = random.Random(0)
+    for src, tgt in ((r, r), (omega, r), (r, omega), (omega, omega), (cyclic, r)):
+        h = hom_module(src, tgt)
+        for _ in range(5):
+            c = Matrix.column(field, [rng.randint(-3, 3) for _ in range(h.dim)])
+            phi = h.element_matrix(c)
+            Morphism(src, tgt, phi)  # A-linear
+            assert h.coordinates_of(phi) == c
+    # projection onto the constant coordinate: sends 1 to 1 but x to 0
+    e00 = Matrix.from_rows(
+        field, [[int(i == j == 0) for j in range(alg.dim)] for i in range(alg.dim)]
+    )
+    with pytest.raises(ValueError, match="not in the Hom space"):
+        hom_module(r, r).coordinates_of(e00)

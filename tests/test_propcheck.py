@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ezdlab import propcheck
 from ezdlab.module import is_isomorphic, Iso, regular_module, scale_quotient
 from ezdlab.propcheck import (
     PROP_VERIFIERS,
@@ -84,3 +85,34 @@ def test_fact_a_on_random_instances():
     for inst in random_gated_instances(seed=5, count=10):
         result = PROP_VERIFIERS["fact-a"](inst)
         assert result.status == "pass", (inst.name, result.witness)
+
+
+@pytest.fixture(scope="module")
+def counted_search():
+    """The seed-7 100-trial search, counting its quotient_algebra calls."""
+    calls = []
+    build = propcheck.quotient_algebra
+
+    def counting(algebra, x):
+        calls.append((algebra, x.coords.data.tobytes()))  # keeps ids unique
+        return build(algebra, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propcheck, "quotient_algebra", counting)
+        report = search_counterexamples(SearchConfig(seed=7, trials=100))
+    return report, calls
+
+
+def test_search_seed7_counts(counted_search):
+    report, _calls = counted_search
+    assert report["algebras_built"] == 73
+    assert report["ring_pairs"] == 170
+    assert report["fully_gated"] == 671
+    assert report["budget_skips"] == 0
+    assert report["counterexamples"] == []
+
+
+def test_search_builds_each_quotient_once_per_trial(counted_search):
+    """A/xA is built once per (trial, x), not once per gated configuration."""
+    _report, calls = counted_search
+    assert len(calls) == len({(id(a), x) for a, x in calls}) == 113
