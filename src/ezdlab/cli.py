@@ -114,21 +114,38 @@ def _emit(report: Report, args) -> int:
 # one-shot module construction from command-line strings
 
 
+def _flag_error(flag: str, text: str, exc: dsl.DslError, offset: int = 0) -> ValueError:
+    """``exc``, raised ``offset`` columns into a line that holds ``text``,
+    restated at its column in the value of ``flag``."""
+    where = f"line {exc.line}, column {exc.col}"
+    if exc.line == 1:
+        where = f"column {exc.col - offset}"
+    return ValueError(f"{flag} {text!r}, {where}: {exc.message}")
+
+
+_RING_PREFIX = "ring A = "
+
+
 def _build_env(ring_text: str, bound: int):
     """Environment with a single ring named A built from e.g.
     ``GF(101)[x,y]/(x*y, x^2-y^2)``."""
-    script = dsl.parse_script(f"ring A = {ring_text};")
-    env, _ = dsl.run_script(script, default_bound=bound)
+    try:
+        script = dsl.parse_script(f"{_RING_PREFIX}{ring_text};")
+        env, _ = dsl.run_script(script, default_bound=bound)
+    except dsl.DslError as exc:
+        raise _flag_error("--ring", ring_text, exc, len(_RING_PREFIX)) from None
     return env
 
 
-def _module_from_expr(env, text: str) -> Module:
+def _module_from_expr(env, flag: str, text: str) -> Module:
     algebra = env.rings["A"]
     if text.strip() == "k":
         return residue_field_module(algebra)
-    script = dsl.parse_script(f"ring A = GF(2)[t] / (t^2);\nmodule M = {text};")
-    expr = script.statements[1].expr
-    return dsl._eval_module(env, expr, expr)
+    try:
+        expr = dsl.parse_module_expr(text)
+        return dsl._eval_module(env, expr, expr)
+    except dsl.DslError as exc:
+        raise _flag_error(flag, text, exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +180,7 @@ def _cmd_check(args) -> int:
 def _cmd_resolve(args) -> int:
     report = Report("resolve", args.seed, args.bound)
     env = _build_env(args.ring, args.bound)
-    m = _module_from_expr(env, args.module)
+    m = _module_from_expr(env, "--module", args.module)
     t0 = time.monotonic()
     try:
         res = minimal_free_resolution(m, args.bound)
@@ -184,8 +201,8 @@ def _cmd_resolve(args) -> int:
 def _cmd_ext_tor(args, which: str) -> int:
     report = Report(which, args.seed, args.bound)
     env = _build_env(args.ring, args.bound)
-    src = _module_from_expr(env, getattr(args, "from"))
-    dst = _module_from_expr(env, args.to)
+    src = _module_from_expr(env, "--from", getattr(args, "from"))
+    dst = _module_from_expr(env, "--to", args.to)
     fn = ext if which == "ext" else tor
     t0 = time.monotonic()
     try:
@@ -222,9 +239,9 @@ def _dim_str(value) -> str:
 def _cmd_classify(args) -> int:
     report = Report("classify", args.seed, args.bound)
     env = _build_env(args.ring, args.bound)
-    m = _module_from_expr(env, args.module)
+    m = _module_from_expr(env, "--module", args.module)
     c = (
-        _module_from_expr(env, args.c)
+        _module_from_expr(env, "--c", args.c)
         if args.c
         else regular_module(env.rings["A"], label="A")
     )
@@ -307,15 +324,8 @@ def _cmd_verify_paper(args) -> int:
 
 def _cmd_search(args) -> int:
     report = Report("search", args.seed, args.bound)
-    p = 2
-    if args.field:
-        if not (args.field.startswith("GF(") and args.field.endswith(")")):
-            print(f"error: search requires a finite field, got {args.field!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        p = int(args.field[3:-1])
     config = SearchConfig(
-        seed=args.seed, trials=args.trials, max_dim=args.dims, p=p, bound=args.bound
+        seed=args.seed, trials=args.trials, max_dim=args.dims, p=args.field, bound=args.bound
     )
     search_report = search_counterexamples(config)
     status = "fail" if search_report["counterexamples"] else "pass"
@@ -338,6 +348,17 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _finite_field(text: str) -> int:
+    """The p of a ``GF(p)`` flag value, read by the DSL's field rule."""
+    try:
+        p = dsl.parse_field(text)
+    except dsl.DslError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}, column {exc.col}: {exc.message}")
+    if p is None:
+        raise argparse.ArgumentTypeError("search requires a finite field GF(p), got QQ")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ezdlab",
@@ -354,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a machine-readable report to PATH")
         p.add_argument("--quiet", action="store_true",
                        help="suppress human-readable output")
-        p.add_argument("--field", default=None,
-                       help="coefficient field, GF(p) or QQ")
         if ring:
             p.add_argument("--ring", required=True,
                            help='presentation, e.g. "GF(101)[x,y]/(x*y, x^2-y^2)"')
@@ -390,6 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="randomized counterexample search")
     common(p)
+    p.add_argument("--field", type=_finite_field, default="GF(2)",
+                   help="coefficient field GF(p) of the searched algebras (default GF(2))")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dims", type=int, default=6,
                    help="largest algebra dimension to try")

@@ -62,6 +62,8 @@ __all__ = [
     "CheckStmt",
     "ModuleExpr",
     "parse_script",
+    "parse_field",
+    "parse_module_expr",
     "pretty_print",
     "CheckResult",
     "run_script",
@@ -105,6 +107,7 @@ MODULE_OPS = {
 class DslError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -480,6 +483,23 @@ class _RawPoly:
 
 def parse_script(text: str) -> Script:
     return _Parser(text).script()
+
+
+def _parse_whole(text: str, rule):
+    parser = _Parser(text)
+    out = rule(parser)
+    parser.expect("eof")
+    return out
+
+
+def parse_field(text: str) -> Optional[int]:
+    """The p of ``GF(p)``, or None for ``QQ``; the text is nothing else."""
+    return _parse_whole(text, _Parser.field_spec)
+
+
+def parse_module_expr(text: str) -> ModuleExpr:
+    """One module expression that makes up the whole of ``text``."""
+    return _parse_whole(text, _Parser.module_expr)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # int64 products of two residues stay exact only while p < 2^31
 _PRIME_CAP = 2**31
+_INT64_MAX = 2**63 - 1
 
 
 def _is_prime(n: int) -> bool:
@@ -152,6 +153,28 @@ def _canon_array(field: Field, arr) -> np.ndarray:
             flat[i] = Fraction(flat_src[i])
     a.setflags(write=False)
     return a
+
+
+def _dot(a: np.ndarray, b: np.ndarray, p: Optional[int]) -> np.ndarray:
+    """``a @ b``, reduced mod p over GF(p), exact for every p < 2^31.
+
+    At most k products are summed before a reduction, with
+    k (p - 1)^2 < 2^63 (delayed reduction, as in FFLAS-FFPACK), so no int64
+    sum wraps.  With p = None (QQ) it is plain object arithmetic.
+    """
+    # for a 2-D b, dot is matmul with less call overhead on small matrices
+    mul = np.dot if b.ndim == 2 else np.matmul
+    if p is None:
+        return mul(a, b)
+    n = a.shape[-1]
+    k = _INT64_MAX // (p - 1) ** 2
+    if n <= k:
+        return mul(a, b) % p
+    out = mul(a[..., :k], b[..., :k, :]) % p
+    for s in range(k, n, k):
+        out += mul(a[..., s : s + k], b[..., s : s + k, :]) % p
+        out %= p
+    return out
 
 
 def _adopt(field: Field, arr: np.ndarray) -> "Matrix":
@@ -294,6 +317,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.data.shape} @ {other.data.shape}")
+        if self.field.p is not None:
+            return _adopt(self.field, _dot(self.data, other.data, self.field.p))
         return self._wrap(self.data.dot(other.data))
 
     def scale(self, c) -> "Matrix":

@@ -18,6 +18,7 @@ from .groebner import QuotientPresentation
 from .linalg import (
     Matrix,
     _adopt,
+    _dot,
     _kernel_with_free,
     image_basis,
     is_invertible,
@@ -272,9 +273,7 @@ class HomModule(Module):
         self.basis = [Matrix(field, phi) for phi in phis]
         acts = []
         for ta in target.actions:
-            imgs = ta.data @ phis
-            if field.p is not None:
-                imgs %= field.p
+            imgs = _dot(ta.data, phis, field.p)
             acts.append(self._coords(imgs.reshape(h, nt * ns).T))
         super().__init__(
             source.algebra,

@@ -1,9 +1,12 @@
 """Minimal free resolutions, truncated Ext/Tor, pd/id bounds, periodicity.
 
 Resolutions are built incrementally and cached per module.  Differentials
-are stored in algebra-entry form (a b_{i-1} x b_i matrix of algebra
-coordinate vectors), which makes Hom(F_i, N) and F_i (x) N complexes
-cheap block constructions.
+are stored in algebra-entry form: d_i is one (b_{i-1}, b_i, dim A) array
+whose entry [t, j] holds the staircase coordinates of the algebra element
+in row t, column j.  Every block matrix built from it (the k-linear d_i,
+and the maps of the Hom(F_., N) and F_. (x) N complexes) is one contraction
+of its nonzero entries with the (dim A, n, n) stack of monomial actions on
+the target.
 
 Ext and Tor each have two routes: through a free resolution of the first
 argument, and through a free resolution of the k-dual of the other side
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import Matrix, _adopt, image_basis, kernel_basis, rank, rref
+from .linalg import Matrix, _adopt, _dot, image_basis, kernel_basis, rank, rref
 from .module import Iso, Module, Morphism, dual_k, free_module, is_isomorphic
 
 __all__ = [
@@ -76,35 +79,42 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def _act_from_coords(mon_stack, coords, field):
-    """sum_i coords[i] * mon_stack[i] as a raw array."""
-    acc = None
-    for i in range(len(mon_stack)):
-        c = coords[i]
-        if c != 0:
-            term = mon_stack[i].data * c
-            acc = term if acc is None else acc + term
-    if acc is None:
-        n = mon_stack[0].rows
-        return Matrix.zeros(field, n, n).data
+def _action_stack(module: Module) -> np.ndarray:
+    """The (dim A, n, n) stack of monomial actions, in staircase order."""
+    return np.stack([module.monomial_action(m).data for m in module.algebra.staircase])
+
+
+def _block_matrix(entries: np.ndarray, stack: np.ndarray, field, transpose=False) -> Matrix:
+    """The block matrix whose block (t, j), or (j, t) when transposed, is
+    sum_k entries[t, j, k] * stack[k].
+
+    Only the nonzero blocks, and only the algebra coordinates they use, are
+    contracted; differentials deep in a resolution are mostly zero blocks.
+    """
+    r, c, _ = entries.shape
+    n = stack.shape[1]
+    nonzero = entries != 0
+    t_idx, j_idx = nonzero.any(axis=2).nonzero()
+    used = nonzero.any(axis=(0, 1)).nonzero()[0]
+    shape = (c, n, r, n) if transpose else (r, n, c, n)
     if field.p is not None:
-        acc = acc % field.p
-    return acc
-
-
-def _mon_stack(module: Module):
-    return [module.monomial_action(m) for m in module.algebra.staircase]
+        out = np.zeros(shape, dtype=np.int64)
+    else:
+        out = np.full(shape, field.zero, dtype=object)
+    if t_idx.size:
+        coeffs = entries[t_idx[:, None], j_idx[:, None], used]
+        blocks = _dot(coeffs, stack[used].reshape(used.size, n * n), field.p)
+        if transpose:
+            out[j_idx, :, t_idx, :] = blocks.reshape(-1, n, n)
+        else:
+            out[t_idx, :, j_idx, :] = blocks.reshape(-1, n, n)
+    return _adopt(field, out.reshape(shape[0] * n, shape[2] * n))
 
 
 def _free_var_apply(var_mat: Matrix, v: np.ndarray, rank_: int, d: int, field) -> Matrix:
     """Apply the block-diagonal action (rank_ copies of var_mat) to columns v."""
-    out = np.empty_like(np.asarray(v))
-    a = var_mat.data
-    for r in range(rank_):
-        out[r * d : (r + 1) * d] = a.dot(v[r * d : (r + 1) * d])
-    if field.p is not None:
-        out = out % field.p
-    return _adopt(field, out)
+    out = _dot(var_mat.data, v.reshape(rank_, d, v.shape[1]), field.p)
+    return _adopt(field, out.reshape(rank_ * d, v.shape[1]))
 
 
 class _ResolutionState:
@@ -116,11 +126,11 @@ class _ResolutionState:
         self.field = module.algebra.field
         self.betti: list[int] = []
         self.gens: list[Matrix] = []
-        self.diff_alg: list = [None]  # diff_alg[i] for i >= 1
+        self.diff_alg: list = [None]  # diff_alg[i]: (b_{i-1}, b_i, dim A), i >= 1
         self.kernels: list[Optional[Matrix]] = [None]  # kernels[i] = ker d_{i-1} in F_{i-1}
         self.terminated = False
         self.cum_dim = 0
-        self._mult_stack = [m.data for m in self.algebra.mult]
+        self._mult_stack = np.stack([m.data for m in self.algebra.mult])
         self._next_kernel: Optional[Matrix] = None
         self._step0()
 
@@ -143,20 +153,13 @@ class _ResolutionState:
         self.betti.append(b0)
         self.gens.append(g0)
         self.cum_dim = b0 * self.algebra.dim
-        mon = _mon_stack(m)
-        d = self.algebra.dim
         if b0 == 0:
             self.terminated = True
             self._next_kernel = None
             return
-        cols = []
-        for j in range(b0):
-            gj = g0.data[:, [j]]
-            cols.append(np.hstack([mi.data.dot(gj) for mi in mon]))
-        d0 = np.hstack(cols)
-        if self.field.p is not None:
-            d0 = d0 % self.field.p
-        self._d0 = _adopt(self.field, d0)
+        # column j*d + k of d0 is monomial k acting on generator j
+        d0 = _dot(_action_stack(m), g0.data, self.field.p).transpose(1, 2, 0)
+        self._d0 = _adopt(self.field, d0.reshape(m.dim, b0 * self.algebra.dim))
         self._next_kernel = kernel_basis(self._d0)
 
     @property
@@ -199,49 +202,20 @@ class _ResolutionState:
             raise self._over_budget(self.length + 1, total, max_total_dim)
         self.cum_dim = total
         # algebra-entry form of the new differential + minimality check
-        entries = []
-        for t in range(prev_rank):
-            row = []
-            for j in range(b):
-                coords = np.asarray(gens.data[t * d : (t + 1) * d, j]).reshape(-1)
-                if coords[0] != 0:
-                    raise AssertionError("non-minimal differential entry (unit constant term)")
-                row.append(coords)
-            entries.append(row)
+        entries = gens.data.reshape(prev_rank, d, b).transpose(0, 2, 1)
+        if (entries[:, :, 0] != 0).any():
+            raise AssertionError("non-minimal differential entry (unit constant term)")
         self.betti.append(b)
         self.gens.append(gens)
         self.diff_alg.append(entries)
         # k-linear differential F_new -> F_prev and its kernel
-        dk = self._alg_entry_matrix(entries, prev_rank, b)
-        self._next_kernel = kernel_basis(dk)
-
-    def _alg_entry_matrix(self, entries, nrows_blocks, ncols_blocks) -> Matrix:
-        """Blocks = regular-representation matrices of the algebra entries."""
-        d = self.algebra.dim
-        if self.field.p is not None:
-            out = np.zeros((nrows_blocks * d, ncols_blocks * d), dtype=np.int64)
-        else:
-            out = Matrix.zeros(self.field, nrows_blocks * d, ncols_blocks * d).data.copy()
-        for t in range(nrows_blocks):
-            for j in range(ncols_blocks):
-                coords = entries[t][j]
-                blk = None
-                for i, c in enumerate(coords):
-                    if c != 0:
-                        term = self._mult_stack[i] * c
-                        blk = term if blk is None else blk + term
-                if blk is not None:
-                    if self.field.p is not None:
-                        blk = blk % self.field.p
-                    out[t * d : (t + 1) * d, j * d : (j + 1) * d] = blk
-        return _adopt(self.field, out)
+        self._next_kernel = kernel_basis(self.differential_matrix(self.length))
 
     def differential_matrix(self, i: int) -> Matrix:
         """k-linear d_i; i = 0 maps F_0 onto the module."""
         if i == 0:
             return self._d0
-        entries = self.diff_alg[i]
-        return self._alg_entry_matrix(entries, self.betti[i - 1], self.betti[i])
+        return _block_matrix(self.diff_alg[i], self._mult_stack, self.field)
 
 
 _RES_CACHE: dict = {}
@@ -273,7 +247,9 @@ class FreeResolution:
     def differential_matrix(self, i: int) -> Matrix:
         return self._state.differential_matrix(i)
 
-    def diff_alg(self, i: int):
+    def diff_alg(self, i: int) -> np.ndarray:
+        """d_i (i >= 1) in algebra-entry form: a read-only (b_{i-1}, b_i, dim A)
+        array; [t, j] holds the staircase coordinates of entry (t, j)."""
         return self._state.diff_alg[i]
 
     def free_rank(self, i: int) -> int:
@@ -330,28 +306,7 @@ TorTable = ExtTable
 def _block_map(res: FreeResolution, other: Module, i: int, transpose: bool) -> Matrix:
     """The i-th differential of Hom(F_., other) (transpose=True) or of
     F_. (x) other (transpose=False), as one block matrix."""
-    field = other.algebra.field
-    nN = other.dim
-    entries = res.diff_alg(i)
-    b_prev = res.betti[i - 1]
-    b_cur = res.betti[i]
-    mon = _mon_stack(other)
-    if transpose:
-        nrows, ncols = b_cur, b_prev
-    else:
-        nrows, ncols = b_prev, b_cur
-    if field.p is not None:
-        out = np.zeros((nrows * nN, ncols * nN), dtype=np.int64)
-    else:
-        out = Matrix.zeros(field, nrows * nN, ncols * nN).data.copy()
-    for t in range(b_prev):
-        for j in range(b_cur):
-            blk = _act_from_coords(mon, entries[t][j], field)
-            if transpose:
-                out[j * nN : (j + 1) * nN, t * nN : (t + 1) * nN] = blk
-            else:
-                out[t * nN : (t + 1) * nN, j * nN : (j + 1) * nN] = blk
-    return Matrix(field, out)
+    return _block_matrix(res.diff_alg(i), _action_stack(other), other.algebra.field, transpose)
 
 
 def _complex_dims(
@@ -364,9 +319,11 @@ def _complex_dims(
     maps at that degree, so each map is reduced once."""
     nN = other.dim
     L = res.length
+    stack = _action_stack(other)
     ranks = {0: 0}
     for i in range(1, min(L, bound + 1) + 1):
-        ranks[i] = rank(_block_map(res, other, i, transpose))
+        block_map = _block_matrix(res.diff_alg(i), stack, other.algebra.field, transpose)
+        ranks[i] = rank(block_map)
     return tuple(
         res.betti[i] * nN - ranks[i] - ranks.get(i + 1, 0) if i <= L else 0
         for i in range(bound + 1)

@@ -192,3 +192,57 @@ def test_prime_over_cap_exit_code(tmp_path, capsys, p):
     code, _, err = run(["check", str(script)], capsys)
     assert code == 2
     assert "line 1, column 13" in err and "2^31" in err
+
+
+RING = ["--ring", "GF(101)[x]/(x^2)"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["resolve", *RING, "--module", "foo"],
+         "--module 'foo', column 1: undefined module 'foo'"),
+        (["classify", *RING, "--module", "A", "--c", "dualk(B)"],
+         "--c 'dualk(B)', column 7: undefined module 'B'"),
+        (["ext", *RING, "--from", "hom(A,", "--to", "k"],
+         "--from 'hom(A,', column 7: expected 'name', found 'eof'"),
+        (["tor", *RING, "--from", "k", "--to", "omega(Q)"],
+         "--to 'omega(Q)', column 7: undefined ring 'Q'"),
+        (["resolve", "--ring", "GF(101)[x]/(y^2)", "--module", "k"],
+         "--ring 'GF(101)[x]/(y^2)', column 13: unknown variable 'y'"),
+    ],
+    ids=["module", "c", "from", "to", "ring"],
+)
+def test_bad_expression_names_its_flag(argv, expected, capsys):
+    """Errors in a module or ring given on the command line point at the
+    flag and at a column of its value."""
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert expected in err
+    assert "line" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["resolve", *RING, "--module", "k", "--field", "QQ"],
+         "unrecognized arguments: --field QQ"),
+        (["search", "--trials", "1", "--field", "GF(x)"],
+         "argument --field: 'GF(x)', column 4: expected 'int', found 'x'"),
+        (["search", "--trials", "1", "--field", "QQ"],
+         "argument --field: search requires a finite field"),
+    ],
+    ids=["resolve-QQ", "search-GF(x)", "search-QQ"],
+)
+def test_field_flag_only_on_search(argv, message, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_search_field_reaches_the_search(tmp_path, capsys):
+    out = tmp_path / "gf3.json"
+    args = ["search", "--trials", "2", "--dims", "4", "--bound", "2", "--quiet"]
+    assert run(args + ["--field", "GF(3)", "--json", str(out)], capsys)[0] == 0
+    assert json.loads(out.read_text())["results"][0]["tables"]["field"] == "GF(3)"

@@ -173,3 +173,66 @@ def test_field_rejects_primes_over_cap():
     for p in (4294967291, 2305843009213693951):
         with pytest.raises(ValueError, match="2\\^31"):
             Field(p)
+
+
+# the largest primes the parser accepts: sums of two products of residues
+# already pass 2^63
+BIG_PRIMES = [2147483647, 2147483629, 2147483587]
+
+
+def test_matmul_exact_at_largest_prime():
+    p = 2**31 - 1
+    rows = [[p - 1, p - 2, p - 3], [p - 4, p - 5, p - 6], [p - 7, p - 8, p - 9]]
+    a = Matrix.from_rows(Field(p), rows)
+    assert (a @ a).entry(0, 0) == 30
+    assert (a @ a).to_lists() == _int_matmul(rows, rows, p)
+
+
+def _int_matmul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _int_rref(rows, p):
+    """Reduced row echelon form and pivots in Python ints, mod p."""
+    a = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(a[0]) if a else 0):
+        hit = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for t in range(len(a)):
+            if t != r and a[t][c]:
+                f = a[t][c]
+                a[t] = [(v - f * w) % p for v, w in zip(a[t], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arithmetic_near_cap_matches_python_ints(p, data):
+    """matmul, rref and inverse agree with Python-int arithmetic mod p for
+    the primes just under 2^31."""
+    field = Field(p)
+    n = data.draw(st.integers(1, 6))
+    # residues near p - 1 make the largest products
+    scalars = st.one_of(st.integers(0, p - 1), st.integers(p - 16, p - 1))
+    square = st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+    a, b = data.draw(square), data.draw(square)
+    ma, mb = Matrix.from_rows(field, a), Matrix.from_rows(field, b)
+    assert (ma @ mb).to_lists() == _int_matmul(a, b, p)
+    red, pivots = _int_rref(a, p)
+    res = rref(ma)
+    assert res.reduced.to_lists() == red
+    assert res.pivot_columns == pivots
+    inv = inverse(ma)
+    if len(pivots) < n:
+        assert inv is None
+    else:
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert _int_matmul(a, inv.to_lists(), p) == identity

@@ -1,5 +1,8 @@
 """Minimal free resolutions and the Ext/Tor tables built on them."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from ezdlab.module import (
@@ -10,6 +13,8 @@ from ezdlab.module import (
     scale_quotient,
 )
 from ezdlab.resolution import (
+    _block_map,
+    _block_matrix,
     AtLeast,
     Exactly,
     NEG_INF,
@@ -22,7 +27,7 @@ from ezdlab.resolution import (
     tor,
 )
 
-from conftest import GF101, make_algebra, var
+from conftest import GF2, GF101, QQ, make_algebra, var
 
 
 def test_differentials_compose_to_zero(square_zero):
@@ -169,3 +174,77 @@ def test_budget_message_names_module_step_betti_and_budget(hyper4):
     assert "betti so far [1, 1]" in msg
     # the stop leaves the state intact: a larger budget resumes from it
     assert minimal_free_resolution(k, 3, max_total_dim=100).betti == [1, 1, 1, 1]
+
+
+def _block_reference(entries, stack, field, transpose):
+    """Block by block in Python scalars: block (t, j), or (j, t) when
+    transposed, is sum_k entries[t, j, k] * stack[k]."""
+    r, c, d = entries.shape
+    n = stack.shape[1]
+    rows, cols = (c, r) if transpose else (r, c)
+    out = [[field.zero] * (cols * n) for _ in range(rows * n)]
+    for t in range(r):
+        for j in range(c):
+            bi, bj = (j, t) if transpose else (t, j)
+            for a in range(n):
+                for b in range(n):
+                    terms = (
+                        field.canon(entries[t, j, k]) * field.canon(stack[k, a, b])
+                        for k in range(d)
+                    )
+                    out[bi * n + a][bj * n + b] = field.canon(sum(terms, field.zero))
+    return out
+
+
+def _check_blocks(m, entries, stack, field, transpose=False):
+    assert m.to_lists() == _block_reference(entries, stack, field, transpose)
+    assert not m.data.flags.writeable
+    if field.p is not None:
+        assert m.data.dtype == np.int64
+        assert ((m.data >= 0) & (m.data < field.p)).all()
+    else:
+        assert all(type(v) is Fraction for v in m.data.reshape(-1))
+
+
+@pytest.mark.parametrize("field", [GF2, GF101, QQ], ids=str)
+def test_block_builders_match_loop_reference(field):
+    """The k-linear differentials and the Hom/tensor block maps equal a
+    per-block loop, on a resolution whose differentials have zero blocks."""
+    alg = make_algebra(field, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}])
+    res = minimal_free_resolution(residue_field_module(alg), 3)
+    assert res.betti == [1, 2, 3, 4]
+    mult = np.stack([m.data for m in alg.mult])
+    others = (dual_k(regular_module(alg)), residue_field_module(alg))
+    zero_blocks = 0
+    for i in range(1, res.length + 1):
+        entries = res.diff_alg(i)
+        assert entries.shape == (res.betti[i - 1], res.betti[i], alg.dim)
+        zero_blocks += int((~(entries != 0).any(axis=2)).sum())
+        _check_blocks(res.differential_matrix(i), entries, mult, field)
+        for other in others:
+            stack = np.stack([other.monomial_action(m).data for m in alg.staircase])
+            for transpose in (False, True):
+                got = _block_map(res, other, i, transpose)
+                _check_blocks(got, entries, stack, field, transpose)
+    assert zero_blocks > 0
+
+
+@pytest.mark.parametrize("field", [GF2, GF101, QQ], ids=str)
+@pytest.mark.parametrize("shape", [(2, 3), (2, 0), (0, 2)], ids=str)
+def test_block_matrix_edge_shapes(field, shape):
+    """An all-zero entry block, an entry that uses one coordinate, and a
+    differential with no columns (b = 0) or no rows."""
+    alg = make_algebra(field, ["x"], [{(3,): 1}])
+    mult = np.stack([m.data for m in alg.mult])
+    rng = np.random.default_rng(5)
+    raw = rng.integers(0, 2, size=shape + (alg.dim,))
+    if shape == (2, 3):
+        raw[0, 1] = 0
+        raw[1, 2] = [0, 0, 1]
+    entries = raw if field.p is not None else np.frompyfunc(Fraction, 1, 1)(raw)
+    r, c = shape
+    n = alg.dim
+    for transpose in (False, True):
+        got = _block_matrix(entries, mult, field, transpose)
+        assert got.data.shape == ((c * n, r * n) if transpose else (r * n, c * n))
+        _check_blocks(got, entries, mult, field, transpose)
