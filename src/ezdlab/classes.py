@@ -30,6 +30,8 @@ from .resolution import (
     ExtTable,
     NEG_INF,
     ResolutionBudgetExceeded,
+    _action_stack,
+    _block_matrix,
     ext,
     minimal_free_resolution,
     pd_bounded,
@@ -394,7 +396,6 @@ def build_proper_PC_resolution(
     field = m.algebra.field
     h = hom if hom is not None else hom_module(c, m)
     res = minimal_free_resolution(h, length)
-    from .resolution import _block_map
 
     # the complex itself: X_i = C^{b_i}
     aug_blocks = []
@@ -408,8 +409,9 @@ def build_proper_PC_resolution(
         else Matrix.zeros(field, m.dim, 0)
     )
     maps = [aug]
+    c_stack = _action_stack(c)
     for i in range(1, res.length + 1):
-        maps.append(_block_map(res, c, i, transpose=False))
+        maps.append(_block_matrix(res.diff_alg(i), c_stack, field))
 
     fail_plain = _complex_is_exact(maps)
 
@@ -429,8 +431,9 @@ def build_proper_PC_resolution(
         else Matrix.zeros(field, hcm.dim, 0)
     )
     hom_maps = [aug_hom]
+    hcc_stack = _action_stack(hcc)
     for i in range(1, res.length + 1):
-        hom_maps.append(_block_map(res, hcc, i, transpose=False))
+        hom_maps.append(_block_matrix(res.diff_alg(i), hcc_stack, field))
     fail_hom = _complex_is_exact(hom_maps)
 
     # rank-2 test object: everything doubles blockwise

@@ -114,26 +114,23 @@ def _emit(report: Report, args) -> int:
 # one-shot module construction from command-line strings
 
 
-def _flag_error(flag: str, text: str, exc: dsl.DslError, offset: int = 0) -> ValueError:
-    """``exc``, raised ``offset`` columns into a line that holds ``text``,
-    restated at its column in the value of ``flag``."""
+def _flag_error(flag: str, text: str, exc: dsl.DslError) -> ValueError:
+    """``exc``, raised while parsing ``text``, restated at its column in the
+    value of ``flag``."""
     where = f"line {exc.line}, column {exc.col}"
     if exc.line == 1:
-        where = f"column {exc.col - offset}"
+        where = f"column {exc.col}"
     return ValueError(f"{flag} {text!r}, {where}: {exc.message}")
 
 
-_RING_PREFIX = "ring A = "
-
-
-def _build_env(ring_text: str, bound: int):
+def _build_env(ring_text: str):
     """Environment with a single ring named A built from e.g.
     ``GF(101)[x,y]/(x*y, x^2-y^2)``."""
     try:
-        script = dsl.parse_script(f"{_RING_PREFIX}{ring_text};")
-        env, _ = dsl.run_script(script, default_bound=bound)
+        decl = dsl.parse_ring(ring_text)
     except dsl.DslError as exc:
-        raise _flag_error("--ring", ring_text, exc, len(_RING_PREFIX)) from None
+        raise _flag_error("--ring", ring_text, exc) from None
+    env, _ = dsl.run_script(dsl.Script((decl,)))
     return env
 
 
@@ -179,7 +176,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_resolve(args) -> int:
     report = Report("resolve", args.seed, args.bound)
-    env = _build_env(args.ring, args.bound)
+    env = _build_env(args.ring)
     m = _module_from_expr(env, "--module", args.module)
     t0 = time.monotonic()
     try:
@@ -200,7 +197,7 @@ def _cmd_resolve(args) -> int:
 
 def _cmd_ext_tor(args, which: str) -> int:
     report = Report(which, args.seed, args.bound)
-    env = _build_env(args.ring, args.bound)
+    env = _build_env(args.ring)
     src = _module_from_expr(env, "--from", getattr(args, "from"))
     dst = _module_from_expr(env, "--to", args.to)
     fn = ext if which == "ext" else tor
@@ -238,7 +235,7 @@ def _dim_str(value) -> str:
 
 def _cmd_classify(args) -> int:
     report = Report("classify", args.seed, args.bound)
-    env = _build_env(args.ring, args.bound)
+    env = _build_env(args.ring)
     m = _module_from_expr(env, "--module", args.module)
     c = (
         _module_from_expr(env, "--c", args.c)

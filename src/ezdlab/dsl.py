@@ -63,6 +63,7 @@ __all__ = [
     "ModuleExpr",
     "parse_script",
     "parse_field",
+    "parse_ring",
     "parse_module_expr",
     "pretty_print",
     "CheckResult",
@@ -284,6 +285,13 @@ class _Parser:
         self.expect("name", "ring")
         name = self.expect("name").value
         self.expect("sym", "=")
+        decl = self.ring_body(name)
+        self.expect("sym", ";")
+        return decl
+
+    def ring_body(self, name: str) -> RingDecl:
+        """``field[vars] [order o] / (gens)``, the part of a ring
+        declaration after its ``=``."""
         p = self.field_spec()
         self.expect("sym", "[")
         variables = [self.expect("name").value]
@@ -305,7 +313,6 @@ class _Parser:
             while self.accept("sym", ","):
                 gens.append(self.polynomial(variables))
             self.expect("sym", ")")
-        self.expect("sym", ";")
         return RingDecl(name, p, tuple(variables), order, tuple(gens))
 
     def field_spec(self) -> Optional[int]:
@@ -495,6 +502,11 @@ def _parse_whole(text: str, rule):
 def parse_field(text: str) -> Optional[int]:
     """The p of ``GF(p)``, or None for ``QQ``; the text is nothing else."""
     return _parse_whole(text, _Parser.field_spec)
+
+
+def parse_ring(text: str, name: str = "A") -> RingDecl:
+    """The ring ``name`` declared by ``text``, e.g. ``GF(101)[x]/(x^2)``."""
+    return _parse_whole(text, lambda parser: parser.ring_body(name))
 
 
 def parse_module_expr(text: str) -> ModuleExpr:

@@ -104,10 +104,11 @@ def _block_matrix(entries: np.ndarray, stack: np.ndarray, field, transpose=False
     if t_idx.size:
         coeffs = entries[t_idx[:, None], j_idx[:, None], used]
         blocks = _dot(coeffs, stack[used].reshape(used.size, n * n), field.p)
+        blocks = blocks.reshape(t_idx.size, n, n)
         if transpose:
-            out[j_idx, :, t_idx, :] = blocks.reshape(-1, n, n)
+            out[j_idx, :, t_idx, :] = blocks
         else:
-            out[t_idx, :, j_idx, :] = blocks.reshape(-1, n, n)
+            out[t_idx, :, j_idx, :] = blocks
     return _adopt(field, out.reshape(shape[0] * n, shape[2] * n))
 
 
@@ -301,12 +302,6 @@ class ExtTable:
 
 
 TorTable = ExtTable
-
-
-def _block_map(res: FreeResolution, other: Module, i: int, transpose: bool) -> Matrix:
-    """The i-th differential of Hom(F_., other) (transpose=True) or of
-    F_. (x) other (transpose=False), as one block matrix."""
-    return _block_matrix(res.diff_alg(i), _action_stack(other), other.algebra.field, transpose)
 
 
 def _complex_dims(

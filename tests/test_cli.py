@@ -210,8 +210,10 @@ RING = ["--ring", "GF(101)[x]/(x^2)"]
          "--to 'omega(Q)', column 7: undefined ring 'Q'"),
         (["resolve", "--ring", "GF(101)[x]/(y^2)", "--module", "k"],
          "--ring 'GF(101)[x]/(y^2)', column 13: unknown variable 'y'"),
+        (["resolve", "--ring", "GF(101)[x]/(x^2", "--module", "k"],
+         "--ring 'GF(101)[x]/(x^2', column 16: expected ')', found 'eof'"),
     ],
-    ids=["module", "c", "from", "to", "ring"],
+    ids=["module", "c", "from", "to", "ring", "ring-unclosed"],
 )
 def test_bad_expression_names_its_flag(argv, expected, capsys):
     """Errors in a module or ring given on the command line point at the
@@ -220,6 +222,12 @@ def test_bad_expression_names_its_flag(argv, expected, capsys):
     assert code == 2
     assert expected in err
     assert "line" not in err and "Traceback" not in err
+
+
+def test_ext_to_zero_module(capsys):
+    code, out, _ = run(["ext", *RING, "--from", "k", "--to", "free(A,0)", "--bound", "3"], capsys)
+    assert code == 0
+    assert "dims=[0, 0, 0, 0]" in out
 
 
 @pytest.mark.parametrize(

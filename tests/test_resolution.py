@@ -11,9 +11,10 @@ from ezdlab.module import (
     regular_module,
     residue_field_module,
     scale_quotient,
+    zero_module,
 )
 from ezdlab.resolution import (
-    _block_map,
+    _action_stack,
     _block_matrix,
     AtLeast,
     Exactly,
@@ -224,7 +225,7 @@ def test_block_builders_match_loop_reference(field):
         for other in others:
             stack = np.stack([other.monomial_action(m).data for m in alg.staircase])
             for transpose in (False, True):
-                got = _block_map(res, other, i, transpose)
+                got = _block_matrix(entries, _action_stack(other), field, transpose)
                 _check_blocks(got, entries, stack, field, transpose)
     assert zero_blocks > 0
 
@@ -248,3 +249,31 @@ def test_block_matrix_edge_shapes(field, shape):
         got = _block_matrix(entries, mult, field, transpose)
         assert got.data.shape == ((c * n, r * n) if transpose else (r * n, c * n))
         _check_blocks(got, entries, mult, field, transpose)
+
+
+@pytest.mark.parametrize("field", [GF2, GF101, QQ], ids=str)
+def test_block_matrix_zero_dim_target(field):
+    """Nonzero entry blocks against a 0-dimensional module give an empty
+    block matrix, not a reshape error."""
+    alg = make_algebra(field, ["x"], [{(2,): 1}])
+    res = minimal_free_resolution(residue_field_module(alg), 2)
+    stack = _action_stack(zero_module(alg))
+    assert stack.shape == (alg.dim, 0, 0)
+    entries = res.diff_alg(1)
+    assert (entries != 0).any()
+    for transpose in (False, True):
+        got = _block_matrix(entries, stack, field, transpose)
+        assert got.data.shape == (0, 0)
+        assert not got.data.flags.writeable
+
+
+@pytest.mark.parametrize("field", [GF2, GF101, QQ], ids=str)
+def test_ext_tor_against_zero_module(field):
+    """Ext and Tor of k against the zero module vanish, whichever side is
+    resolved."""
+    alg = make_algebra(field, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}])
+    k, z = residue_field_module(alg), zero_module(alg)
+    for table in (ext(k, z, 3), ext(z, k, 3), tor(k, z, 3), tor(z, k, 3)):
+        assert table.dims == (0, 0, 0, 0)
+    assert ext(k, z, 3).route == "projective"
+    assert tor(k, z, 3).route == "left"
