@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groebner import QuotientPresentation
-from .linalg import Field, Matrix
+from .linalg import Field, Matrix, _adopt, _dot
 from .poly import Polynomial
 
 __all__ = ["Algebra", "Element"]
@@ -27,6 +27,8 @@ class Algebra:
         self.dim: int = presentation.dim
         self.staircase = list(presentation.staircase)
         self.mult = presentation.multiplication_matrices()
+        # mult_stack[i] is the multiplication matrix of staircase monomial i
+        self.mult_stack = np.stack([m.data for m in self.mult])
         self.var_action = [
             presentation.poly_action_matrix(presentation.ring.variable(v))
             for v in range(self.nvars)
@@ -74,9 +76,6 @@ class Algebra:
     def element(self, coords) -> "Element":
         return Element(self, Matrix.column(self.field, coords))
 
-    def zero_element(self) -> "Element":
-        return self.element([self.field.zero] * self.dim)
-
     def one_element(self) -> "Element":
         return self.element([self.field.one] + [self.field.zero] * (self.dim - 1))
 
@@ -87,15 +86,9 @@ class Algebra:
         """Multiplication-by-e matrix on the algebra itself."""
         if e.parent is not self and e.parent != self:
             raise ValueError("element belongs to a different algebra")
-        data = self.mult[0].data * self.field.zero
-        acc = np.array(data, copy=True)
-        for i in range(self.dim):
-            c = e.coords.data[i, 0]
-            if c != 0:
-                acc = acc + self.mult[i].data * c
-        if self.field.p is not None:
-            acc = acc % self.field.p
-        return Matrix(self.field, acc)
+        d = self.dim
+        acc = _dot(e.coords.data.T, self.mult_stack.reshape(d, d * d), self.field.p)
+        return _adopt(self.field, acc.reshape(d, d))
 
 
 @dataclass(frozen=True)
@@ -115,9 +108,6 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         return Element(self.parent, self.parent.element_action(self) @ other.coords)
-
-    def action_matrix(self) -> Matrix:
-        return self.parent.element_action(self)
 
     def to_polynomial(self) -> Polynomial:
         ring = self.parent.ring

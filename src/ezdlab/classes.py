@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Element
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import Matrix, rank
 from .module import (
     HomModule,
     Module,
@@ -92,14 +92,13 @@ def is_ezd_pair(x: Element, y: Element, module: Module) -> EzdReport:
     Decided exactly (kernel/image comparisons, no truncation)."""
     ax = module.element_action(x)
     ay = module.element_action(y)
-    rx = rank(ax)
+    rx, ry = rank(ax), rank(ay)
+    # dim ker x = dim M - rank x, and likewise for y
     checks = {
         "x_nonzero_action": rx > 0,
         "x_not_surjective": rx < module.dim,
-        "ker_x_eq_im_y": (ax @ ay).is_zero()
-        and kernel_basis(ax).cols == rank(ay),
-        "ker_y_eq_im_x": (ay @ ax).is_zero()
-        and kernel_basis(ay).cols == rx,
+        "ker_x_eq_im_y": (ax @ ay).is_zero() and module.dim - rx == ry,
+        "ker_y_eq_im_x": (ay @ ax).is_zero() and module.dim - ry == rx,
     }
     return EzdReport(all(checks.values()), x, y, checks)
 
@@ -370,15 +369,21 @@ def _complex_is_exact(maps: list) -> Optional[int]:
     """maps[i]: space_{i} -> space_{i-1} (maps[0] is the augmentation onto
     the extra bottom space).  Returns the first failing homological degree,
     or None when exact at every interior spot and surjective onto degree -1."""
+    if not maps:
+        return None
     # surjectivity of the augmentation
-    if maps and rank(maps[0]) != maps[0].rows:
+    lower_rank = rank(maps[0])
+    if lower_rank != maps[0].rows:
         return 0
     for i in range(len(maps) - 1):
         lower, upper = maps[i], maps[i + 1]
         if not (lower @ upper).is_zero():
             return i + 1
-        if kernel_basis(lower).cols != rank(upper):
+        # each map is reduced once: dim ker(lower) = cols - rank(lower)
+        upper_rank = rank(upper)
+        if lower.cols - lower_rank != upper_rank:
             return i + 1
+        lower_rank = upper_rank
     return None
 
 

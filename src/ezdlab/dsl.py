@@ -19,12 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, Element
-from .groebner import (
-    InfiniteDimensionalError,
-    NonLocalError,
-    PairBudgetExceeded,
-    QuotientPresentation,
-)
+from .groebner import PairBudgetExceeded, QuotientPresentation
 from .linalg import Field, prime_field_error
 from .module import (
     Module,

@@ -10,16 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import Field, Matrix
-from .poly import (
-    DEGREVLEX,
-    MonomialOrder,
-    PolyRing,
-    Polynomial,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .poly import PolyRing, Polynomial, mono_divides, mono_lcm, mono_mul
 
 __all__ = [
     "PairBudgetExceeded",

@@ -9,6 +9,8 @@ object over QQ) as it is, without reducing or copying it.  Such an array
 must therefore be canonical (every entry in [0, p), or a Fraction) and
 owned by no one else: nothing may still hold a writable view of it.
 ``_adopt`` freezes an array its caller has just allocated for that path.
+``_rref_hstack`` owns the one array it joins its blocks into: it reduces
+that array in place and hands it back, so callers may slice or adopt it.
 """
 
 from __future__ import annotations
@@ -90,10 +92,6 @@ class Field:
     @staticmethod
     def rationals() -> "Field":
         return Field(None)
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
 
     # scalar helpers (used by the polynomial layer, which is not numpy-backed)
     def canon(self, a):
@@ -321,10 +319,6 @@ class Matrix:
             return _adopt(self.field, _dot(self.data, other.data, self.field.p))
         return self._wrap(self.data.dot(other.data))
 
-    def scale(self, c) -> "Matrix":
-        c = self.field.canon(c)
-        return self._wrap(self.data * c)
-
     @property
     def T(self) -> "Matrix":
         return _adopt(self.field, np.ascontiguousarray(self.data.T))
@@ -376,9 +370,22 @@ def _rref_inplace(a: np.ndarray, field: Field):
     return pivots
 
 
+def _rref_hstack(blocks: list) -> tuple:
+    """Reduced row echelon form of ``[blocks[0] | blocks[1] | ...]`` and its
+    pivot columns.
+
+    The blocks (Matrices over one field, with equal row counts) are joined
+    into one fresh array, which is reduced in place and returned.  Pivot
+    columns to the right of a block depend only on the span of the columns
+    left of them, so a caller may pass a spanning set there, not a basis.
+    """
+    field = blocks[0].field
+    a = np.hstack([b.data for b in blocks])
+    return a, _rref_inplace(a, field)
+
+
 def rref(m: Matrix) -> RrefResult:
-    a = m.data.copy()
-    pivots = _rref_inplace(a, m.field)
+    a, pivots = _rref_hstack([m])
     return RrefResult(_adopt(m.field, a), tuple(pivots), len(pivots))
 
 
@@ -435,15 +442,11 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Solve a X = B columnwise; None if any column is unsolvable."""
     if b.rows != a.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    aug = Matrix.hstack([a, b])
-    res = rref(aug)
-    red = res.reduced.data
-    pivots = [c for c in res.pivot_columns if c < a.cols]
-    if len(pivots) != res.rank:
-        return None  # some pivot fell in the b block: inconsistent system
+    red, pivots = _rref_hstack([a, b])
+    if pivots and pivots[-1] >= a.cols:
+        return None  # a pivot fell in the b block: inconsistent system
     out = Matrix.zeros(a.field, a.cols, b.cols).data.copy()
-    for r, pc in enumerate(pivots):
-        out[pc, :] = red[r, a.cols :]
+    out[pivots] = red[: len(pivots), a.cols :]
     return _adopt(a.field, out)
 
 

@@ -20,10 +20,10 @@ from .linalg import (
     _adopt,
     _dot,
     _kernel_with_free,
+    _rref_hstack,
     image_basis,
     is_invertible,
     kernel_basis,
-    rref,
     solve_matrix,
 )
 from .poly import Polynomial
@@ -40,7 +40,6 @@ __all__ = [
     "free_module",
     "zero_module",
     "residue_field_module",
-    "element_action",
     "annihilator_submodule",
     "scale_quotient",
     "hom_module",
@@ -82,13 +81,8 @@ class Module:
                 raise ValueError("an ideal generator does not vanish on the actions")
 
     def _evaluate_poly(self, f: Polynomial) -> Matrix:
-        field = self.algebra.field
-        acc = Matrix.zeros(field, self.dim, self.dim).data.copy()
-        for m, c in f.terms:
-            acc = acc + self.monomial_action(m).data * c
-        if field.p is not None:
-            acc = acc % field.p
-        return Matrix(field, acc)
+        terms = ((self.monomial_action(m), c) for m, c in f.terms)
+        return _linear_combination(self.algebra.field, (self.dim, self.dim), terms)
 
     def monomial_action(self, m) -> Matrix:
         m = tuple(m)
@@ -106,22 +100,9 @@ class Module:
         """Action matrix of an algebra element (staircase coordinates)."""
         if r.parent != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        field = self.algebra.field
-        acc = Matrix.zeros(field, self.dim, self.dim).data.copy()
-        for i, m in enumerate(self.algebra.staircase):
-            c = r.coords.data[i, 0]
-            if c != 0:
-                acc = acc + self.monomial_action(m).data * c
-        if field.p is not None:
-            acc = acc % field.p
-        return Matrix(field, acc)
-
-    def radical_subspace(self) -> Matrix:
-        """Basis columns of rad(A)·M = sum of variable images."""
-        if not self.actions or self.dim == 0:
-            return Matrix.zeros(self.algebra.field, self.dim, 0)
-        stacked = Matrix.hstack([a for a in self.actions])
-        return image_basis(stacked)
+        coords = zip(self.algebra.staircase, r.coords.data[:, 0])
+        terms = ((self.monomial_action(m), c) for m, c in coords if c != 0)
+        return _linear_combination(self.algebra.field, (self.dim, self.dim), terms)
 
     def socle_dim(self) -> int:
         """dim of the simultaneous kernel of all variable actions."""
@@ -161,10 +142,6 @@ class Morphism:
     def is_isomorphism(self) -> bool:
         return is_invertible(self.matrix)
 
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self after other."""
-        return Morphism(other.source, self.target, self.matrix @ other.matrix)
-
 
 # ---------------------------------------------------------------------------
 # basic constructors
@@ -192,31 +169,24 @@ def residue_field_module(algebra: Algebra) -> Module:
     return Module(algebra, acts, label="k")
 
 
-def element_action(module: Module, r: Element) -> Matrix:
-    return module.element_action(r)
-
-
 # ---------------------------------------------------------------------------
 # sub/quotient constructions
 
 
-def _restricted_actions(module: Module, basis: Matrix) -> list:
-    """Actions in the coordinates of an invariant subspace basis."""
-    acts = []
-    for a in module.actions:
-        img = a @ basis
-        coords = solve_matrix(basis, img)
-        if coords is None:
-            raise ValueError("subspace is not invariant under the actions")
-        acts.append(coords)
-    return acts
+def _restricted_actions(basis: Matrix, images: list) -> list:
+    """Actions on the span of ``basis`` (independent columns), in its
+    coordinates, from the images of the basis under each variable."""
+    coords = solve_matrix(basis, Matrix.hstack(images))
+    if coords is None:
+        raise ValueError("subspace is not invariant under the actions")
+    return [Matrix(basis.field, c) for c in np.hsplit(coords.data, len(images))]
 
 
 def annihilator_submodule(module: Module, x: Element):
     """(0:_M x) with its inclusion into M."""
     ax = module.element_action(x)
     basis = kernel_basis(ax)
-    acts = _restricted_actions(module, basis)
+    acts = _restricted_actions(basis, [a @ basis for a in module.actions])
     sub = Module(module.algebra, acts, label=f"ann({module.label or 'M'})")
     return sub, Morphism(sub, module, basis)
 
@@ -224,9 +194,7 @@ def annihilator_submodule(module: Module, x: Element):
 def scale_quotient(module: Module, x: Element):
     """M/xM with the projection from M."""
     ax = module.element_action(x)
-    proj, _section, acts = _quotient_space(
-        module.algebra.field, module.dim, ax, module.actions
-    )
+    proj, _section, acts = _quotient_space(module.algebra.field, module.dim, [ax], module.actions)
     quot = Module(module.algebra, acts, label=f"{module.label or 'M'}/x")
     return quot, Morphism(module, quot, proj)
 
@@ -333,14 +301,11 @@ class TensorModule(Module):
                 field, _kron(field, _eye_arr(field, nl), ra.data)
             )
             rels.append(diff)
-        big = (
-            Matrix.hstack(rels) if rels else Matrix.zeros(field, nl * nr, 0)
-        )
         full_actions = [
             Matrix(field, _kron(field, la.data, _eye_arr(field, nr)))
             for la in left.actions
         ]
-        proj, section, acts = _quotient_space(field, nl * nr, big, full_actions)
+        proj, section, acts = _quotient_space(field, nl * nr, rels, full_actions)
         self.left = left
         self.right = right
         self.projection = proj
@@ -352,19 +317,23 @@ class TensorModule(Module):
         )
 
 
-def _quotient_space(field, n, sub: Matrix, action_mats: list):
-    """Quotient of k^n by the span of sub's columns, with induced actions."""
-    w = image_basis(sub)
-    res = rref(Matrix.hstack([w, Matrix.identity(field, n)]))
-    comp = [c - w.cols for c in res.pivot_columns if c >= w.cols]
+def _quotient_space(field, n, subs: list, action_mats: list):
+    """Quotient of k^n by the span of the columns of the ``subs`` blocks,
+    with its projection, its section and the induced actions.
+
+    One reduction of [subs | I_n]: its pivots in the I block pick the
+    coordinate vectors the section spans, and its I block below rank(subs)
+    is the projection (it kills the subs rows and is the identity on the
+    section)."""
+    red, pivots = _rref_hstack([*subs, Matrix.identity(field, n)])
+    s = red.shape[1] - n
+    comp = [c - s for c in pivots if c >= s]
+    rank_ = len(pivots) - len(comp)
     section = Matrix.zeros(field, n, len(comp)).data.copy()
-    for k, j in enumerate(comp):
-        section[j, k] = field.one
-    section_m = Matrix(field, section)
-    sol = solve_matrix(Matrix.hstack([w, section_m]), Matrix.identity(field, n))
-    proj = Matrix(field, np.ascontiguousarray(sol.data[w.cols :, :]))
-    acts = [proj @ a @ section_m for a in action_mats]
-    return proj, section_m, acts
+    section[comp, range(len(comp))] = field.one
+    proj = _adopt(field, red[rank_:, s:].copy())
+    acts = [_adopt(field, (proj @ a).data[:, comp]) for a in action_mats]
+    return proj, _adopt(field, section), acts
 
 
 def tensor_module(left: Module, right: Module) -> TensorModule:
@@ -478,9 +447,19 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0, budget: int = DEFAULT_ISO
 
 
 def _combine(field, basis, coeffs):
-    acc = basis[0].data * field.canon(coeffs[0])
-    for phi, c in zip(basis[1:], coeffs[1:]):
-        acc = acc + phi.data * field.canon(c)
-    if field.p is not None:
-        acc = acc % field.p
-    return Matrix(field, acc)
+    terms = ((phi, field.canon(c)) for phi, c in zip(basis, coeffs))
+    return _linear_combination(field, basis[0].data.shape, terms)
+
+
+def _linear_combination(field, shape: tuple, terms) -> Matrix:
+    """The sum of c * mat over the (mat, c) pairs, all of the given shape.
+
+    Over GF(p) the sum is reduced after every term: a product of residues is
+    below 2^62 and the running residue below 2^31, so no int64 sum wraps.
+    """
+    acc = Matrix.zeros(field, *shape).data.copy()
+    for mat, c in terms:
+        acc += mat.data * c
+        if field.p is not None:
+            acc %= field.p
+    return _adopt(field, acc)

@@ -8,7 +8,7 @@ no need for anything cleverer than sorted term tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .linalg import Field
 
@@ -25,12 +25,6 @@ class MonomialOrder:
         if self.name == "lex":
             return tuple(e)
         raise ValueError(f"unknown monomial order {self.name!r}")
-
-    @staticmethod
-    def from_name(name: str) -> "MonomialOrder":
-        if name not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown monomial order {name!r}")
-        return MonomialOrder(name)
 
 
 DEGREVLEX = MonomialOrder("degrevlex")

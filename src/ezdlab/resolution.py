@@ -23,9 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra
-from .linalg import Matrix, _adopt, _dot, image_basis, kernel_basis, rank, rref
-from .module import Iso, Module, Morphism, dual_k, free_module, is_isomorphic
+from .linalg import Matrix, _adopt, _dot, _rref_hstack, kernel_basis, rank
+from .module import Iso, Module, _restricted_actions, dual_k, free_module, is_isomorphic
 
 __all__ = [
     "ResolutionBudgetExceeded",
@@ -131,25 +130,22 @@ class _ResolutionState:
         self.kernels: list[Optional[Matrix]] = [None]  # kernels[i] = ker d_{i-1} in F_{i-1}
         self.terminated = False
         self.cum_dim = 0
-        self._mult_stack = np.stack([m.data for m in self.algebra.mult])
         self._next_kernel: Optional[Matrix] = None
         self._step0()
 
     # -- construction --------------------------------------------------
-    def _min_gens_from_kernel(self, kernel: Matrix, rad_images: Matrix) -> Matrix:
-        """Columns of ``kernel`` completing a basis of kernel/rad·kernel."""
-        rad = image_basis(rad_images)
-        res = rref(Matrix.hstack([rad, kernel]))
-        picks = [c - rad.cols for c in res.pivot_columns if c >= rad.cols]
-        if not picks:
-            return Matrix.zeros(self.field, kernel.rows, 0)
-        return _adopt(self.field, kernel.data[:, picks])
+    def _min_gens_from_kernel(self, kernel: Matrix, rad_images: list) -> Matrix:
+        """Columns of ``kernel`` completing a basis of kernel/rad·kernel,
+        where the ``rad_images`` blocks span rad·kernel: the pivot columns
+        of one reduction of [rad_images | kernel] that fall in kernel."""
+        pivots = _rref_hstack([*rad_images, kernel])[1]
+        s = sum(b.cols for b in rad_images)
+        return _adopt(self.field, kernel.data[:, [c - s for c in pivots if c >= s]])
 
     def _step0(self):
         m = self.module
-        rad = m.radical_subspace()
         full = Matrix.identity(self.field, m.dim)
-        g0 = self._min_gens_from_kernel(full, rad)
+        g0 = self._min_gens_from_kernel(full, list(m.actions))
         b0 = g0.cols
         self.betti.append(b0)
         self.gens.append(g0)
@@ -189,11 +185,12 @@ class _ResolutionState:
             self._next_kernel = None
             return
         self.kernels.append(kernel)
-        rad_imgs = [
+        # the images are a temporary list: they are freed before the next
+        # kernel is computed, which lowers the step's peak memory
+        gens = self._min_gens_from_kernel(kernel, [
             _free_var_apply(va, kernel.data, prev_rank, d, self.field)
             for va in self.algebra.var_action
-        ]
-        gens = self._min_gens_from_kernel(kernel, Matrix.hstack(rad_imgs))
+        ])
         b = gens.cols
         total = self.cum_dim + b * d
         if total > max_total_dim:
@@ -216,7 +213,7 @@ class _ResolutionState:
         """k-linear d_i; i = 0 maps F_0 onto the module."""
         if i == 0:
             return self._d0
-        return _block_matrix(self.diff_alg[i], self._mult_stack, self.field)
+        return _block_matrix(self.diff_alg[i], self.algebra.mult_stack, self.field)
 
 
 _RES_CACHE: dict = {}
@@ -441,17 +438,11 @@ def syzygy_module(module: Module, i: int, max_total_dim: int = DEFAULT_RESOLUTIO
         return Module(module.algebra, acts, label=f"syz{i}")
     basis = res.kernel_basis_at(i)
     algebra = module.algebra
-    d = algebra.dim
-    prev_rank = res.betti[i - 1]
-    from .linalg import solve_matrix
-
-    acts = []
-    for va in algebra.var_action:
-        img = _free_var_apply(va, basis.data, prev_rank, d, algebra.field)
-        coords = solve_matrix(basis, img)
-        if coords is None:
-            raise AssertionError("syzygy subspace not invariant")
-        acts.append(coords)
+    images = [
+        _free_var_apply(va, basis.data, res.betti[i - 1], algebra.dim, algebra.field)
+        for va in algebra.var_action
+    ]
+    acts = _restricted_actions(basis, images)
     return Module(algebra, acts, label=f"syz{i}({module.label or 'M'})")
 
 

@@ -1,0 +1,61 @@
+"""Every name a source module imports is used there or re-exported.
+
+No linter ships with the project's test dependencies, so this walks the
+syntax tree of each ``src/ezdlab/*.py`` with ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ezdlab"
+
+
+def _imported(tree):
+    """Names bound by the module's imports, with their line numbers."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree):
+    """Names the module reads, including those in string annotations and
+    the entries of ``__all__``."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used.update(
+                    n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                )
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from ezdlab.linalg import Matrix
+from ezdlab.linalg import Field, Matrix, inverse
 from ezdlab.module import (
     Iso,
+    Module,
     Morphism,
     NotIso,
     annihilator_submodule,
@@ -23,6 +24,7 @@ from ezdlab.module import (
     tensor_module,
     transport_to_quotient,
 )
+from ezdlab.module import _combine
 
 from conftest import GF2, GF101, QQ, make_algebra, var
 
@@ -157,3 +159,52 @@ def test_hom_coordinates_round_trip(field):
     )
     with pytest.raises(ValueError, match="not in the Hom space"):
         hom_module(r, r).coordinates_of(e00)
+
+
+P_MAX = 2**31 - 1  # the largest prime the fields accept
+
+
+def _int_combination(mats, coeffs, p):
+    """sum c * mat with Python ints, reduced once at the end."""
+    n, m = len(mats[0]), len(mats[0][0])
+    return [
+        [sum(c * mat[i][j] for mat, c in zip(mats, coeffs)) % p for j in range(m)]
+        for i in range(n)
+    ]
+
+
+def test_sums_exact_at_large_p():
+    """Element actions, polynomial evaluation and Hom combinations sum up to
+    dim A products of residues near 2^31; each must match Python ints."""
+    field = Field(P_MAX)
+    rng = random.Random(5)
+    alg = make_algebra(field, ["x"], [{(8,): 1}])
+    while True:
+        t = Matrix.from_rows(field, [[rng.randrange(P_MAX) for _ in range(8)] for _ in range(8)])
+        t_inv = inverse(t)
+        if t_inv is not None:
+            break
+    m = Module(alg, [t_inv @ a @ t for a in alg.var_action])
+    monos = [m.monomial_action(s).data.tolist() for s in alg.staircase]
+    coeffs = [rng.randrange(1, P_MAX) for _ in alg.staircase]
+    expected = _int_combination(monos, coeffs, P_MAX)
+    assert m.element_action(alg.element(coeffs)).data.tolist() == expected
+    f = alg.ring.poly(dict(zip(alg.staircase, coeffs)))
+    assert m._evaluate_poly(f).data.tolist() == expected
+    basis = [Matrix(field, mono) for mono in monos]
+    assert _combine(field, basis, coeffs).data.tolist() == expected
+
+    # structure constants near p: v_i v_j = a_ij z^2, so one entry of an
+    # element's action sums four products of two residues
+    names = ["v1", "v2", "v3", "v4", "z"]
+    gens = [{(0, 0, 0, 0, 3): 1}]
+    for i in range(4):
+        gens.append({tuple(int(k in (i, 4)) for k in range(5)): 1})
+        for j in range(i, 4):
+            mono = tuple((k == i) + (k == j) for k in range(5))
+            gens.append({mono: 1, (0, 0, 0, 0, 2): -rng.randrange(P_MAX // 2, P_MAX)})
+    alg = make_algebra(field, names, gens)
+    coeffs = [rng.randrange(P_MAX // 2, P_MAX) for _ in alg.staircase]
+    mults = [mat.data.tolist() for mat in alg.mult]
+    expected = _int_combination(mults, coeffs, P_MAX)
+    assert alg.element_action(alg.element(coeffs)).data.tolist() == expected
