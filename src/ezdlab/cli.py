@@ -408,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--field", type=_finite_field, default="GF(2)",
                    help="coefficient field GF(p) of the searched algebras (default GF(2))")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--dims", type=int, default=6,
+    p.add_argument("--trials", type=_non_negative_int, default=100)
+    p.add_argument("--dims", type=_non_negative_int, default=6,
                    help="largest algebra dimension to try")
     return parser
 

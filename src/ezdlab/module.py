@@ -191,11 +191,15 @@ def annihilator_submodule(module: Module, x: Element):
     return sub, Morphism(sub, module, basis)
 
 
-def scale_quotient(module: Module, x: Element):
-    """M/xM with the projection from M."""
+def scale_quotient(module: Module, x: Element, with_section: bool = False):
+    """M/xM with the projection from M; with `with_section`, also the
+    section of the projection (a k-linear map M/xM -> M) that the same
+    reduction picked."""
     ax = module.element_action(x)
-    proj, _section, acts = _quotient_space(module.algebra.field, module.dim, [ax], module.actions)
+    proj, section, acts = _quotient_space(module.algebra.field, module.dim, [ax], module.actions)
     quot = Module(module.algebra, acts, label=f"{module.label or 'M'}/x")
+    if with_section:
+        return quot, Morphism(module, quot, proj), section
     return quot, Morphism(module, quot, proj)
 
 

@@ -22,7 +22,7 @@ from .groebner import (
     PairBudgetExceeded,
     QuotientPresentation,
 )
-from .linalg import Field, Matrix, rank, solve_matrix
+from .linalg import Field, rank, solve_matrix
 from .module import (
     Iso,
     Module,
@@ -159,12 +159,10 @@ def fact22_witness(x: Element, y: Element, m: Module) -> Morphism:
     Well defined since y.(xM) = 0, surjective since im(y) = ker(x),
     injective since ker(y) = xM."""
     ann, incl = annihilator_submodule(m, x)
-    quot, proj = scale_quotient(m, x)
-    ay = m.element_action(y)
-    # the quotient was built with an explicit section; recover one by
-    # solving proj @ s = id
-    section = solve_matrix(proj.matrix, Matrix.identity(m.algebra.field, quot.dim))
-    img = ay @ section
+    quot, _proj, section = scale_quotient(m, x, with_section=True)
+    # any section of the projection will do: two differ by a map into xM,
+    # which y kills
+    img = m.element_action(y) @ section
     coords = solve_matrix(incl.matrix, img)
     if coords is None:
         raise AssertionError("y-image does not land in the annihilator")
@@ -622,7 +620,10 @@ def load_corpus(directory: Optional[Path] = None, bound: int = DEFAULT_BOUND):
 # randomized instance generation
 
 
-def _random_presentation(rng: random.Random, p: int, max_dim: int):
+def _draw_presentation(rng: random.Random, p: int):
+    """The random part of a presentation: a polynomial ring over GF(p) in
+    one to three variables and its ideal generators.  Every draw takes the
+    same RNG steps whatever p and whatever becomes of the presentation."""
     nvars = rng.randint(1, 3)
     names = ["x", "y", "z"][:nvars]
     field = Field(p)
@@ -645,6 +646,12 @@ def _random_presentation(rng: random.Random, p: int, max_dim: int):
         gens.append(
             ring.poly({tuple(ma): field.one, tuple(mb): field.canon(-1)})
         )
+    return ring, gens
+
+
+def _build_algebra(ring: PolyRing, gens: list, max_dim: int) -> Optional[Algebra]:
+    """ring/(gens) as a local algebra, or None when it is not local, not
+    finite-dimensional, or its dimension is outside 2..max_dim."""
     try:
         pres = QuotientPresentation(ring, gens)
     except (InfiniteDimensionalError, NonLocalError, PairBudgetExceeded, ValueError):
@@ -681,9 +688,9 @@ def _radical_elements(algebra: Algebra, rng: random.Random, cap: int = 40):
     return out
 
 
-def _ezd_pairs_on_ring(algebra: Algebra, rng: random.Random, limit: int = 6):
-    reg = regular_module(algebra)
-    elems = _radical_elements(algebra, rng)
+def _ezd_pairs(reg: Module, elems: list, limit: int):
+    """The first `limit` pairs of `elems` that are exact zero-divisor pairs
+    on the regular module `reg`."""
     pairs = []
     for x, y in itertools.product(elems, repeat=2):
         if is_ezd_pair(x, y, reg).holds:
@@ -710,12 +717,11 @@ def random_gated_instances(
     trials = 0
     while len(out) < count and trials < max_trials:
         trials += 1
-        algebra = _random_presentation(rng, p, max_dim)
+        algebra = _build_algebra(*_draw_presentation(rng, p), max_dim)
         if algebra is None:
             continue
-        pairs = _ezd_pairs_on_ring(algebra, rng, limit=4)
-        for x, y in pairs:
-            reg = regular_module(algebra, label="A")
+        reg = regular_module(algebra, label="A")
+        for x, y in _ezd_pairs(reg, _radical_elements(algebra, rng), limit=4):
             candidates = [
                 reg,
                 free_module(algebra, 2),
@@ -748,9 +754,94 @@ class SearchConfig:
     bound: int = 4
 
 
+def _search_trial(algebra: Algebra, elems: list, bound: int):
+    """One search trial on `algebra` with the radical elements `elems` drawn
+    for it: returns (ring_pairs, fully_gated, budget_skips, counterexamples).
+
+    The result depends on nothing but the algebra, the elements and the
+    bound, which is what lets the searcher replay it."""
+    reg = regular_module(algebra, label="A")
+    pairs = _ezd_pairs(reg, elems, limit=3)
+    if not pairs:
+        return 0, 0, 0, []
+    fully_gated = budget_skips = 0
+    counterexamples: list = []
+    dual = dual_k(reg, label="dual")
+    c_candidates = [("A", reg), ("dual_k(A)", dual)]
+    # Base changes and G_C verdicts repeat across the pairs of a trial:
+    # each is built once, keyed by candidate names and the coordinate
+    # bytes of x and y.  Only results are stored, so a computation that
+    # raises runs (and raises) again wherever it is needed.
+    memo: dict = {}
+
+    def once(key, build):
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    for x, y in pairs:
+        xb, yb = x.coords.data.tobytes(), y.coords.data.tobytes()
+        quot_y = once(("A/yA", yb), lambda: scale_quotient(reg, y)[0])
+        m_candidates = [
+            ("A", "A", reg),
+            ("dual_k(A)", "dual_k(A)", dual),
+            ("A/yA", ("A/yA", yb), quot_y),
+        ]
+        for c_name, c in c_candidates:
+            try:
+                if not is_ezd_pair(x, y, c).holds:
+                    continue
+                if not is_semidualizing(c, bound).holds:
+                    continue
+                for m_name, m_key, m in m_candidates:
+                    if not is_ezd_pair(x, y, m).holds:
+                        continue
+                    if not once(
+                        ("G_C", m_key, c_name),
+                        lambda: _holds(in_G_C(m, c, bound)),
+                    ):
+                        continue
+                    fully_gated += 1
+                    abar = once(("A/xA", xb), lambda: quotient_algebra(algebra, x))
+                    m_bar = once(("bar", m_key, xb), lambda: _bar(m, abar, x))
+                    c_bar = once(("bar", c_name, xb), lambda: _bar(c, abar, x))
+                    if not is_semidualizing(c_bar, bound).holds:
+                        continue
+                    concl = once(
+                        ("G_C", m_key, c_name, xb),
+                        lambda: in_G_C(m_bar, c_bar, bound),
+                    )
+                    if isinstance(concl.verdict, Fails):
+                        counterexamples.append(
+                            {
+                                "ideal": [
+                                    algebra.ring.format_poly(g)
+                                    for g in algebra.presentation.ideal_generators
+                                ],
+                                "x": repr(x),
+                                "y": repr(y),
+                                "C": c_name,
+                                "M": m_name,
+                                "witness": concl.verdict.witness,
+                            }
+                        )
+            except (ResolutionBudgetExceeded, PairBudgetExceeded):
+                budget_skips += 1
+    return len(pairs), fully_gated, budget_skips, counterexamples
+
+
 def search_counterexamples(config: SearchConfig) -> dict:
     """Look for M in G_C with (x,y) ezd on A, C and M such that M/xM is
-    not in G_{C/xC} over A/xA.  Returns a deterministic report dict."""
+    not in G_{C/xC} over A/xA.  Returns a deterministic report dict.
+
+    Random presentations repeat, so two memos live for the length of one
+    call.  `algebras` builds each distinct presentation once, keyed by its
+    formatted ideal generators (which are also what a counterexample entry
+    prints).  `outcomes` replays a trial whose ideal and drawn radical
+    elements were seen before: it adds that trial's stored counts and
+    counterexample entries to the report instead of running it again.
+    The elements are drawn on every trial, so the RNG takes the same steps
+    as without the memos, and the report is the same byte for byte."""
     rng = random.Random(config.seed)
     report = {
         "seed": config.seed,
@@ -764,77 +855,26 @@ def search_counterexamples(config: SearchConfig) -> dict:
         "budget_skips": 0,
         "counterexamples": [],
     }
+    algebras: dict = {}
+    outcomes: dict = {}
     for _trial in range(config.trials):
-        algebra = _random_presentation(rng, config.p, config.max_dim)
+        ring, gens = _draw_presentation(rng, config.p)
+        ideal = tuple(ring.format_poly(g) for g in gens)
+        if ideal not in algebras:
+            algebras[ideal] = _build_algebra(ring, gens, config.max_dim)
+        algebra = algebras[ideal]
         if algebra is None:
             continue
         report["algebras_built"] += 1
-        pairs = _ezd_pairs_on_ring(algebra, rng, limit=3)
-        if not pairs:
-            continue
-        report["ring_pairs"] += len(pairs)
-        reg = regular_module(algebra, label="A")
-        dual = dual_k(reg, label="dual")
-        c_candidates = [("A", reg), ("dual_k(A)", dual)]
-        # Base changes and G_C verdicts repeat across the pairs of a trial:
-        # each is built once, keyed by candidate names and the coordinate
-        # bytes of x and y.  Only results are stored, so a computation that
-        # raises runs (and raises) again wherever it is needed.
-        memo: dict = {}
-
-        def once(key, build):
-            if key not in memo:
-                memo[key] = build()
-            return memo[key]
-
-        for x, y in pairs:
-            xb, yb = x.coords.data.tobytes(), y.coords.data.tobytes()
-            quot_y = once(("A/yA", yb), lambda: scale_quotient(reg, y)[0])
-            m_candidates = [
-                ("A", "A", reg),
-                ("dual_k(A)", "dual_k(A)", dual),
-                ("A/yA", ("A/yA", yb), quot_y),
-            ]
-            for c_name, c in c_candidates:
-                try:
-                    if not is_ezd_pair(x, y, c).holds:
-                        continue
-                    if not is_semidualizing(c, config.bound).holds:
-                        continue
-                    for m_name, m_key, m in m_candidates:
-                        if not is_ezd_pair(x, y, m).holds:
-                            continue
-                        if not once(
-                            ("G_C", m_key, c_name),
-                            lambda: _holds(in_G_C(m, c, config.bound)),
-                        ):
-                            continue
-                        report["fully_gated"] += 1
-                        abar = once(("A/xA", xb), lambda: quotient_algebra(algebra, x))
-                        m_bar = once(("bar", m_key, xb), lambda: _bar(m, abar, x))
-                        c_bar = once(("bar", c_name, xb), lambda: _bar(c, abar, x))
-                        if not is_semidualizing(c_bar, config.bound).holds:
-                            continue
-                        concl = once(
-                            ("G_C", m_key, c_name, xb),
-                            lambda: in_G_C(m_bar, c_bar, config.bound),
-                        )
-                        if isinstance(concl.verdict, Fails):
-                            report["counterexamples"].append(
-                                {
-                                    "ideal": [
-                                        algebra.ring.format_poly(g)
-                                        for g in algebra.presentation.ideal_generators
-                                    ],
-                                    "x": repr(x),
-                                    "y": repr(y),
-                                    "C": c_name,
-                                    "M": m_name,
-                                    "witness": concl.verdict.witness,
-                                }
-                            )
-                except (ResolutionBudgetExceeded, PairBudgetExceeded):
-                    report["budget_skips"] += 1
+        elems = _radical_elements(algebra, rng)
+        key = (ideal, tuple(e.coords.data.tobytes() for e in elems))
+        if key not in outcomes:
+            outcomes[key] = _search_trial(algebra, elems, config.bound)
+        pairs, gated, skips, found = outcomes[key]
+        report["ring_pairs"] += pairs
+        report["fully_gated"] += gated
+        report["budget_skips"] += skips
+        report["counterexamples"].extend(found)
     return report
 
 

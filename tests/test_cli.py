@@ -169,6 +169,22 @@ def test_negative_bound_rejected(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["search", "--trials", "-3"], "--trials"),
+        (["search", "--trials", "5", "--dims", "-1"], "--dims"),
+    ],
+    ids=["trials", "dims"],
+)
+def test_negative_search_size_rejected(argv, flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "non-negative" in err
+
+
+@pytest.mark.parametrize(
     "body, where, message",
     [
         ("elem ex = x in B;", "line 2, column 16", "undefined ring 'B'"),

@@ -1,10 +1,12 @@
 """Property verifiers, corpus loading, and the randomized searchers."""
 
 import json
+import random
 
 import pytest
 
 from ezdlab import propcheck
+from ezdlab.classes import ClassMembershipReport, Fails
 from ezdlab.module import is_isomorphic, Iso, regular_module, scale_quotient
 from ezdlab.propcheck import (
     PROP_VERIFIERS,
@@ -94,7 +96,7 @@ def counted_search():
     build = propcheck.quotient_algebra
 
     def counting(algebra, x):
-        calls.append((algebra, x.coords.data.tobytes()))  # keeps ids unique
+        calls.append((algebra, x.coords.data.tobytes()))
         return build(algebra, x)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -113,6 +115,70 @@ def test_search_seed7_counts(counted_search):
 
 
 def test_search_builds_each_quotient_once_per_trial(counted_search):
-    """A/xA is built once per (trial, x), not once per gated configuration."""
+    """A/xA is built once per distinct (ideal, x) in the whole search: not
+    once per gated configuration, and not again when a trial repeats an
+    earlier presentation."""
     _report, calls = counted_search
-    assert len(calls) == len({(id(a), x) for a, x in calls}) == 113
+    keys = {
+        (tuple(a.ring.format_poly(g) for g in a.presentation.ideal_generators), x)
+        for a, x in calls
+    }
+    assert len(calls) == len(keys) == 40
+
+
+def _memo_free_search(config):
+    """The reference search: every trial drawn, built and run on its own
+    through the searcher's helpers, and the trial deltas summed."""
+    rng = random.Random(config.seed)
+    totals = dict.fromkeys(("algebras_built", "ring_pairs", "fully_gated", "budget_skips"), 0)
+    counterexamples = []
+    for _trial in range(config.trials):
+        ring, gens = propcheck._draw_presentation(rng, config.p)
+        algebra = propcheck._build_algebra(ring, gens, config.max_dim)
+        if algebra is None:
+            continue
+        totals["algebras_built"] += 1
+        elems = propcheck._radical_elements(algebra, rng)
+        pairs, gated, skips, found = propcheck._search_trial(algebra, elems, config.bound)
+        totals["ring_pairs"] += pairs
+        totals["fully_gated"] += gated
+        totals["budget_skips"] += skips
+        counterexamples.extend(found)
+    return totals, counterexamples
+
+
+REPLAY_CONFIGS = [SearchConfig(seed=7, trials=100), SearchConfig(seed=7, trials=30, p=3)]
+
+
+@pytest.mark.parametrize("config", REPLAY_CONFIGS, ids=["GF(2)", "GF(3)"])
+def test_replayed_search_equals_memo_free_loop(config):
+    report = search_counterexamples(config)
+    totals, counterexamples = _memo_free_search(config)
+    assert {k: report[k] for k in totals} == totals
+    assert report["counterexamples"] == counterexamples
+
+
+@pytest.mark.parametrize("config", REPLAY_CONFIGS, ids=["GF(2)", "GF(3)"])
+def test_replayed_counterexamples_match_memo_free_loop(config, monkeypatch):
+    """With every G_C conclusion over an A/xA failing, each gated
+    configuration is a counterexample; replayed trials must print the same
+    entries, in the same order, as trials run afresh."""
+    quotients = []
+    build, real_in_G_C = propcheck.quotient_algebra, propcheck.in_G_C
+
+    def recording(algebra, x):
+        quotients.append(build(algebra, x))
+        return quotients[-1]
+
+    def planted(m, c, bound):
+        if any(m.algebra is q for q in quotients):
+            return ClassMembershipReport("G_C", Fails("planted"), False, None, {}, bound)
+        return real_in_G_C(m, c, bound)
+
+    monkeypatch.setattr(propcheck, "quotient_algebra", recording)
+    monkeypatch.setattr(propcheck, "in_G_C", planted)
+    report = search_counterexamples(config)
+    totals, counterexamples = _memo_free_search(config)
+    assert {k: report[k] for k in totals} == totals
+    assert len(counterexamples) > 0
+    assert report["counterexamples"] == counterexamples
