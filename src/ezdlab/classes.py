@@ -110,7 +110,6 @@ def is_ezd_pair(x: Element, y: Element, module: Module) -> EzdReport:
 @dataclass
 class SemidualizingCertificate:
     holds: bool
-    homothety: Optional[Morphism]
     homothety_iso: bool
     ext_table: Optional[ExtTable]
     bound: int
@@ -132,40 +131,29 @@ def homothety_map(c: Module) -> Morphism:
     return Morphism(reg, hcc, mat)
 
 
-_SEMIDUAL_CACHE: dict = {}
-
-
 def is_semidualizing(c: Module, bound: int = DEFAULT_BOUND) -> SemidualizingCertificate:
-    key = (id(c), bound)
-    hit = _SEMIDUAL_CACHE.get(key)
-    if hit is not None and hit[0] is c:
-        return hit[1]
-    cert = _is_semidualizing(c, bound)
-    _SEMIDUAL_CACHE[key] = (c, cert)
+    """The certificate for C at ``bound``, kept on C so that it is made once."""
+    cert = c._semidual.get(bound)
+    if cert is None:
+        cert = c._semidual[bound] = _is_semidualizing(c, bound)
     return cert
 
 
 def _is_semidualizing(c: Module, bound: int) -> SemidualizingCertificate:
     if c.dim == 0:
+        return SemidualizingCertificate(False, False, None, bound, False, failure="zero module")
+    if not homothety_map(c).is_isomorphism():
         return SemidualizingCertificate(
-            False, None, False, None, bound, False, failure="zero module"
-        )
-    chi = homothety_map(c)
-    chi_iso = chi.is_isomorphism()
-    if not chi_iso:
-        return SemidualizingCertificate(
-            False, chi, False, None, bound, False, failure="homothety map is not an isomorphism"
+            False, False, None, bound, False, failure="homothety map is not an isomorphism"
         )
     table = ext(c, c, bound)
     if not table.vanishes_above(0):
         bad = table.last_nonzero()
         return SemidualizingCertificate(
-            False, chi, True, table, bound, False,
+            False, True, table, bound, False,
             failure=f"Ext^{bad}(C,C) has dimension {table.entry(bad)}",
         )
-    return SemidualizingCertificate(
-        True, chi, True, table, bound, table.certified_all_beyond
-    )
+    return SemidualizingCertificate(True, True, table, bound, table.certified_all_beyond)
 
 
 def _require_semidualizing(c: Module, bound: int) -> SemidualizingCertificate:
@@ -300,8 +288,7 @@ def in_A_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipR
             "A_C", Fails("natural map gamma is not an isomorphism"),
             False, gamma, {}, bound,
         )
-    t = gamma.target  # Hom(C, C(x)M); its hom_target is the tensor module
-    cm = t.hom_target if isinstance(t, HomModule) else tensor_module(c, m)
+    cm = gamma.target.hom_target  # gamma's target is Hom(C, C(x)M)
     tables = {
         "Tor(C,M)": _table_with_fallback(tor, c, m, bound),
         "Ext(C,C(x)M)": _table_with_fallback(ext, c, cm, bound),
@@ -339,8 +326,7 @@ def in_B_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipR
             "B_C", Fails("natural map xi is not an isomorphism"),
             False, xi, {}, bound,
         )
-    t2 = xi.source  # C (x) Hom(C, M)
-    h = t2.right if hasattr(t2, "right") else hom_module(c, m)
+    h = xi.source.right  # xi's source is C (x) Hom(C, M)
     tables = {
         "Ext(C,M)": _table_with_fallback(ext, c, m, bound),
         "Tor(C,Hom(C,M))": _table_with_fallback(tor, c, h, bound),

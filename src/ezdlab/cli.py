@@ -26,6 +26,7 @@ from typing import Optional
 from . import dsl
 from .classes import (
     NEG_INF,
+    NotSemidualizingError,
     ic_id,
     in_A_C,
     in_B_C,
@@ -47,7 +48,7 @@ from .propcheck import (
 )
 from .resolution import ResolutionBudgetExceeded, ext, minimal_free_resolution, tor
 
-__all__ = ["main", "build_parser", "report_to_json"]
+__all__ = ["main", "build_parser", "report_to_json", "UsageError"]
 
 REPORT_VERSION = "1"
 
@@ -55,6 +56,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+class UsageError(Exception):
+    """A command-line value the tool cannot use."""
 
 
 @dataclass
@@ -114,13 +119,13 @@ def _emit(report: Report, args) -> int:
 # one-shot module construction from command-line strings
 
 
-def _flag_error(flag: str, text: str, exc: dsl.DslError) -> ValueError:
+def _flag_error(flag: str, text: str, exc: dsl.DslError) -> UsageError:
     """``exc``, raised while parsing ``text``, restated at its column in the
     value of ``flag``."""
     where = f"line {exc.line}, column {exc.col}"
     if exc.line == 1:
         where = f"column {exc.col}"
-    return ValueError(f"{flag} {text!r}, {where}: {exc.message}")
+    return UsageError(f"{flag} {text!r}, {where}: {exc.message}")
 
 
 def _build_env(ring_text: str):
@@ -151,24 +156,9 @@ def _module_from_expr(env, flag: str, text: str) -> Module:
 
 def _cmd_check(args) -> int:
     report = Report("check", args.seed, args.bound)
-    try:
-        script = dsl.parse_script(open(args.script).read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except dsl.DslError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _env, results = dsl.run_script(
-            script, default_bound=args.bound, seed=args.seed
-        )
-    except (dsl.DslError, InfiniteDimensionalError, NonLocalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    with open(args.script) as fh:
+        script = dsl.parse_script(fh.read())
+    _env, results = dsl.run_script(script, default_bound=args.bound, seed=args.seed)
     for r in results:
         report.add(r.id, r.status, r.witness, r.tables, r.millis)
     return _emit(report, args)
@@ -195,7 +185,8 @@ def _cmd_resolve(args) -> int:
     return _emit(report, args)
 
 
-def _cmd_ext_tor(args, which: str) -> int:
+def _cmd_ext_tor(args) -> int:
+    which = args.subcommand
     report = Report(which, args.seed, args.bound)
     env = _build_env(args.ring)
     src = _module_from_expr(env, "--from", getattr(args, "from"))
@@ -250,6 +241,9 @@ def _cmd_classify(args) -> int:
             out = fn()
         except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
             report.add(id, "budget", witness=str(exc))
+            return None
+        except NotSemidualizingError as exc:
+            report.add(id, "fail", witness=f"C is not semidualizing: {exc}")
             return None
         millis = int((time.monotonic() - t0) * 1000)
         return out, millis
@@ -379,21 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the checks in an .ezd script")
     p.add_argument("script", help="path to the script")
     common(p)
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("resolve", help="betti numbers of a minimal free resolution")
     common(p, ring=True)
+    p.set_defaults(run=_cmd_resolve)
     p.add_argument("--module", required=True,
                    help='module expression, e.g. "k", "A", "omega(A)"')
 
     for which in ("ext", "tor"):
         p = sub.add_parser(which, help=f"dimension table of {which.capitalize()}")
         common(p, ring=True)
+        p.set_defaults(run=_cmd_ext_tor)
         p.add_argument("--from", required=True, help="first argument module")
         p.add_argument("--to", required=True, help="second argument module")
 
     p = sub.add_parser("classify",
                        help="class memberships and relative dimensions of M")
     common(p, ring=True)
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--module", required=True, help="the module M")
     p.add_argument("--c", default=None,
                    help="the semidualizing candidate C (default: the ring)")
@@ -401,11 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper",
                        help="run the property verifiers over the bundled corpus")
     common(p)
+    p.set_defaults(run=_cmd_verify_paper)
     p.add_argument("--prop", default=None,
                    help="restrict to one property id (e.g. fact-a, B, J-ii)")
 
     p = sub.add_parser("search", help="randomized counterexample search")
     common(p)
+    p.set_defaults(run=_cmd_search)
     p.add_argument("--field", type=_finite_field, default="GF(2)",
                    help="coefficient field GF(p) of the searched algebras (default GF(2))")
     p.add_argument("--trials", type=_non_negative_int, default=100)
@@ -415,31 +415,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the handlers below are the one map from
+    exceptions to exit codes.  Any other exception is a fault of the tool
+    and propagates."""
+    args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "check":
-            return _cmd_check(args)
-        if args.subcommand == "resolve":
-            return _cmd_resolve(args)
-        if args.subcommand in ("ext", "tor"):
-            return _cmd_ext_tor(args, args.subcommand)
-        if args.subcommand == "classify":
-            return _cmd_classify(args)
-        if args.subcommand == "verify-paper":
-            return _cmd_verify_paper(args)
-        if args.subcommand == "search":
-            return _cmd_search(args)
+        return args.run(args)
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfiniteDimensionalError, NonLocalError, ValueError) as exc:
+    except (UsageError, InfiniteDimensionalError, NonLocalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    raise AssertionError(f"unhandled subcommand {args.subcommand}")
 
 
 if __name__ == "__main__":

@@ -289,9 +289,12 @@ class _Parser:
         declaration after its ``=``."""
         p = self.field_spec()
         self.expect("sym", "[")
-        variables = [self.expect("name").value]
-        while self.accept("sym", ","):
-            variables.append(self.expect("name").value)
+        variables = []
+        while not variables or self.accept("sym", ","):
+            tok = self.expect("name")
+            if tok.value in variables:
+                self.error(f"duplicate variable {tok.value!r}", tok)
+            variables.append(tok.value)
         self.expect("sym", "]")
         order = "degrevlex"
         if self.peek().kind == "name" and self.peek().value == "order":
@@ -638,6 +641,14 @@ def _resolve_elem(env: _Env, decl: ElemDecl) -> Element:
     return algebra.element_from_poly(_terms_to_polynomial(algebra.ring, terms))
 
 
+def _one_ring(node, algebras):
+    """Raise at ``node``, an expression or a check, unless its arguments'
+    ``algebras`` are all the same ring."""
+    if any(a != algebras[0] for a in algebras[1:]):
+        what = node.op if isinstance(node, ModuleExpr) else node.name
+        raise DslError(f"{what} mixes arguments over different rings", *node.pos)
+
+
 def _eval_module(env: _Env, expr, at) -> Module:
     """The module ``expr`` denotes; ``at`` encloses it (see ``_ref``)."""
     if isinstance(expr, int):
@@ -663,9 +674,11 @@ def _eval_module(env: _Env, expr, at) -> Module:
         return dual_k(m)
     if op in ("hom", "tensor"):
         n = _eval_module(env, args[1], expr)
+        _one_ring(expr, [m.algebra, n.algebra])
         return hom_module(m, n) if op == "hom" else tensor_module(m, n)
     if op in ("ann", "modx", "quot"):
         elems = [_ref(env.elems, "element", a, expr) for a in args[1:]]
+        _one_ring(expr, [m.algebra] + [e.parent for e in elems])
         if op == "ann":
             return annihilator_submodule(m, elems[0])[0]
         if op == "modx":
@@ -698,6 +711,7 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> Che
             x = _ref(env.elems, "element", stmt.args[0], stmt)
             y = _ref(env.elems, "element", stmt.args[1], stmt)
             m = _eval_module(env, stmt.args[2], stmt)
+            _one_ring(stmt, [m.algebra, x.parent, y.parent])
             rep = is_ezd_pair(x, y, m)
             if rep.holds:
                 return done("pass")
@@ -714,6 +728,7 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> Che
         if stmt.name in ("in_gc", "in_ac", "in_bc"):
             m = _eval_module(env, stmt.args[0], stmt)
             c = _eval_module(env, stmt.args[1], stmt)
+            _one_ring(stmt, [m.algebra, c.algebra])
             fn = {"in_gc": in_G_C, "in_ac": in_A_C, "in_bc": in_B_C}[stmt.name]
             rep = fn(m, c, bound)
             tables = _table_dict(rep.tables)
@@ -725,6 +740,7 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> Che
         if stmt.name in ("isomorphic", "not_isomorphic"):
             m = _eval_module(env, stmt.args[0], stmt)
             n = _eval_module(env, stmt.args[1], stmt)
+            _one_ring(stmt, [m.algebra, n.algebra])
             verdict = is_isomorphic(m, n, seed=seed)
             if isinstance(verdict, Iso):
                 return done("pass" if stmt.name == "isomorphic" else "fail")

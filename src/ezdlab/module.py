@@ -54,18 +54,23 @@ __all__ = [
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "actions", "label", "_mon_cache")
+    # the caches a module keeps about itself: monomial actions, the state of
+    # its minimal free resolution, and its semidualizing certificates by bound
+    __slots__ = (
+        "algebra", "dim", "actions", "label", "_mon_cache", "_resolution", "_semidual"
+    )
 
-    def __init__(self, algebra: Algebra, actions: list, label: str = "", _validate=True):
+    def __init__(self, algebra: Algebra, actions: list, label: str = ""):
         self.algebra = algebra
         self.actions = tuple(actions)
         self.dim = actions[0].rows if actions else 0
         self.label = label
         self._mon_cache = {}
+        self._resolution = None
+        self._semidual = {}
         if algebra.nvars != len(self.actions):
             raise ValueError("need one action matrix per variable")
-        if _validate:
-            self._check_representation()
+        self._check_representation()
 
     def _check_representation(self):
         n = self.dim
@@ -398,11 +403,11 @@ class Unknown:
     reason: str
 
 
-DEFAULT_ISO_BUDGET = 32
+ISO_TRIALS = 32
 _EXHAUSTIVE_CAP = 4096
 
 
-def is_isomorphic(m: Module, n: Module, seed: int = 0, budget: int = DEFAULT_ISO_BUDGET):
+def is_isomorphic(m: Module, n: Module, seed: int = 0):
     """Decide M ≅ N: cheap invariants first, then seeded random combinations
     of a Hom-space basis, with exhaustive enumeration when the Hom space is
     small enough; otherwise Unknown."""
@@ -439,7 +444,7 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0, budget: int = DEFAULT_ISO
                 return as_morphism(mat)
         return NotIso("no invertible element in Hom(M,N) (exhaustive)")
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(ISO_TRIALS):
         if field.p is not None:
             coeffs = [rng.randrange(field.p) for _ in range(h)]
         else:
@@ -447,7 +452,7 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0, budget: int = DEFAULT_ISO
         mat = _combine(field, hom_mn.basis, coeffs)
         if is_invertible(mat):
             return as_morphism(mat)
-    return Unknown(f"no invertible combination found in {budget} seeded trials")
+    return Unknown(f"no invertible combination found in {ISO_TRIALS} seeded trials")
 
 
 def _combine(field, basis, coeffs):

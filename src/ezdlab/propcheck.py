@@ -36,6 +36,7 @@ from .module import (
     is_isomorphic,
     quotient_algebra,
     regular_module,
+    residue_field_module,
     scale_quotient,
     tensor_module,
     transport_from_quotient,
@@ -223,7 +224,7 @@ def verify_fact_b(inst: Instance) -> VerificationResult:
     return _pass(pid, inst, *details, f"condition (a) holds: {cond_a}")
 
 
-def verify_fact_c(inst: Instance, n_over_quotient: Optional[Module] = None) -> VerificationResult:
+def verify_fact_c(inst: Instance) -> VerificationResult:
     """Base change of Ext/Tor along A -> A/xA at the dimension level."""
     pid = "fact-c"
     reg = inst.regular()
@@ -233,12 +234,8 @@ def verify_fact_c(inst: Instance, n_over_quotient: Optional[Module] = None) -> V
     if not is_ezd_pair(inst.x, inst.y, m).holds:
         return _skip(pid, inst, "(x,y) not ezd on M")
     abar = quotient_algebra(inst.algebra, inst.x)
-    if n_over_quotient is None:
-        # default test object: the residue field of the quotient
-        from .module import residue_field_module
-
-        n_over_quotient = residue_field_module(abar)
-    n_bar = n_over_quotient
+    # test object: the residue field of the quotient
+    n_bar = residue_field_module(abar)
     n_up = transport_from_quotient(n_bar, inst.algebra)
     m_bar = _bar(m, abar, inst.x)
     bound = min(inst.bound, 6)
@@ -327,11 +324,11 @@ def verify_prop_B(inst: Instance, b: Optional[Module] = None) -> VerificationRes
     return _pass(pid, inst, *details)
 
 
-def verify_cor_dualizing(inst: Instance, d: Optional[Module] = None) -> VerificationResult:
+def verify_cor_dualizing(inst: Instance) -> VerificationResult:
     """If D/xD is dualizing over A/xA and D/yD semidualizing over A/yA,
-    then D is dualizing over A."""
+    then D is dualizing over A (D is the instance's C)."""
     pid = "cor-dualizing"
-    d = d if d is not None else inst.c
+    d = inst.c
     reg = inst.regular()
     if not is_ezd_pair(inst.x, inst.y, reg).holds:
         return _skip(pid, inst, "(x,y) not ezd on the ring")

@@ -1,12 +1,15 @@
 """Minimal free resolutions, truncated Ext/Tor, pd/id bounds, periodicity.
 
-Resolutions are built incrementally and cached per module.  Differentials
-are stored in algebra-entry form: d_i is one (b_{i-1}, b_i, dim A) array
-whose entry [t, j] holds the staircase coordinates of the algebra element
-in row t, column j.  Every block matrix built from it (the k-linear d_i,
-and the maps of the Hom(F_., N) and F_. (x) N complexes) is one contraction
-of its nonzero entries with the (dim A, n, n) stack of monomial actions on
-the target.
+Resolutions are built incrementally.  The state of a module's resolution
+lives in the module's ``_resolution`` slot: it is made on the first call,
+holds no reference back to the module and is freed with it.  Step i builds
+the kernel of d_{i-1} when it starts, so a resolution to bound b never
+reduces d_b.  Differentials are stored in algebra-entry form: d_i is one
+(b_{i-1}, b_i, dim A) array whose entry [t, j] holds the staircase
+coordinates of the algebra element in row t, column j.  Every block matrix
+built from it (the k-linear d_i, and the maps of the Hom(F_., N) and
+F_. (x) N complexes) is one contraction of its nonzero entries with the
+(dim A, n, n) stack of monomial actions on the target.
 
 Ext and Tor each have two routes: through a free resolution of the first
 argument, and through a free resolution of the k-dual of the other side
@@ -118,10 +121,10 @@ def _free_var_apply(var_mat: Matrix, v: np.ndarray, rank_: int, d: int, field) -
 
 
 class _ResolutionState:
-    """Incremental minimal free resolution of one module."""
+    """Incremental minimal free resolution of one module; it keeps no
+    reference to the module, so the module's slot makes no cycle."""
 
     def __init__(self, module: Module):
-        self.module = module
         self.algebra = module.algebra
         self.field = module.algebra.field
         self.betti: list[int] = []
@@ -130,8 +133,7 @@ class _ResolutionState:
         self.kernels: list[Optional[Matrix]] = [None]  # kernels[i] = ker d_{i-1} in F_{i-1}
         self.terminated = False
         self.cum_dim = 0
-        self._next_kernel: Optional[Matrix] = None
-        self._step0()
+        self._step0(module)
 
     # -- construction --------------------------------------------------
     def _min_gens_from_kernel(self, kernel: Matrix, rad_images: list) -> Matrix:
@@ -142,8 +144,7 @@ class _ResolutionState:
         s = sum(b.cols for b in rad_images)
         return _adopt(self.field, kernel.data[:, [c - s for c in pivots if c >= s]])
 
-    def _step0(self):
-        m = self.module
+    def _step0(self, m: Module):
         full = Matrix.identity(self.field, m.dim)
         g0 = self._min_gens_from_kernel(full, list(m.actions))
         b0 = g0.cols
@@ -152,41 +153,41 @@ class _ResolutionState:
         self.cum_dim = b0 * self.algebra.dim
         if b0 == 0:
             self.terminated = True
-            self._next_kernel = None
             return
         # column j*d + k of d0 is monomial k acting on generator j
         d0 = _dot(_action_stack(m), g0.data, self.field.p).transpose(1, 2, 0)
         self._d0 = _adopt(self.field, d0.reshape(m.dim, b0 * self.algebra.dim))
-        self._next_kernel = kernel_basis(self._d0)
 
     @property
     def length(self) -> int:
         return len(self.betti) - 1
 
-    def _over_budget(self, step: int, total: int, max_total_dim: int):
+    def _over_budget(self, name: str, step: int, total: int, max_total_dim: int):
         return ResolutionBudgetExceeded(
-            f"resolution of {self.module.label or 'module'} needs {total} total "
+            f"resolution of {name} needs {total} total "
             f"dims at step {step}, over the budget of {max_total_dim}; "
             f"betti so far {self.betti}"
         )
 
-    def ensure(self, target_len: int, max_total_dim: int):
+    def ensure(self, target_len: int, max_total_dim: int, name: str):
+        """Resolve through F_target_len; ``name`` labels a budget stop."""
         if self.cum_dim > max_total_dim:
-            raise self._over_budget(self.length, self.cum_dim, max_total_dim)
+            raise self._over_budget(name, self.length, self.cum_dim, max_total_dim)
         while not self.terminated and self.length < target_len:
-            self._step(max_total_dim)
+            self._step(max_total_dim, name)
 
-    def _step(self, max_total_dim: int):
+    def _step(self, max_total_dim: int, name: str):
         d = self.algebra.dim
-        kernel = self._next_kernel
         prev_rank = self.betti[-1]
+        if len(self.kernels) == len(self.betti):
+            # ker d_{i-1} is built only now that step i needs it; a budget
+            # stop below keeps it for the retry
+            self.kernels.append(kernel_basis(self.differential_matrix(self.length)))
+        kernel = self.kernels[-1]
         if kernel.cols == 0:
             self.terminated = True
-            self._next_kernel = None
             return
-        self.kernels.append(kernel)
-        # the images are a temporary list: they are freed before the next
-        # kernel is computed, which lowers the step's peak memory
+        # the images are a temporary list, freed once the generators are picked
         gens = self._min_gens_from_kernel(kernel, [
             _free_var_apply(va, kernel.data, prev_rank, d, self.field)
             for va in self.algebra.var_action
@@ -194,10 +195,7 @@ class _ResolutionState:
         b = gens.cols
         total = self.cum_dim + b * d
         if total > max_total_dim:
-            # leave the state as it was so a later call with a larger budget
-            # can retry this step
-            self.kernels.pop()
-            raise self._over_budget(self.length + 1, total, max_total_dim)
+            raise self._over_budget(name, self.length + 1, total, max_total_dim)
         self.cum_dim = total
         # algebra-entry form of the new differential + minimality check
         entries = gens.data.reshape(prev_rank, d, b).transpose(0, 2, 1)
@@ -206,8 +204,6 @@ class _ResolutionState:
         self.betti.append(b)
         self.gens.append(gens)
         self.diff_alg.append(entries)
-        # k-linear differential F_new -> F_prev and its kernel
-        self._next_kernel = kernel_basis(self.differential_matrix(self.length))
 
     def differential_matrix(self, i: int) -> Matrix:
         """k-linear d_i; i = 0 maps F_0 onto the module."""
@@ -216,22 +212,11 @@ class _ResolutionState:
         return _block_matrix(self.diff_alg[i], self.algebra.mult_stack, self.field)
 
 
-_RES_CACHE: dict = {}
-
-
-def _state_for(module: Module) -> _ResolutionState:
-    key = id(module)
-    hit = _RES_CACHE.get(key)
-    if hit is not None and hit[0] is module:
-        return hit[1]
-    st = _ResolutionState(module)
-    _RES_CACHE[key] = (module, st)
-    return st
-
-
 @dataclass
 class FreeResolution:
-    """A truncated minimal free resolution (a view of the cached state)."""
+    """A truncated minimal free resolution: a view of the state kept in the
+    module's ``_resolution`` slot.  The kernel of d_i is built only when
+    step i+1 needs it."""
 
     module: Module
     betti: list
@@ -264,8 +249,10 @@ class FreeResolution:
 def minimal_free_resolution(
     module: Module, bound: int, max_total_dim: int = DEFAULT_RESOLUTION_BUDGET
 ) -> FreeResolution:
-    st = _state_for(module)
-    st.ensure(bound, max_total_dim)
+    st = module._resolution
+    if st is None:
+        st = module._resolution = _ResolutionState(module)
+    st.ensure(bound, max_total_dim, module.label or "module")
     upto = min(st.length, bound)
     return FreeResolution(
         module,
@@ -322,13 +309,7 @@ def _complex_dims(
     )
 
 
-def ext(
-    m: Module,
-    n: Module,
-    bound: int,
-    budgets=ROUTE_BUDGETS,
-    route: Optional[str] = None,
-) -> ExtTable:
+def ext(m: Module, n: Module, bound: int, route: Optional[str] = None) -> ExtTable:
     """dim_k Ext^i(M, N) for 0 <= i <= bound.
 
     Route "projective" resolves M; route "injective" resolves dual_k(N)
@@ -336,7 +317,7 @@ def ext(
     """
     if m.algebra != n.algebra:
         raise ValueError("Ext requires modules over the same algebra")
-    attempts = _route_plan(route, budgets, ("projective", "injective"))
+    attempts = _route_plan(route, ("projective", "injective"))
     last_err = None
     for rt, budget in attempts:
         try:
@@ -353,17 +334,11 @@ def ext(
     raise last_err
 
 
-def tor(
-    m: Module,
-    n: Module,
-    bound: int,
-    budgets=ROUTE_BUDGETS,
-    route: Optional[str] = None,
-) -> TorTable:
+def tor(m: Module, n: Module, bound: int, route: Optional[str] = None) -> TorTable:
     """dim_k Tor_i(M, N) for 0 <= i <= bound; resolves M or N, whichever fits."""
     if m.algebra != n.algebra:
         raise ValueError("Tor requires modules over the same algebra")
-    attempts = _route_plan(route, budgets, ("left", "right"))
+    attempts = _route_plan(route, ("left", "right"))
     last_err = None
     for rt, budget in attempts:
         try:
@@ -379,14 +354,10 @@ def tor(
     raise last_err
 
 
-def _route_plan(route, budgets, names):
+def _route_plan(route, names):
     if route is not None:
-        return [(route, budgets[-1])]
-    plan = []
-    for b in budgets:
-        for nm in names:
-            plan.append((nm, b))
-    return plan
+        return [(route, ROUTE_BUDGETS[-1])]
+    return [(nm, b) for b in ROUTE_BUDGETS for nm in names]
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +380,30 @@ class AtLeast:
         return f"AtLeast({self.value})"
 
 
-def pd_bounded(module: Module, bound: int, max_total_dim: int = DEFAULT_RESOLUTION_BUDGET):
+def pd_bounded(module: Module, bound: int):
     """Exactly(n) iff the minimal resolution terminates at n within bound."""
     if module.dim == 0:
         return Exactly(NEG_INF)
-    res = minimal_free_resolution(module, bound, max_total_dim)
+    res = minimal_free_resolution(module, bound)
     if res.terminated:
         return Exactly(res.length)
     return AtLeast(bound + 1)
 
 
-def id_bounded(module: Module, bound: int, max_total_dim: int = DEFAULT_RESOLUTION_BUDGET):
+def id_bounded(module: Module, bound: int):
     """Injective dimension via exact k-duality: id(M) = pd(dual_k(M))."""
     if module.dim == 0:
         return Exactly(NEG_INF)
-    return pd_bounded(dual_k(module), bound, max_total_dim)
+    return pd_bounded(dual_k(module), bound)
 
 
 # ---------------------------------------------------------------------------
 # syzygy periodicity certificates
 
 
-def syzygy_module(module: Module, i: int, max_total_dim: int = DEFAULT_RESOLUTION_BUDGET) -> Module:
+def syzygy_module(module: Module, i: int) -> Module:
     """The i-th syzygy (i >= 1) as a validated Module."""
-    res = minimal_free_resolution(module, i, max_total_dim)
+    res = minimal_free_resolution(module, i)
     if res.length < i:
         acts = [Matrix.zeros(module.algebra.field, 0, 0) for _ in module.actions]
         return Module(module.algebra, acts, label=f"syz{i}")
@@ -446,23 +417,18 @@ def syzygy_module(module: Module, i: int, max_total_dim: int = DEFAULT_RESOLUTIO
     return Module(algebra, acts, label=f"syz{i}({module.label or 'M'})")
 
 
-def syzygy_periodicity(
-    module: Module,
-    window: int,
-    seed: int = 0,
-    max_total_dim: int = DEFAULT_RESOLUTION_BUDGET,
-):
+def syzygy_periodicity(module: Module, window: int, seed: int = 0):
     """First (i, j, witness) with syzygy_i ≅ syzygy_j, i < j <= window; None if
     the resolution terminates or no certificate is found in the window."""
     try:
-        res = minimal_free_resolution(module, window, max_total_dim)
+        res = minimal_free_resolution(module, window)
     except ResolutionBudgetExceeded:
         return None
     if res.terminated:
         return None
     syz = {}
     for i in range(1, res.length + 1):
-        syz[i] = syzygy_module(module, i, max_total_dim)
+        syz[i] = syzygy_module(module, i)
     for i in range(1, res.length + 1):
         for j in range(i + 1, res.length + 1):
             if syz[i].dim != syz[j].dim:

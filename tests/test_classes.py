@@ -1,6 +1,9 @@
 """Exact zero-divisor pairs, semidualizing certificates, class memberships
 and the relative homological dimensions."""
 
+import gc
+import weakref
+
 import pytest
 
 from ezdlab.classes import (
@@ -21,6 +24,7 @@ from ezdlab.classes import (
     pc_pd,
 )
 from ezdlab.module import (
+    Module,
     direct_sum,
     dual_k,
     free_module,
@@ -31,7 +35,7 @@ from ezdlab.module import (
     tensor_module,
     zero_module,
 )
-from ezdlab.resolution import AtLeast, Exactly, NEG_INF
+from ezdlab.resolution import AtLeast, Exactly, NEG_INF, minimal_free_resolution
 
 from conftest import var
 
@@ -81,6 +85,35 @@ def test_omega_semidualizing(square_zero):
     assert cert.holds
     assert cert.certified_all
     assert cert.homothety_iso
+
+
+def test_certificate_is_made_once_per_bound(square_zero):
+    omega = dual_k(regular_module(square_zero))
+    cert = is_semidualizing(omega, 4)
+    assert is_semidualizing(omega, 4) is cert
+    assert is_semidualizing(omega, 5) is not cert
+    assert omega._semidual == {4: cert, 5: is_semidualizing(omega, 5)}
+
+
+class _Tracked(Module):
+    """A Module that can be weakly referenced (Module itself has slots)."""
+
+
+def test_module_and_its_caches_freed_by_refcount(square_zero):
+    """Nothing a module caches (monomial actions, resolution state,
+    semidualizing certificates) refers back to it."""
+    omega = dual_k(regular_module(square_zero))
+    c = _Tracked(square_zero, list(omega.actions), label="omega")
+    assert is_semidualizing(c, 3).holds
+    minimal_free_resolution(c, 3)
+    assert c._resolution is not None and c._semidual
+    ref = weakref.ref(c)
+    gc.disable()
+    try:
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_residue_field_not_semidualizing(square_zero):

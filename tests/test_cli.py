@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ezdlab import cli
 from ezdlab.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -228,8 +229,10 @@ RING = ["--ring", "GF(101)[x]/(x^2)"]
          "--ring 'GF(101)[x]/(y^2)', column 13: unknown variable 'y'"),
         (["resolve", "--ring", "GF(101)[x]/(x^2", "--module", "k"],
          "--ring 'GF(101)[x]/(x^2', column 16: expected ')', found 'eof'"),
+        (["resolve", "--ring", "GF(101)[x,x]/(x^2)", "--module", "k"],
+         "--ring 'GF(101)[x,x]/(x^2)', column 11: duplicate variable 'x'"),
     ],
-    ids=["module", "c", "from", "to", "ring", "ring-unclosed"],
+    ids=["module", "c", "from", "to", "ring", "ring-unclosed", "ring-duplicate"],
 )
 def test_bad_expression_names_its_flag(argv, expected, capsys):
     """Errors in a module or ring given on the command line point at the
@@ -270,3 +273,48 @@ def test_search_field_reaches_the_search(tmp_path, capsys):
     args = ["search", "--trials", "2", "--dims", "4", "--bound", "2", "--quiet"]
     assert run(args + ["--field", "GF(3)", "--json", str(out)], capsys)[0] == 0
     assert json.loads(out.read_text())["results"][0]["tables"]["field"] == "GF(3)"
+
+
+@pytest.mark.parametrize("c, failure", [
+    ("k", "homothety map is not an isomorphism"),
+    ("free(A,0)", "zero module"),
+], ids=["k", "zero"])
+def test_classify_reports_c_not_semidualizing(c, failure, capsys):
+    """Every class and dimension line fails with the certificate's reason."""
+    code, out, err = run(["classify", *RING, "--module", "k", "--c", c], capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    assert lines[0] == f"fail          semidualizing({c})  [{failure}]"
+    assert [line.split()[0] for line in lines[1:]] == ["fail"] * 5
+    for line in lines[1:]:
+        assert line.endswith(f"[C is not semidualizing: {failure}]")
+
+
+MIXED = "ring A = GF(101)[x] / (x^2);\nring B = GF(101)[y] / (y^3);\nelem e = y in B;\n"
+
+
+@pytest.mark.parametrize("line, column", [
+    ("module H = hom(A, B);", 12),
+    ("check in_gc(A, B);", 7),
+    ("check isomorphic(A, B);", 7),
+    ("module Q = modx(A, e);", 12),
+], ids=["hom", "in_gc", "isomorphic", "modx"])
+def test_mixed_rings_are_positioned_errors(tmp_path, capsys, line, column):
+    script = tmp_path / "mixed.ezd"
+    script.write_text(MIXED + line + "\n")
+    code, _, err = run(["check", str(script)], capsys)
+    assert code == 2
+    assert f"parse error: line 4, column {column}: " in err
+    assert "different rings" in err
+
+
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    """Only the exceptions main maps reach an exit code; a fault inside the
+    tool propagates instead of reading as exit 2."""
+    def broken(module, bound):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "minimal_free_resolution", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["resolve", *RING, "--module", "k"])

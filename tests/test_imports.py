@@ -1,7 +1,8 @@
-"""Every name a source module imports is used there or re-exported.
+"""Lint checks on the syntax tree of each ``src/ezdlab/*.py``: every
+imported name is used there or re-exported, and no module-level cache.
 
-No linter ships with the project's test dependencies, so this walks the
-syntax tree of each ``src/ezdlab/*.py`` with ``ast``.
+No linter ships with the project's test dependencies, so these walk the
+tree with ``ast``.
 """
 
 import ast
@@ -59,3 +60,31 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _is_empty_container(node):
+    """``{}``, ``[]``, ``dict()``, ``list()`` or ``set()``."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "list", "set") and not node.args and not node.keywords
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    """Caches live on the object they describe (``Module._mon_cache``,
+    ``_resolution``, ``_semidual``).  An empty container bound at module
+    level would be a process-wide cache that keeps everything it has seen."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = [
+        ast.unparse(target)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None and _is_empty_container(node.value)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    assert not bound, f"{path.name} binds an empty container at module level: {bound}"

@@ -1,11 +1,13 @@
 """Property verifiers, corpus loading, and the randomized searchers."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
-from ezdlab import propcheck
+from ezdlab import propcheck, resolution
 from ezdlab.classes import ClassMembershipReport, Fails
 from ezdlab.module import is_isomorphic, Iso, regular_module, scale_quotient
 from ezdlab.propcheck import (
@@ -91,22 +93,30 @@ def test_fact_a_on_random_instances():
 
 @pytest.fixture(scope="module")
 def counted_search():
-    """The seed-7 100-trial search, counting its quotient_algebra calls."""
+    """The seed-7 100-trial search, counting its quotient_algebra calls and
+    holding a weak reference to every resolution state it makes."""
     calls = []
+    states = []
     build = propcheck.quotient_algebra
+    make_state = resolution._ResolutionState.__init__
 
     def counting(algebra, x):
         calls.append((algebra, x.coords.data.tobytes()))
         return build(algebra, x)
 
+    def tracked(state, module):
+        states.append(weakref.ref(state))
+        make_state(state, module)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propcheck, "quotient_algebra", counting)
+        mp.setattr(resolution._ResolutionState, "__init__", tracked)
         report = search_counterexamples(SearchConfig(seed=7, trials=100))
-    return report, calls
+    return report, calls, states
 
 
 def test_search_seed7_counts(counted_search):
-    report, _calls = counted_search
+    report, _calls, _states = counted_search
     assert report["algebras_built"] == 73
     assert report["ring_pairs"] == 170
     assert report["fully_gated"] == 671
@@ -118,12 +128,20 @@ def test_search_builds_each_quotient_once_per_trial(counted_search):
     """A/xA is built once per distinct (ideal, x) in the whole search: not
     once per gated configuration, and not again when a trial repeats an
     earlier presentation."""
-    _report, calls = counted_search
+    _report, calls, _states = counted_search
     keys = {
         (tuple(a.ring.format_poly(g) for g in a.presentation.ideal_generators), x)
         for a, x in calls
     }
     assert len(calls) == len(keys) == 40
+
+
+def test_search_leaves_no_resolution_state_alive(counted_search):
+    """Resolution states live on their modules, so none outlives the search."""
+    _report, _calls, states = counted_search
+    gc.collect()
+    assert len(states) > 0
+    assert sum(ref() is not None for ref in states) == 0
 
 
 def _memo_free_search(config):

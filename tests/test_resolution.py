@@ -1,10 +1,13 @@
 """Minimal free resolutions and the Ext/Tor tables built on them."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ezdlab import resolution
 from ezdlab.module import (
     dual_k,
     free_module,
@@ -277,3 +280,56 @@ def test_ext_tor_against_zero_module(field):
         assert table.dims == (0, 0, 0, 0)
     assert ext(k, z, 3).route == "projective"
     assert tor(k, z, 3).route == "left"
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The shapes of the matrices the resolution takes kernels of."""
+    calls = []
+    inner = resolution.kernel_basis
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return inner(m)
+
+    monkeypatch.setattr(resolution, "kernel_basis", counted)
+    return calls
+
+
+def test_kernel_built_only_when_the_next_step_needs_it(ci, kernel_calls):
+    """A resolution to bound b reduces d_0 .. d_{b-1}, never d_b; resolving
+    the same module again, at lower or higher bounds, reuses its state."""
+    calls = kernel_calls
+    k = residue_field_module(ci)
+    res = minimal_free_resolution(k, 3)
+    assert len(calls) == 3
+    state = k._resolution
+    assert res._state is state
+    for bound in (1, 3, 5):
+        assert minimal_free_resolution(k, bound)._state is state
+    assert len(calls) == 5
+
+
+def test_state_is_freed_with_its_module(ci):
+    """The state holds no reference back to its module, so dropping the
+    module frees both by reference counting alone."""
+    k = residue_field_module(ci)
+    minimal_free_resolution(k, 2)
+    state = weakref.ref(k._resolution)
+    gc.disable()
+    try:
+        del k
+        assert state() is None
+    finally:
+        gc.enable()
+
+
+def test_budget_stop_keeps_its_kernel(hyper4, kernel_calls):
+    """The kernel a budget stop already built is reused by the retry."""
+    calls = kernel_calls
+    k = residue_field_module(hyper4)
+    with pytest.raises(ResolutionBudgetExceeded):
+        minimal_free_resolution(k, 10, max_total_dim=10)
+    assert len(calls) == 2
+    assert minimal_free_resolution(k, 2).betti == [1, 1, 1]
+    assert len(calls) == 2
