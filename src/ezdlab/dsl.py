@@ -777,8 +777,11 @@ def run_script(
         elif isinstance(stmt, ElemDecl):
             env.elems[stmt.name] = _resolve_elem(env, stmt)
         elif isinstance(stmt, ModuleDecl):
-            env.modules[stmt.name] = _eval_module(env, stmt.expr, stmt.expr)
-            env.modules[stmt.name].label = stmt.name
+            m = _eval_module(env, stmt.expr, stmt.expr)
+            # `module N = M;` binds N to M's module, which keeps M's label
+            if all(m is not other for other in env.modules.values()):
+                m.label = stmt.name
+            env.modules[stmt.name] = m
         elif isinstance(stmt, CheckStmt):
             results.append(_run_check(env, stmt, default_bound, seed))
     return env, results

@@ -11,10 +11,15 @@ owned by no one else: nothing may still hold a writable view of it.
 ``_adopt`` freezes an array its caller has just allocated for that path.
 ``_rref_hstack`` owns the one array it joins its blocks into: it reduces
 that array in place and hands it back, so callers may slice or adopt it.
+
+``_echelon_insert`` and ``_sparse_kernel`` work instead on sparse columns,
+dicts {index: nonzero coefficient} of Python ints in [0, p) or Fractions,
+for matrices that are almost all zeros.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -428,6 +433,76 @@ def _kernel_with_free(m: Matrix):
         out[pivots] = -coeffs
     out[free, np.arange(free.size)] = field.one
     return _adopt(field, out), free
+
+
+def _sub_scaled(v: dict, c, b: dict, p: Optional[int]) -> list:
+    """v -= c * b on sparse columns, in place; returns the indices new to v."""
+    new = []
+    for k, x in b.items():
+        y = v.get(k, 0) - c * x
+        if p is not None:
+            y %= p
+        if y:
+            if k not in v:
+                new.append(k)
+            v[k] = y
+        else:
+            del v[k]
+    return new
+
+
+def _echelon_insert(basis: dict, v: dict, p: Optional[int]) -> bool:
+    """Add the sparse column ``v`` to ``basis`` if it is independent of the
+    columns already inserted; return whether it was.
+
+    ``basis`` maps each pivot to a stored column whose least index is that
+    pivot, with coefficient 1 there.  ``v`` is consumed: it is reduced in
+    place, least index first, until it vanishes or its least index is no
+    pivot, and is then stored, scaled, under that index.  ``p`` is None
+    over QQ.
+    """
+    heap = list(v)
+    heapq.heapify(heap)
+    while heap:
+        r = heapq.heappop(heap)
+        c = v.get(r)
+        if c is None:
+            continue
+        if r not in basis:
+            inv = pow(c, p - 2, p) if p is not None else 1 / c
+            basis[r] = {}
+            _sub_scaled(basis[r], -inv, v, p)  # basis[r] = inv * v
+            return True
+        # every index of basis[r] is >= r, so the indices to come only grow
+        for k in _sub_scaled(v, c, basis[r], p):
+            heapq.heappush(heap, k)
+    return False
+
+
+def _sparse_kernel(rows: Iterable[dict], ncols: int, p: Optional[int]) -> list:
+    """``kernel_basis`` of the matrix with these sparse rows (consumed) and
+    ``ncols`` columns, as sparse columns in the same order.
+
+    The rows are inserted into a semi-echelon basis, which is then reduced
+    from its highest pivot down to the unique reduced row echelon form, so
+    the kernel is the one the dense route gives, entry for entry.
+    """
+    basis: dict = {}
+    for row in rows:
+        _echelon_insert(basis, row, p)
+    for c in sorted(basis, reverse=True):
+        row = basis[c]
+        # the rows with higher pivots are reduced already: subtracting one
+        # brings in no pivot index
+        for k in [k for k in row if k != c and k in basis]:
+            _sub_scaled(row, row[k], basis[k], p)
+    one = 1 if p is not None else Fraction(1)
+    cols = {f: {f: one} for f in range(ncols) if f not in basis}
+    for c, row in basis.items():
+        for k, x in row.items():
+            if k != c:
+                cols[k][c] = -x % p if p is not None else -x
+    return list(cols.values())
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:

@@ -8,8 +8,16 @@ reduces d_b.  Differentials are stored in algebra-entry form: d_i is one
 (b_{i-1}, b_i, dim A) array whose entry [t, j] holds the staircase
 coordinates of the algebra element in row t, column j.  Every block matrix
 built from it (the k-linear d_i, and the maps of the Hom(F_., N) and
-F_. (x) N complexes) is one contraction of its nonzero entries with the
-(dim A, n, n) stack of monomial actions on the target.
+F_. (x) N complexes) comes from one contraction of its nonzero entries with
+the (dim A, n, n) stack of monomial actions on the target.
+
+Deep in a resolution these block matrices are almost all zeros, so each
+step and each Ext/Tor rank runs on sparse columns (``linalg._echelon_insert``
+and ``linalg._sparse_kernel``): d_i as sparse rows, its kernel as sparse
+columns, the radical images from one sparse column map per variable.  No
+step allocates a dense array the size of d_i.  The dimension budget still
+counts free-module dimensions, not stored entries: counting entries would
+change which Ext/Tor route fits its budget.
 
 Ext and Tor each have two routes: through a free resolution of the first
 argument, and through a free resolution of the k-dual of the other side
@@ -26,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import Matrix, _adopt, _dot, _rref_hstack, kernel_basis, rank
+from .linalg import Matrix, _adopt, _dot, _echelon_insert, _sparse_kernel
 from .module import Iso, Module, _restricted_actions, dual_k, free_module, is_isomorphic
 
 __all__ = [
@@ -86,38 +94,94 @@ def _action_stack(module: Module) -> np.ndarray:
     return np.stack([module.monomial_action(m).data for m in module.algebra.staircase])
 
 
-def _block_matrix(entries: np.ndarray, stack: np.ndarray, field, transpose=False) -> Matrix:
-    """The block matrix whose block (t, j), or (j, t) when transposed, is
-    sum_k entries[t, j, k] * stack[k].
+def _block_triplets(entries: np.ndarray, stack: np.ndarray, p, transpose=False):
+    """(rows, columns, values) of the nonzero entries of the block matrix
+    whose block (t, j), or (j, t) when transposed, is
+    sum_k entries[t, j, k] * stack[k].  Transposing moves the block but
+    leaves the block itself as it is.
 
     Only the nonzero blocks, and only the algebra coordinates they use, are
     contracted; differentials deep in a resolution are mostly zero blocks.
     """
-    r, c, _ = entries.shape
-    n = stack.shape[1]
     nonzero = entries != 0
     t_idx, j_idx = nonzero.any(axis=2).nonzero()
     used = nonzero.any(axis=(0, 1)).nonzero()[0]
-    shape = (c, n, r, n) if transpose else (r, n, c, n)
-    if field.p is not None:
-        out = np.zeros(shape, dtype=np.int64)
-    else:
-        out = np.full(shape, field.zero, dtype=object)
-    if t_idx.size:
-        coeffs = entries[t_idx[:, None], j_idx[:, None], used]
-        blocks = _dot(coeffs, stack[used].reshape(used.size, n * n), field.p)
-        blocks = blocks.reshape(t_idx.size, n, n)
-        if transpose:
-            out[j_idx, :, t_idx, :] = blocks
-        else:
-            out[t_idx, :, j_idx, :] = blocks
-    return _adopt(field, out.reshape(shape[0] * n, shape[2] * n))
+    n = stack.shape[1]
+    coeffs = entries[t_idx[:, None], j_idx[:, None], used]
+    blocks = _dot(coeffs, stack[used].reshape(used.size, n * n), p)
+    blocks = blocks.reshape(t_idx.size, n, n)
+    if transpose:
+        t_idx, j_idx = j_idx, t_idx
+    e, a, b = blocks.nonzero()
+    return t_idx[e] * n + a, j_idx[e] * n + b, blocks[e, a, b]
+
+
+def _block_matrix(entries: np.ndarray, stack: np.ndarray, field, transpose=False) -> Matrix:
+    """The block matrix of ``_block_triplets``."""
+    r, c, _ = entries.shape
+    n = stack.shape[1]
+    shape = (c * n, r * n) if transpose else (r * n, c * n)
+    out = Matrix.zeros(field, *shape).data.copy()
+    i, j, vals = _block_triplets(entries, stack, field.p, transpose)
+    out[i, j] = vals
+    return _adopt(field, out)
+
+
+def _sparse_lines(count: int, major, minor, vals) -> list:
+    """``count`` sparse lines; entry e goes to line major[e] at minor[e]."""
+    out = [{} for _ in range(count)]
+    for i, j, x in zip(major.tolist(), minor.tolist(), vals.tolist()):
+        out[i][j] = x
+    return out
+
+
+def _sparse_columns(a: np.ndarray) -> list:
+    """The columns of a 2-D array, sparse."""
+    i, j = a.nonzero()
+    return _sparse_lines(a.shape[1], j, i, a[i, j])
+
+
+def _block_rows(entries: np.ndarray, stack: np.ndarray, p, transpose=False) -> list:
+    """The rows of ``_block_matrix``, sparse."""
+    count = entries.shape[1 if transpose else 0] * stack.shape[1]
+    return _sparse_lines(count, *_block_triplets(entries, stack, p, transpose))
 
 
 def _free_var_apply(var_mat: Matrix, v: np.ndarray, rank_: int, d: int, field) -> Matrix:
     """Apply the block-diagonal action (rank_ copies of var_mat) to columns v."""
     out = _dot(var_mat.data, v.reshape(rank_, d, v.shape[1]), field.p)
     return _adopt(field, out.reshape(rank_ * d, v.shape[1]))
+
+
+def _sparse_var_apply(var_cols: list, v: dict, d: int, p) -> dict:
+    """The same action on one sparse column; var_cols[k] is column k of
+    var_mat, sparse."""
+    out: dict = {}
+    for i, x in v.items():
+        for k, y in var_cols[i % d].items():
+            j = i - i % d + k
+            out[j] = out.get(j, 0) + x * y
+    if p is not None:
+        out = {j: y % p for j, y in out.items()}
+    return {j: y for j, y in out.items() if y}
+
+
+def _pick_independent(spanning, cols: list, p) -> list:
+    """The columns of ``cols`` outside the span of ``spanning`` (consumed)
+    and of the columns before them: the pivot columns of
+    [spanning | cols] that fall in cols."""
+    echelon: dict = {}
+    for v in spanning:
+        _echelon_insert(echelon, v, p)
+    return [v for v in cols if _echelon_insert(echelon, dict(v), p)]
+
+
+def _dense(field, rows: int, cols: list) -> Matrix:
+    """The Matrix with these sparse columns."""
+    out = Matrix.zeros(field, rows, len(cols)).data.copy()
+    for j, col in enumerate(cols):
+        out[list(col), j] = list(col.values())
+    return _adopt(field, out)
 
 
 class _ResolutionState:
@@ -130,23 +194,18 @@ class _ResolutionState:
         self.betti: list[int] = []
         self.gens: list[Matrix] = []
         self.diff_alg: list = [None]  # diff_alg[i]: (b_{i-1}, b_i, dim A), i >= 1
-        self.kernels: list[Optional[Matrix]] = [None]  # kernels[i] = ker d_{i-1} in F_{i-1}
+        # kernels[i] = ker d_{i-1} in F_{i-1}, as sparse columns
+        self.kernels: list[Optional[list]] = [None]
         self.terminated = False
         self.cum_dim = 0
         self._step0(module)
 
     # -- construction --------------------------------------------------
-    def _min_gens_from_kernel(self, kernel: Matrix, rad_images: list) -> Matrix:
-        """Columns of ``kernel`` completing a basis of kernel/rad·kernel,
-        where the ``rad_images`` blocks span rad·kernel: the pivot columns
-        of one reduction of [rad_images | kernel] that fall in kernel."""
-        pivots = _rref_hstack([*rad_images, kernel])[1]
-        s = sum(b.cols for b in rad_images)
-        return _adopt(self.field, kernel.data[:, [c - s for c in pivots if c >= s]])
-
     def _step0(self, m: Module):
-        full = Matrix.identity(self.field, m.dim)
-        g0 = self._min_gens_from_kernel(full, list(m.actions))
+        # the unit vectors outside the span of the action images generate M
+        spanning = (v for a in m.actions for v in _sparse_columns(a.data))
+        units = [{j: self.field.one} for j in range(m.dim)]
+        g0 = _dense(self.field, m.dim, _pick_independent(spanning, units, self.field.p))
         b0 = g0.cols
         self.betti.append(b0)
         self.gens.append(g0)
@@ -178,26 +237,30 @@ class _ResolutionState:
 
     def _step(self, max_total_dim: int, name: str):
         d = self.algebra.dim
+        p = self.field.p
         prev_rank = self.betti[-1]
         if len(self.kernels) == len(self.betti):
             # ker d_{i-1} is built only now that step i needs it; a budget
             # stop below keeps it for the retry
-            self.kernels.append(kernel_basis(self.differential_matrix(self.length)))
+            i = self.length
+            rows = (_sparse_columns(self._d0.data.T) if i == 0
+                    else _block_rows(self.diff_alg[i], self.algebra.mult_stack, p))
+            self.kernels.append(_sparse_kernel(rows, prev_rank * d, p))
         kernel = self.kernels[-1]
-        if kernel.cols == 0:
+        if not kernel:
             self.terminated = True
             return
-        # the images are a temporary list, freed once the generators are picked
-        gens = self._min_gens_from_kernel(kernel, [
-            _free_var_apply(va, kernel.data, prev_rank, d, self.field)
-            for va in self.algebra.var_action
-        ])
-        b = gens.cols
+        # the kernel columns outside rad·kernel complete a basis of kernel/rad·kernel
+        var_maps = [_sparse_columns(va.data) for va in self.algebra.var_action]
+        rad = (_sparse_var_apply(vm, v, d, p) for vm in var_maps for v in kernel)
+        picks = _pick_independent(rad, kernel, p)
+        b = len(picks)
         total = self.cum_dim + b * d
         if total > max_total_dim:
             raise self._over_budget(name, self.length + 1, total, max_total_dim)
         self.cum_dim = total
         # algebra-entry form of the new differential + minimality check
+        gens = _dense(self.field, prev_rank * d, picks)
         entries = gens.data.reshape(prev_rank, d, b).transpose(0, 2, 1)
         if (entries[:, :, 0] != 0).any():
             raise AssertionError("non-minimal differential entry (unit constant term)")
@@ -242,8 +305,10 @@ class FreeResolution:
         return free_module(self.module.algebra, self.free_rank(i))
 
     def kernel_basis_at(self, i: int) -> Matrix:
-        """Basis of the i-th syzygy inside F_{i-1} (i >= 1)."""
-        return self._state.kernels[i]
+        """Basis of the i-th syzygy inside F_{i-1} (i >= 1), as ``kernel_basis``
+        of d_{i-1} gives it."""
+        st = self._state
+        return _dense(st.field, st.betti[i - 1] * st.algebra.dim, st.kernels[i])
 
 
 def minimal_free_resolution(
@@ -299,10 +364,12 @@ def _complex_dims(
     nN = other.dim
     L = res.length
     stack = _action_stack(other)
+    p = other.algebra.field.p
     ranks = {0: 0}
     for i in range(1, min(L, bound + 1) + 1):
-        block_map = _block_matrix(res.diff_alg(i), stack, other.algebra.field, transpose)
-        ranks[i] = rank(block_map)
+        echelon: dict = {}
+        rows = _block_rows(res.diff_alg(i), stack, p, transpose)
+        ranks[i] = sum(_echelon_insert(echelon, row, p) for row in rows)
     return tuple(
         res.betti[i] * nN - ranks[i] - ranks.get(i + 1, 0) if i <= L else 0
         for i in range(bound + 1)

@@ -65,6 +65,19 @@ def test_qq_ring():
     assert results[0].status == "pass"
 
 
+def test_alias_keeps_the_label_of_the_module_it_names():
+    text = """
+    ring A = GF(101)[x] / (x^2);
+    module M = omega(A);
+    module N = M;
+    module P = dualk(N);
+    """
+    env, _results = dsl.run_script(dsl.parse_script(text))
+    assert env.modules["N"] is env.modules["M"]
+    assert env.modules["M"].label == "M"
+    assert env.modules["P"].label == "P"
+
+
 def test_module_operations_compose():
     text = """
     ring A = GF(101)[x,y] / (x*y, x^2 - y^2);

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ezdlab import resolution
+from ezdlab import linalg, resolution
 from ezdlab.module import (
     dual_k,
     free_module,
@@ -155,15 +155,49 @@ def test_tor_k_k_growth(square_zero):
     assert [table.entry(i) for i in range(7)] == [1, 2, 4, 8, 16, 32, 64]
 
 
-def test_betti_numbers_of_k_deep():
-    """k over k[x,y,z]/(x^3,y^3,z^3,xyz): large dense kernels from step 3 on."""
-    a = make_algebra(
+def _cubes_and_xyz():
+    return make_algebra(
         GF101,
         ["x", "y", "z"],
         [{(3, 0, 0): 1}, {(0, 3, 0): 1}, {(0, 0, 3): 1}, {(1, 1, 1): 1}],
     )
-    res = minimal_free_resolution(residue_field_module(a), 4)
-    assert res.betti == [1, 3, 7, 16, 37]
+
+
+def test_betti_numbers_of_k_deep():
+    """k over k[x,y,z]/(x^3,y^3,z^3,xyz): large, almost empty kernels from
+    step 3 on."""
+    res = minimal_free_resolution(residue_field_module(_cubes_and_xyz()), 6)
+    assert res.betti == [1, 3, 7, 16, 37, 86, 200]
+
+
+def test_resolution_steps_do_no_dense_elimination(monkeypatch):
+    """Every step runs on sparse columns: with the dense elimination and
+    the dense kernel refused, k still resolves to bound 6."""
+    k = residue_field_module(_cubes_and_xyz())
+
+    def refused(*args):
+        raise AssertionError("dense elimination in a resolution step")
+
+    monkeypatch.setattr(linalg, "_rref_inplace", refused)
+    monkeypatch.setattr(linalg, "kernel_basis", refused)
+    assert minimal_free_resolution(k, 6).betti == [1, 3, 7, 16, 37, 86, 200]
+
+
+@pytest.mark.parametrize("field", [GF2, GF101, QQ], ids=str)
+def test_betti_numbers_closed_forms(field):
+    """b_i = i + 1 for k over k[x,y]/(x^2,y^2) (a complete intersection of
+    codimension 2) and b_i = 3^i for k over k[x,y,z]/(x,y,z)^2 (a Koszul
+    algebra with Poincare series 1/(1 - 3t))."""
+    ci2 = make_algebra(field, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}])
+    res = minimal_free_resolution(residue_field_module(ci2), 12)
+    assert res.betti == [i + 1 for i in range(13)]
+    square = make_algebra(field, ["x", "y", "z"], [
+        {(2, 0, 0): 1}, {(1, 1, 0): 1}, {(1, 0, 1): 1},
+        {(0, 2, 0): 1}, {(0, 1, 1): 1}, {(0, 0, 2): 1},
+    ])
+    res = minimal_free_resolution(residue_field_module(square), 6)
+    assert res.betti == [3**i for i in range(7)]
+    assert sum(res.betti) * square.dim <= resolution.DEFAULT_RESOLUTION_BUDGET
 
 
 def test_budget_message_names_module_step_betti_and_budget(hyper4):
@@ -286,13 +320,14 @@ def test_ext_tor_against_zero_module(field):
 def kernel_calls(monkeypatch):
     """The shapes of the matrices the resolution takes kernels of."""
     calls = []
-    inner = resolution.kernel_basis
+    inner = resolution._sparse_kernel
 
-    def counted(m):
-        calls.append((m.rows, m.cols))
-        return inner(m)
+    def counted(rows, ncols, p):
+        rows = list(rows)
+        calls.append((len(rows), ncols))
+        return inner(rows, ncols, p)
 
-    monkeypatch.setattr(resolution, "kernel_basis", counted)
+    monkeypatch.setattr(resolution, "_sparse_kernel", counted)
     return calls
 
 
