@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over GF(p) and the rationals.
+"""Exact linear algebra over GF(p) and the rationals: dense ``Matrix``
+values, one sparse elimination.
 
 Matrices over GF(p) are stored as int64 numpy arrays with entries in
 [0, p); rational matrices use object arrays of Fraction.  Everything is
@@ -9,12 +10,16 @@ object over QQ) as it is, without reducing or copying it.  Such an array
 must therefore be canonical (every entry in [0, p), or a Fraction) and
 owned by no one else: nothing may still hold a writable view of it.
 ``_adopt`` freezes an array its caller has just allocated for that path.
-``_rref_hstack`` owns the one array it joins its blocks into: it reduces
-that array in place and hands it back, so callers may slice or adopt it.
 
-``_echelon_insert`` and ``_sparse_kernel`` work instead on sparse columns,
-dicts {index: nonzero coefficient} of Python ints in [0, p) or Fractions,
-for matrices that are almost all zeros.
+Every row reduction runs on sparse lines (rows or columns), dicts
+{index: nonzero coefficient} of Python ints in [0, p) or Fractions, with
+one code path for both fields.  ``_echelon_insert`` adds a line to a
+semi-echelon basis; ``_sparse_rank`` counts the lines it accepts, and
+``_sparse_rref`` back-substitutes the basis to the unique reduced row
+echelon form, from which ``_sparse_kernel`` reads the kernel.  The
+``Matrix`` entry points (``rref``, ``rank``, ``kernel_basis``,
+``solve_matrix``, ``inverse``, ``image_basis``) convert with
+``_sparse_columns`` and back with ``_dense``.
 """
 
 from __future__ import annotations
@@ -336,107 +341,30 @@ class RrefResult:
     rank: int
 
 
-def _rref_inplace(a: np.ndarray, field: Field):
-    """Row-reduce ``a`` in place; returns pivot column list."""
-    p = field.p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        sub = a[r:, c]
-        if p is not None:
-            nz = np.nonzero(sub)[0]
-        else:
-            nz = np.array([i for i in range(sub.shape[0]) if sub[i] != 0])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        if p is not None:
-            inv = pow(int(a[r, c]), p - 2, p)
-            a[r] = (a[r] * inv) % p
-            colv = a[:, c].copy()
-            colv[r] = 0
-            tgt = np.nonzero(colv)[0]
-            if tgt.size:
-                # row r is zero left of its pivot, so columns < c stay as they are
-                a[tgt, c:] = (a[tgt, c:] - np.outer(colv[tgt], a[r, c:])) % p
-        else:
-            inv = Fraction(1) / a[r, c]
-            a[r] = a[r] * inv
-            for t in range(rows):
-                if t != r and a[t, c] != 0:
-                    a[t] = a[t] - a[t, c] * a[r]
-        pivots.append(c)
-        r += 1
-    return pivots
+def _sparse_lines(count: int, major, minor, vals) -> list:
+    """``count`` sparse lines; entry e goes to line major[e] at minor[e]."""
+    out = [{} for _ in range(count)]
+    for i, j, x in zip(major.tolist(), minor.tolist(), vals.tolist()):
+        out[i][j] = x
+    return out
 
 
-def _rref_hstack(blocks: list) -> tuple:
-    """Reduced row echelon form of ``[blocks[0] | blocks[1] | ...]`` and its
-    pivot columns.
-
-    The blocks (Matrices over one field, with equal row counts) are joined
-    into one fresh array, which is reduced in place and returned.  Pivot
-    columns to the right of a block depend only on the span of the columns
-    left of them, so a caller may pass a spanning set there, not a basis.
-    """
-    field = blocks[0].field
-    a = np.hstack([b.data for b in blocks])
-    return a, _rref_inplace(a, field)
+def _sparse_columns(a: np.ndarray) -> list:
+    """The columns of a 2-D array, sparse; ``a.T`` gives its rows."""
+    i, j = a.nonzero()
+    return _sparse_lines(a.shape[1], j, i, a[i, j])
 
 
-def rref(m: Matrix) -> RrefResult:
-    a, pivots = _rref_hstack([m])
-    return RrefResult(_adopt(m.field, a), tuple(pivots), len(pivots))
-
-
-def rank(m: Matrix) -> int:
-    return rref(m).rank
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns span the null space of ``m``; column count = cols - rank.
-
-    Column k is the solution whose k-th free variable (in column order) is
-    one and whose other free variables are zero.
-    """
-    return _kernel_with_free(m)[0]
-
-
-def _kernel_with_free(m: Matrix):
-    """``kernel_basis(m)`` and the indices of its free rows.
-
-    Those rows of the basis form an identity block, so the coordinates of
-    any vector in the kernel are its entries on them.
-    """
-    res = rref(m)
-    field = m.field
-    pivots = np.array(res.pivot_columns, dtype=np.intp)
-    is_free = np.ones(m.cols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    # coeffs is a copy, so the reduced matrix is freed before the basis is
-    # allocated, and it is negated in place: large kernels peak lower
-    coeffs = res.reduced.data[: res.rank][:, free]
-    del res
-    if field.p is not None:
-        out = np.zeros((m.cols, free.size), dtype=np.int64)
-        np.negative(coeffs, out=coeffs)
-        coeffs %= field.p
-        out[pivots] = coeffs
-    else:
-        out = np.full((m.cols, free.size), Fraction(0), dtype=object)
-        out[pivots] = -coeffs
-    out[free, np.arange(free.size)] = field.one
-    return _adopt(field, out), free
+def _dense(field: Field, rows: int, cols) -> Matrix:
+    """The Matrix with these sparse columns; ``.T`` of it for sparse rows."""
+    out = Matrix.zeros(field, rows, len(cols)).data.copy()
+    for j, col in enumerate(cols):
+        out[list(col), j] = list(col.values())
+    return _adopt(field, out)
 
 
 def _sub_scaled(v: dict, c, b: dict, p: Optional[int]) -> list:
-    """v -= c * b on sparse columns, in place; returns the indices new to v."""
+    """v -= c * b on sparse lines, in place; returns the indices new to v."""
     new = []
     for k, x in b.items():
         y = v.get(k, 0) - c * x
@@ -452,10 +380,10 @@ def _sub_scaled(v: dict, c, b: dict, p: Optional[int]) -> list:
 
 
 def _echelon_insert(basis: dict, v: dict, p: Optional[int]) -> bool:
-    """Add the sparse column ``v`` to ``basis`` if it is independent of the
-    columns already inserted; return whether it was.
+    """Add the sparse line ``v`` to ``basis`` if it is independent of the
+    lines already inserted; return whether it was.
 
-    ``basis`` maps each pivot to a stored column whose least index is that
+    ``basis`` maps each pivot to a stored line whose least index is that
     pivot, with coefficient 1 there.  ``v`` is consumed: it is reduced in
     place, least index first, until it vanishes or its least index is no
     pivot, and is then stored, scaled, under that index.  ``p`` is None
@@ -479,13 +407,20 @@ def _echelon_insert(basis: dict, v: dict, p: Optional[int]) -> bool:
     return False
 
 
-def _sparse_kernel(rows: Iterable[dict], ncols: int, p: Optional[int]) -> list:
-    """``kernel_basis`` of the matrix with these sparse rows (consumed) and
-    ``ncols`` columns, as sparse columns in the same order.
+def _sparse_rank(lines: Iterable[dict], p: Optional[int]) -> int:
+    """The rank of the matrix with these sparse rows, or columns (consumed)."""
+    basis: dict = {}
+    return sum(_echelon_insert(basis, v, p) for v in lines)
+
+
+def _sparse_rref(rows: Iterable[dict], p: Optional[int]) -> dict:
+    """The reduced row echelon form of the matrix with these sparse rows
+    (consumed), as {pivot column: reduced row}.
 
     The rows are inserted into a semi-echelon basis, which is then reduced
-    from its highest pivot down to the unique reduced row echelon form, so
-    the kernel is the one the dense route gives, entry for entry.
+    from its highest pivot down, so each row is zero at every other pivot.
+    The form is unique, so it equals a dense Gauss-Jordan reduction entry
+    for entry.
     """
     basis: dict = {}
     for row in rows:
@@ -496,43 +431,72 @@ def _sparse_kernel(rows: Iterable[dict], ncols: int, p: Optional[int]) -> list:
         # brings in no pivot index
         for k in [k for k in row if k != c and k in basis]:
             _sub_scaled(row, row[k], basis[k], p)
+    return basis
+
+
+def _sparse_kernel(rows: Iterable[dict], ncols: int, p: Optional[int]) -> dict:
+    """The kernel of the matrix with these sparse rows (consumed) and
+    ``ncols`` columns, as {free column f: sparse kernel column}.
+
+    Column f is the solution whose free variable f is one and whose other
+    free variables are zero; the free columns are the non-pivots of
+    ``_sparse_rref``, in column order.
+    """
+    basis = _sparse_rref(rows, p)
     one = 1 if p is not None else Fraction(1)
     cols = {f: {f: one} for f in range(ncols) if f not in basis}
     for c, row in basis.items():
         for k, x in row.items():
             if k != c:
                 cols[k][c] = -x % p if p is not None else -x
-    return list(cols.values())
+    return cols
+
+
+def rref(m: Matrix) -> RrefResult:
+    basis = _sparse_rref(_sparse_columns(m.data.T), m.field.p)
+    pivots = tuple(sorted(basis))
+    rows = [basis[c] for c in pivots] + [{}] * (m.rows - len(pivots))
+    return RrefResult(_dense(m.field, m.cols, rows).T, pivots, len(pivots))
+
+
+def rank(m: Matrix) -> int:
+    return _sparse_rank(_sparse_columns(m.data), m.field.p)
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns span the null space of ``m``; column count = cols - rank.
+
+    Column k is the solution whose k-th free variable (in column order) is
+    one and whose other free variables are zero.
+    """
+    kernel = _sparse_kernel(_sparse_columns(m.data.T), m.cols, m.field.p)
+    return _dense(m.field, m.cols, kernel.values())
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One solution of a x = b (b a column), or None if b is not in im(a)."""
-    if b.rows != a.rows:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    x = solve_matrix(a, b)
-    return x
+    return solve_matrix(a, b)
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Solve a X = B columnwise; None if any column is unsolvable."""
     if b.rows != a.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    red, pivots = _rref_hstack([a, b])
-    if pivots and pivots[-1] >= a.cols:
+    n = a.cols
+    basis = _sparse_rref(_sparse_columns(np.hstack([a.data, b.data]).T), a.field.p)
+    if any(c >= n for c in basis):
         return None  # a pivot fell in the b block: inconsistent system
-    out = Matrix.zeros(a.field, a.cols, b.cols).data.copy()
-    out[pivots] = red[: len(pivots), a.cols :]
-    return _adopt(a.field, out)
+    # row c of X is the b block of the reduced row with pivot c, if any
+    rows = [{k - n: x for k, x in basis[c].items() if k >= n} if c in basis else {}
+            for c in range(n)]
+    return _dense(a.field, b.cols, rows).T
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
     if m.rows != m.cols:
         return None
-    x = solve_matrix(m, Matrix.identity(m.field, m.rows))
-    if x is None:
-        return None
     # solve_matrix succeeding on the identity forces full rank
-    return x
+    return solve_matrix(m, Matrix.identity(m.field, m.rows))
 
 
 def is_invertible(m: Matrix) -> bool:
@@ -540,9 +504,9 @@ def is_invertible(m: Matrix) -> bool:
 
 
 def image_basis(m: Matrix) -> Matrix:
-    """A basis of the column space, as columns of the original matrix."""
-    res = rref(m)
-    cols = [m.data[:, [c]] for c in res.pivot_columns]
-    if not cols:
-        return Matrix.zeros(m.field, m.rows, 0)
-    return _adopt(m.field, np.hstack(cols))
+    """A basis of the column space, as columns of the original matrix: each
+    column outside the span of the columns before it."""
+    basis: dict = {}
+    keep = [j for j, v in enumerate(_sparse_columns(m.data))
+            if _echelon_insert(basis, v, m.field.p)]
+    return _adopt(m.field, m.data[:, keep])

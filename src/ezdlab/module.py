@@ -18,9 +18,11 @@ from .groebner import QuotientPresentation
 from .linalg import (
     Matrix,
     _adopt,
+    _dense,
     _dot,
-    _kernel_with_free,
-    _rref_hstack,
+    _sparse_columns,
+    _sparse_kernel,
+    _sparse_rref,
     image_basis,
     is_invertible,
     kernel_basis,
@@ -240,8 +242,10 @@ class HomModule(Module):
             stacked = Matrix.vstack(constraints)
         else:
             stacked = Matrix.zeros(field, 0, ns * nt)
-        # columns are vec(phi); its rows at ``free`` form an identity block
-        self._bmat, self._free = _kernel_with_free(stacked)
+        # columns are vec(phi); its rows at ``_free`` form an identity block
+        kernel = _sparse_kernel(_sparse_columns(stacked.data.T), ns * nt, field.p)
+        self._bmat = _dense(field, ns * nt, kernel.values())
+        self._free = list(kernel)
         h = self._bmat.cols
         self.hom_source = source
         self.hom_target = target
@@ -330,19 +334,18 @@ def _quotient_space(field, n, subs: list, action_mats: list):
     """Quotient of k^n by the span of the columns of the ``subs`` blocks,
     with its projection, its section and the induced actions.
 
-    One reduction of [subs | I_n]: its pivots in the I block pick the
-    coordinate vectors the section spans, and its I block below rank(subs)
-    is the projection (it kills the subs rows and is the identity on the
-    section)."""
-    red, pivots = _rref_hstack([*subs, Matrix.identity(field, n)])
-    s = red.shape[1] - n
-    comp = [c - s for c in pivots if c >= s]
-    rank_ = len(pivots) - len(comp)
-    section = Matrix.zeros(field, n, len(comp)).data.copy()
-    section[comp, range(len(comp))] = field.one
-    proj = _adopt(field, red[rank_:, s:].copy())
+    One reduction of the rows of [subs | I_n]: its pivots in the I block
+    pick the coordinate vectors the section spans, and its rows with those
+    pivots are zero in the subs block; their I block is the projection (it
+    kills the subs rows and is the identity on the section)."""
+    s = sum(m.cols for m in subs)
+    joined = np.hstack([*(m.data for m in subs), Matrix.identity(field, n).data])
+    basis = _sparse_rref(_sparse_columns(joined.T), field.p)
+    comp = [c - s for c in sorted(basis) if c >= s]
+    section = _dense(field, n, [{c: field.one} for c in comp])
+    proj = _dense(field, n, [{k - s: x for k, x in basis[s + c].items()} for c in comp]).T
     acts = [_adopt(field, (proj @ a).data[:, comp]) for a in action_mats]
-    return proj, _adopt(field, section), acts
+    return proj, section, acts
 
 
 def tensor_module(left: Module, right: Module) -> TensorModule:

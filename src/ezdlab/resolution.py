@@ -34,7 +34,17 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import Matrix, _adopt, _dot, _echelon_insert, _sparse_kernel
+from .linalg import (
+    Matrix,
+    _adopt,
+    _dense,
+    _dot,
+    _echelon_insert,
+    _sparse_columns,
+    _sparse_kernel,
+    _sparse_lines,
+    _sparse_rank,
+)
 from .module import Iso, Module, _restricted_actions, dual_k, free_module, is_isomorphic
 
 __all__ = [
@@ -127,20 +137,6 @@ def _block_matrix(entries: np.ndarray, stack: np.ndarray, field, transpose=False
     return _adopt(field, out)
 
 
-def _sparse_lines(count: int, major, minor, vals) -> list:
-    """``count`` sparse lines; entry e goes to line major[e] at minor[e]."""
-    out = [{} for _ in range(count)]
-    for i, j, x in zip(major.tolist(), minor.tolist(), vals.tolist()):
-        out[i][j] = x
-    return out
-
-
-def _sparse_columns(a: np.ndarray) -> list:
-    """The columns of a 2-D array, sparse."""
-    i, j = a.nonzero()
-    return _sparse_lines(a.shape[1], j, i, a[i, j])
-
-
 def _block_rows(entries: np.ndarray, stack: np.ndarray, p, transpose=False) -> list:
     """The rows of ``_block_matrix``, sparse."""
     count = entries.shape[1 if transpose else 0] * stack.shape[1]
@@ -174,14 +170,6 @@ def _pick_independent(spanning, cols: list, p) -> list:
     for v in spanning:
         _echelon_insert(echelon, v, p)
     return [v for v in cols if _echelon_insert(echelon, dict(v), p)]
-
-
-def _dense(field, rows: int, cols: list) -> Matrix:
-    """The Matrix with these sparse columns."""
-    out = Matrix.zeros(field, rows, len(cols)).data.copy()
-    for j, col in enumerate(cols):
-        out[list(col), j] = list(col.values())
-    return _adopt(field, out)
 
 
 class _ResolutionState:
@@ -245,7 +233,7 @@ class _ResolutionState:
             i = self.length
             rows = (_sparse_columns(self._d0.data.T) if i == 0
                     else _block_rows(self.diff_alg[i], self.algebra.mult_stack, p))
-            self.kernels.append(_sparse_kernel(rows, prev_rank * d, p))
+            self.kernels.append(list(_sparse_kernel(rows, prev_rank * d, p).values()))
         kernel = self.kernels[-1]
         if not kernel:
             self.terminated = True
@@ -367,9 +355,7 @@ def _complex_dims(
     p = other.algebra.field.p
     ranks = {0: 0}
     for i in range(1, min(L, bound + 1) + 1):
-        echelon: dict = {}
-        rows = _block_rows(res.diff_alg(i), stack, p, transpose)
-        ranks[i] = sum(_echelon_insert(echelon, row, p) for row in rows)
+        ranks[i] = _sparse_rank(_block_rows(res.diff_alg(i), stack, p, transpose), p)
     return tuple(
         res.betti[i] * nN - ranks[i] - ranks.get(i + 1, 0) if i <= L else 0
         for i in range(bound + 1)
@@ -386,13 +372,15 @@ def ext(m: Module, n: Module, bound: int, route: Optional[str] = None) -> ExtTab
         raise ValueError("Ext requires modules over the same algebra")
     attempts = _route_plan(route, ("projective", "injective"))
     last_err = None
+    dn = None  # built on the first injective attempt; a retry resumes its state
     for rt, budget in attempts:
         try:
             if rt == "projective":
                 res = minimal_free_resolution(m, bound + 1, budget)
                 dims = _complex_dims(res, n, bound, transpose=True)
             else:
-                dn = dual_k(n)
+                if dn is None:
+                    dn = dual_k(n)
                 res = minimal_free_resolution(dn, bound + 1, budget)
                 dims = _complex_dims(res, m, bound, transpose=False)
             return ExtTable(dims, bound, res.terminated, rt)

@@ -1,5 +1,6 @@
 """Lint checks on the syntax tree of each ``src/ezdlab/*.py``: every
-imported name is used there or re-exported, and no module-level cache.
+imported name is used there or re-exported, no module-level cache, and
+every top-level definition is named somewhere in the project.
 
 No linter ships with the project's test dependencies, so these walk the
 tree with ``ast``.
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ezdlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ezdlab"
 
 
 def _imported(tree):
@@ -88,3 +90,40 @@ def test_no_module_level_cache(path):
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
     ]
     assert not bound, f"{path.name} binds an empty container at module level: {bound}"
+
+
+def _referenced(tree):
+    """The names a module refers to: names read, attributes, imported names,
+    and the parts of dotted-identifier strings (the benchmark's tracer names
+    the functions it wraps by string)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.update(parts)
+    return out
+
+
+def test_no_dead_definitions():
+    """Every top-level function and class of ``src/ezdlab`` is named in
+    ``src/``, ``tests/`` or ``perfbench/``; one that nothing names is dead."""
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    referenced = set().union(*map(_referenced, trees.values()))
+    dead = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items() if path.parent == SRC
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+    ]
+    assert not dead, f"top-level definitions nothing names: {', '.join(dead)}"

@@ -18,6 +18,8 @@ from ezdlab.linalg import (
     solve,
 )
 
+from conftest import _int_kernel, _int_rref
+
 GF101 = Field.prime(101)
 GF2 = Field.prime(2)
 QQ = Field.rationals()
@@ -41,20 +43,6 @@ def _matrices(field, max_dim=6):
     )
 
 
-def _kernel_reference(m):
-    """The entry-by-entry kernel construction ``kernel_basis`` must match."""
-    res = rref(m)
-    red = res.reduced.data
-    pivots = list(res.pivot_columns)
-    free = [j for j in range(m.cols) if j not in pivots]
-    out = [[m.field.zero] * len(free) for _ in range(m.cols)]
-    for k, j in enumerate(free):
-        out[j][k] = m.field.one
-        for r, pc in enumerate(pivots):
-            out[pc][k] = m.field.neg(red[r, j])
-    return out
-
-
 def _check_kernel(m):
     k = kernel_basis(m)
     assert k.rows == m.cols
@@ -68,7 +56,7 @@ def _check_kernel(m):
         assert ((k.data >= 0) & (k.data < m.field.p)).all()
     else:
         assert all(type(v) is Fraction for v in k.data.reshape(-1))
-    assert k.to_lists() == _kernel_reference(m)
+    assert k.to_lists() == _int_kernel(m.to_lists(), m.cols, m.field.p)
     return k
 
 
@@ -77,7 +65,7 @@ def _check_kernel(m):
 @given(data=st.data())
 def test_rank_nullity(field, data):
     """Kernel bases are independent, canonical, read-only null spaces, equal
-    entry for entry to the reference construction."""
+    entry for entry to the construction from Python reference elimination."""
     _check_kernel(data.draw(_matrices(field)))
 
 
@@ -190,26 +178,6 @@ def test_matmul_exact_at_largest_prime():
 
 def _int_matmul(a, b, p):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
-
-
-def _int_rref(rows, p):
-    """Reduced row echelon form and pivots in Python ints, mod p."""
-    a = [list(r) for r in rows]
-    pivots, r = [], 0
-    for c in range(len(a[0]) if a else 0):
-        hit = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if hit is None:
-            continue
-        a[r], a[hit] = a[hit], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [v * inv % p for v in a[r]]
-        for t in range(len(a)):
-            if t != r and a[t][c]:
-                f = a[t][c]
-                a[t] = [(v - f * w) % p for v, w in zip(a[t], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
 
 
 @pytest.mark.parametrize("p", BIG_PRIMES)

@@ -10,7 +10,7 @@ import pytest
 import ezdlab.linalg as linalg
 import ezdlab.module as module_mod
 import ezdlab.resolution as resolution
-from ezdlab.linalg import Matrix, image_basis, rref, solve_matrix
+from ezdlab.linalg import Matrix, _dense, _sparse_columns, image_basis, rref, solve_matrix
 from ezdlab.module import (
     _quotient_space,
     _restricted_actions,
@@ -23,15 +23,13 @@ from ezdlab.module import (
     zero_module,
 )
 from ezdlab.resolution import (
-    _dense,
     _free_var_apply,
     _pick_independent,
-    _sparse_columns,
     minimal_free_resolution,
     syzygy_module,
 )
 
-from conftest import GF2, GF101, QQ, make_algebra, var
+from conftest import DENSE_ENTRY_POINTS, GF2, GF101, QQ, make_algebra, var
 
 FIELDS = [GF2, GF101, QQ]
 
@@ -173,20 +171,29 @@ def test_module_quotients_match_reference(field):
 
 
 def test_one_elimination_each(monkeypatch):
-    """The quotient and solve_matrix each reduce one array, and the
-    resolution steps reduce none; neither the quotient nor the resolution
-    asks for an image basis."""
-    calls = []
-    inner = linalg._rref_inplace
+    """The quotient and solve_matrix each make one reduction, and the
+    resolution steps call no dense-Matrix entry point; neither the quotient
+    nor the resolution asks for an image basis."""
+    calls, dense_calls = [], []
+    inner = linalg._sparse_rref
 
-    def counted(a, field):
-        calls.append(a.shape)
-        return inner(a, field)
+    def counted(rows, p):
+        rows = list(rows)
+        width = 1 + max((j for row in rows for j in row), default=-1)
+        calls.append((len(rows), width))
+        return inner(rows, p)
 
     def refused(m):
         raise AssertionError("image_basis called")
 
-    monkeypatch.setattr(linalg, "_rref_inplace", counted)
+    def recorded(name, fn):
+        def wrapper(*args):
+            dense_calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for mod in (linalg, module_mod):
+        monkeypatch.setattr(mod, "_sparse_rref", counted)
     monkeypatch.setattr(module_mod, "image_basis", refused)
     rng = random.Random(2)
     a, b = _random(GF101, rng, 5, 3), _random(GF101, rng, 5, 2)
@@ -197,9 +204,14 @@ def test_one_elimination_each(monkeypatch):
     assert calls == [(5, 10)]
     alg = make_algebra(GF101, ["x", "y"], [{(1, 1): 1}, {(2, 0): 1, (0, 2): -1}])
     k = residue_field_module(alg)
+    for mod in (linalg, module_mod, resolution):
+        for name in DENSE_ENTRY_POINTS:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, recorded(name, getattr(mod, name)))
     calls.clear()
     assert minimal_free_resolution(k, 3).betti == [1, 2, 3, 4]
-    assert calls == []
+    assert dense_calls == []
+    assert len(calls) == 3  # the kernels of d_0, d_1 and d_2, once each
     scale_quotient(regular_module(alg), var(alg, 0))
     assert not hasattr(resolution, "image_basis")
     assert not hasattr(module_mod.Module, "radical_subspace")

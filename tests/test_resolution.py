@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ezdlab import linalg, resolution
+from ezdlab import module as module_mod
 from ezdlab.module import (
     dual_k,
     free_module,
@@ -31,7 +32,7 @@ from ezdlab.resolution import (
     tor,
 )
 
-from conftest import GF2, GF101, QQ, make_algebra, var
+from conftest import DENSE_ENTRY_POINTS, GF2, GF101, QQ, make_algebra, var
 
 
 def test_differentials_compose_to_zero(square_zero):
@@ -171,15 +172,18 @@ def test_betti_numbers_of_k_deep():
 
 
 def test_resolution_steps_do_no_dense_elimination(monkeypatch):
-    """Every step runs on sparse columns: with the dense elimination and
-    the dense kernel refused, k still resolves to bound 6."""
+    """Every step runs on sparse columns: with every dense-Matrix entry
+    point of the elimination refused, wherever it is bound, k still
+    resolves to bound 6."""
     k = residue_field_module(_cubes_and_xyz())
 
     def refused(*args):
         raise AssertionError("dense elimination in a resolution step")
 
-    monkeypatch.setattr(linalg, "_rref_inplace", refused)
-    monkeypatch.setattr(linalg, "kernel_basis", refused)
+    for mod in (linalg, module_mod, resolution):
+        for name in DENSE_ENTRY_POINTS:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refused)
     assert minimal_free_resolution(k, 6).betti == [1, 3, 7, 16, 37, 86, 200]
 
 
@@ -368,3 +372,25 @@ def test_budget_stop_keeps_its_kernel(hyper4, kernel_calls):
     assert len(calls) == 2
     assert minimal_free_resolution(k, 2).betti == [1, 1, 1]
     assert len(calls) == 2
+
+
+def test_ext_builds_the_dual_once(ci, monkeypatch):
+    """When the injective route stops on its budget, the retry at the larger
+    budget resumes the dual's resolution instead of resolving a new dual;
+    the projective-first attempts build no dual."""
+    made = []
+    inner = resolution._ResolutionState.__init__
+
+    def counted(self, module):
+        made.append(module.label)
+        inner(self, module)
+
+    monkeypatch.setattr(resolution._ResolutionState, "__init__", counted)
+    monkeypatch.setattr(resolution, "ROUTE_BUDGETS", (2, 100))
+    table = ext(residue_field_module(ci), regular_module(ci), 10)
+    assert table.route == "injective"
+    assert made == ["k", "dual(A)"]
+    made.clear()
+    monkeypatch.setattr(resolution, "ROUTE_BUDGETS", (100, 1000))
+    assert ext(residue_field_module(ci), regular_module(ci), 3).route == "projective"
+    assert made == ["k"]

@@ -1,8 +1,9 @@
-"""The sparse routines of the resolution steps against the dense code they
-replaced: the sparse kernel against ``kernel_basis``, the generator pick
-against the pivot columns of ``_rref_hstack``, insertion rank against
-``rank``, and ``_complex_dims`` against ``_block_matrix`` + ``rank``, over
-GF(2), GF(101), GF(2^31 - 1) and QQ."""
+"""The one sparse elimination engine against Python reference elimination
+(``conftest._int_rref``, which shares no code with it): the sparse kernel
+and ``kernel_basis``, ``rref``, ``solve_matrix`` and ``image_basis``, the
+generator pick, insertion rank and ``rank``, and ``_complex_dims`` against
+``_block_matrix`` + reference rank, over GF(2), GF(101), GF(2^31 - 1) and
+QQ."""
 
 import random
 from fractions import Fraction
@@ -12,24 +13,26 @@ import pytest
 from ezdlab.linalg import (
     Field,
     Matrix,
+    _dense,
     _echelon_insert,
-    _rref_hstack,
+    _sparse_columns,
     _sparse_kernel,
+    image_basis,
     kernel_basis,
     rank,
+    rref,
+    solve_matrix,
 )
 from ezdlab.module import dual_k, regular_module, residue_field_module, zero_module
 from ezdlab.resolution import (
     _action_stack,
     _block_matrix,
     _complex_dims,
-    _dense,
     _pick_independent,
-    _sparse_columns,
     minimal_free_resolution,
 )
 
-from conftest import GF2, GF101, QQ, make_algebra
+from conftest import GF2, GF101, QQ, _int_kernel, _int_rref, make_algebra
 
 FIELDS = [GF2, GF101, Field(2**31 - 1), QQ]
 DENSITIES = [0.001, 0.01, 0.1, 0.5]
@@ -74,8 +77,12 @@ def test_sparse_kernel_matches_kernel_basis(field, density):
     for rows, cols in _shapes(field):
         m = _random_sparse(field, rng, rows, cols, density)
         got = _sparse_kernel(_rows(m), m.cols, field.p)
-        assert all(all(x != 0 for x in col.values()) for col in got)
-        assert _dense(field, m.cols, got) == kernel_basis(m), (rows, cols)
+        assert all(all(x != 0 for x in col.values()) for col in got.values())
+        want = _int_kernel(m.to_lists(), m.cols, field.p)
+        assert _dense(field, m.cols, got.values()).to_lists() == want, (rows, cols)
+        assert kernel_basis(m).to_lists() == want, (rows, cols)
+        pivots = _int_rref(m.to_lists(), field.p)[1]
+        assert list(got) == [j for j in range(m.cols) if j not in pivots]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -88,7 +95,8 @@ def test_insertion_rank_matches_rank(field, density):
         row_rank = sum(_echelon_insert(by_rows, row, field.p) for row in _rows(m))
         col_rank = sum(_echelon_insert(by_cols, col, field.p)
                        for col in _sparse_columns(m.data))
-        assert row_rank == col_rank == rank(m), (rows, cols)
+        want = len(_int_rref(m.to_lists(), field.p)[1])
+        assert row_rank == col_rank == rank(m) == want, (rows, cols)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -106,9 +114,41 @@ def test_generator_picks_match_rref_pivots(field, density):
         picks = {id(v) for v in _pick_independent(
             _sparse_columns(spanning.data), sparse_cols, field.p)}
         got = [j for j, v in enumerate(sparse_cols) if id(v) in picks]
-        want = [j - s for j in _rref_hstack([spanning, cols])[1] if j >= s]
+        joined = Matrix.hstack([spanning, cols]).to_lists()
+        want = [j - s for j in _int_rref(joined, field.p)[1] if j >= s]
         assert got == want, (n, s, c)
         assert _sparse_columns(cols.data) == sparse_cols  # cols are not consumed
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("density", DENSITIES)
+def test_rref_solve_and_image_match_reference(field, density):
+    """The dense-Matrix entry points give the reference reduced form and
+    pivots, solve a system exactly when its right-hand side lies in the
+    column space, and pick the reference pivot columns as image basis."""
+    rng = random.Random(int(density * 1000) + 3)
+    for rows, cols in _shapes(field):
+        m = _random_sparse(field, rng, rows, cols, density)
+        red, pivots = _int_rref(m.to_lists(), field.p)
+        res = rref(m)
+        assert (res.reduced.to_lists(), res.pivot_columns) == (red, pivots), (rows, cols)
+        assert image_basis(m) == Matrix(field, m.data[:, list(pivots)]), (rows, cols)
+        # solve_matrix's solution is the b block of the reference reduction
+        # of [m | b] on the pivot rows, zero on the free rows
+        x = Matrix.from_rows(field, [[rng.randint(0, 3) for _ in range(2)]
+                                     for _ in range(m.cols)])
+        b = m @ x if m.cols else Matrix.zeros(field, m.rows, 2)
+        red_b, _ = _int_rref(Matrix.hstack([m, b]).to_lists(), field.p)
+        want = [[field.zero] * 2 for _ in range(m.cols)]
+        for r, c in enumerate(pivots):
+            want[c] = red_b[r][m.cols:]
+        assert solve_matrix(m, b).to_lists() == want, (rows, cols)
+        # a unit vector outside the column space has no solution
+        units = Matrix.hstack([m, Matrix.identity(field, m.rows)]).to_lists()
+        outside = [c - m.cols for c in _int_rref(units, field.p)[1] if c >= m.cols]
+        if outside:
+            e = Matrix.column(field, [int(i == outside[0]) for i in range(m.rows)])
+            assert solve_matrix(m, e) is None, (rows, cols)
 
 
 def _complex_dims_reference(res, other, bound, transpose):
@@ -116,7 +156,8 @@ def _complex_dims_reference(res, other, bound, transpose):
     field = other.algebra.field
     top = min(res.length, bound + 1)
     ranks = [0] + [
-        rank(_block_matrix(res.diff_alg(i), stack, field, transpose))
+        len(_int_rref(_block_matrix(res.diff_alg(i), stack, field, transpose).to_lists(),
+                      field.p)[1])
         for i in range(1, top + 1)
     ] + [0]
     return tuple(
