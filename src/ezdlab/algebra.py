@@ -34,6 +34,14 @@ class Algebra:
             for v in range(self.nvars)
         ]
         self.radical_indices = [i for i, m in enumerate(self.staircase) if sum(m) > 0]
+        # the ideal generators as one (generators x monomials) coefficient
+        # array over the monomials they use, so a module evaluates them all
+        # in one contraction
+        gens = [dict(g.terms) for g in presentation.ideal_generators]
+        self.relation_monomials = sorted({m for g in gens for m in g})
+        self.relation_coeffs = Matrix.from_rows(
+            self.field, [[g.get(m, 0) for m in self.relation_monomials] for g in gens]
+        ).data
         self._check_structure()
 
     @property

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Element
-from .linalg import Matrix, rank
+from .linalg import Matrix, _dot, rank
 from .module import (
     Module,
     Morphism,
@@ -119,15 +119,10 @@ class SemidualizingCertificate:
 def homothety_map(c: Module) -> Morphism:
     """chi: A -> Hom(C, C), r |-> multiplication by r on C."""
     algebra = c.algebra
-    reg = regular_module(algebra)
     hcc = hom_module(c, c)
-    cols = []
-    for m in algebra.staircase:
-        cols.append(hcc.coordinates_of(c.monomial_action(m)).data)
-    mat = Matrix(algebra.field, np.hstack(cols)) if cols else Matrix.zeros(
-        algebra.field, hcc.dim, 0
-    )
-    return Morphism(reg, hcc, mat)
+    # column i is vec of the action of staircase monomial i
+    vecs = _action_stack(c).reshape(algebra.dim, c.dim * c.dim).T
+    return Morphism(regular_module(algebra), hcc, hcc._coords(vecs))
 
 
 def is_semidualizing(c: Module, bound: int = DEFAULT_BOUND) -> SemidualizingCertificate:
@@ -224,20 +219,13 @@ def _verdict(tables: dict, bound: int):
 
 def biduality_map(x: Module, c: Module) -> Morphism:
     """delta: X -> Hom(Hom(X, C), C), evaluation at x."""
-    field = x.algebra.field
     h1 = hom_module(x, c)
     h2 = hom_module(h1, c)
-    cols = []
-    for i in range(x.dim):
-        # delta(e_i): H1 -> C sends phi to phi(e_i)
-        mat = (
-            np.hstack([phi.data[:, [i]] for phi in h1.basis])
-            if h1.basis
-            else Matrix.zeros(field, c.dim, 0).data
-        )
-        cols.append(h2.coordinates_of(Matrix(field, mat)).data)
-    m = Matrix(field, np.hstack(cols)) if cols else Matrix.zeros(field, h2.dim, 0)
-    return Morphism(x, h2, m)
+    # delta(e_i): H1 -> C sends phi to phi(e_i); row r, column a of it is
+    # entry (r, i) of basis element a, row r * dim X + i of H1's basis matrix
+    h = h1.dim
+    vecs = h1._bmat.data.reshape(c.dim, x.dim, h).transpose(0, 2, 1).reshape(c.dim * h, x.dim)
+    return Morphism(x, h2, h2._coords(vecs))
 
 
 def in_G_C(x: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
@@ -249,7 +237,7 @@ def in_G_C(x: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipR
             "G_C", Fails("biduality map delta is not an isomorphism"),
             False, delta, {}, bound,
         )
-    xdag = hom_module(x, c)
+    xdag = delta.target.hom_source  # delta's target is Hom(Hom(X,C),C)
     tables = {
         "Ext(X,C)": _table_with_fallback(ext, x, c, bound),
         "Ext(Hom(X,C),C)": _table_with_fallback(ext, xdag, c, bound),
@@ -261,21 +249,12 @@ def in_G_C(x: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipR
 
 def gamma_map(m: Module, c: Module) -> Morphism:
     """gamma: M -> Hom(C, C (x) M)."""
-    field = m.algebra.field
     t = tensor_module(c, m)
     h = hom_module(c, t)
-    cols = []
-    for i in range(m.dim):
-        # gamma(e_i): C -> C(x)M, e_c |-> class of e_c (x) e_i
-        gcols = [t.projection.data[:, [cc * m.dim + i]] for cc in range(c.dim)]
-        gm = (
-            Matrix(field, np.hstack(gcols))
-            if gcols
-            else Matrix.zeros(field, t.dim, 0)
-        )
-        cols.append(h.coordinates_of(gm).data)
-    mat = Matrix(field, np.hstack(cols)) if cols else Matrix.zeros(field, h.dim, 0)
-    return Morphism(m, h, mat)
+    # gamma(e_i): C -> C(x)M, e_c |-> class of e_c (x) e_i, whose column c is
+    # column c * dim M + i of the projection
+    vecs = t.projection.data.reshape(t.dim * c.dim, m.dim)
+    return Morphism(m, h, h._coords(vecs))
 
 
 def in_A_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
@@ -299,17 +278,11 @@ def in_A_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipR
 
 def xi_map(m: Module, c: Module) -> Morphism:
     """xi: C (x) Hom(C, M) -> M, evaluation."""
-    field = m.algebra.field
     h = hom_module(c, m)
     t2 = tensor_module(c, h)
-    # evaluation on the full tensor space: (e_c, phi_a) |-> phi_a(e_c)
-    cols = []
-    for cc in range(c.dim):
-        for a in range(h.dim):
-            cols.append(h.basis[a].data[:, [cc]])
-    full = (
-        Matrix(field, np.hstack(cols)) if cols else Matrix.zeros(field, m.dim, 0)
-    )
+    # evaluation on the full tensor space: (e_c, phi_a) |-> phi_a(e_c), the
+    # column c * dim H + a; entry r of it is row r * dim C + c of H's basis
+    full = Matrix(m.algebra.field, h._bmat.data.reshape(m.dim, c.dim * h.dim))
     induced = full @ t2.section
     if induced @ t2.projection != full:
         raise AssertionError("evaluation does not factor through the tensor relations")
@@ -386,17 +359,11 @@ def build_proper_PC_resolution(
     h = hom_module(c, m)
     res = minimal_free_resolution(h, length)
 
-    # the complex itself: X_i = C^{b_i}
-    aug_blocks = []
-    g0 = res._state.gens[0]
-    for j in range(res.betti[0]):
-        phi = h.element_matrix(Matrix(field, g0.data[:, [j]]))
-        aug_blocks.append(phi.data)
-    aug = (
-        Matrix(field, np.hstack(aug_blocks))
-        if aug_blocks
-        else Matrix.zeros(field, m.dim, 0)
-    )
+    # the complex itself: X_i = C^{b_i}; the augmentation C^{b_0} -> M is
+    # the row of the homs phi_j that the generators of P_0 name
+    b0 = res.betti[0]
+    phis = (h._bmat @ res._state.gens[0]).data.reshape(m.dim, c.dim, b0).transpose(2, 0, 1)
+    aug = Matrix(field, phis.transpose(1, 0, 2).reshape(m.dim, b0 * c.dim))
     maps = [aug]
     c_stack = _action_stack(c)
     for i in range(1, res.length + 1):
@@ -404,21 +371,12 @@ def build_proper_PC_resolution(
 
     fail_plain = _complex_is_exact(maps)
 
-    # properness: Hom(C, X+) with Hom(C, C^{b}) ≅ Hom(C,C)^b
+    # properness: Hom(C, X+) with Hom(C, C^{b}) ≅ Hom(C,C)^b; column
+    # (j, a) of the augmentation is phi_j composed with basis element a
     hcc = hom_module(c, c)
-    hcm = h
-    aug_hom_blocks = []
-    for j in range(res.betti[0]):
-        phi = h.element_matrix(Matrix(field, g0.data[:, [j]]))
-        cols = [hcm.coordinates_of(phi @ psi).data for psi in hcc.basis]
-        aug_hom_blocks.append(
-            np.hstack(cols) if cols else Matrix.zeros(field, hcm.dim, 0).data
-        )
-    aug_hom = (
-        Matrix(field, np.hstack(aug_hom_blocks))
-        if aug_hom_blocks
-        else Matrix.zeros(field, hcm.dim, 0)
-    )
+    psis = np.stack([psi.data for psi in hcc.basis])
+    comps = _dot(phis[:, None], psis, field.p).reshape(b0 * hcc.dim, m.dim * c.dim)
+    aug_hom = h._coords(comps.T)
     hom_maps = [aug_hom]
     hcc_stack = _action_stack(hcc)
     for i in range(1, res.length + 1):
@@ -446,6 +404,9 @@ class Undefined:
 
     membership: ClassMembershipReport
 
+    def __repr__(self):
+        return f"undefined ({self.membership.kind} fails: {self.membership.verdict.witness})"
+
 
 def pc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND):
     """P_C-projective dimension: pd(Hom(C,M)) once M ∈ B_C is verified."""
@@ -454,7 +415,7 @@ def pc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND):
     membership = in_B_C(m, c, bound)
     if not membership.holds:
         return Undefined(membership)
-    return pd_bounded(hom_module(c, m), bound)
+    return pd_bounded(membership.witness.source.right, bound)  # xi's Hom(C, M)
 
 
 def fc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND):
@@ -470,4 +431,4 @@ def ic_id(m: Module, c: Module, bound: int = DEFAULT_BOUND):
     membership = in_A_C(m, c, bound)
     if not membership.holds:
         return Undefined(membership)
-    return id_bounded(tensor_module(c, m), bound)
+    return id_bounded(membership.witness.target.hom_target, bound)  # gamma's C (x) M

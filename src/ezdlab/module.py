@@ -2,7 +2,15 @@
 
 A module over an algebra A = k[x1..xn]/I is a k-space with one action
 matrix per variable; the matrices commute and satisfy the ideal
-relations.  Every constructor below returns a fully validated Module.
+relations.  Every constructor below returns a fully validated Module: the
+actions are checked to commute, and all ideal generators are evaluated
+on them in one contraction.
+
+Hom and tensor spaces are assembled from the nonzero entries of the
+actions: the linear conditions T X - X S = 0 and the tensor relations
+(a·m)(x)n - m(x)(a·n) are written straight into sparse rows, which one
+sparse elimination solves (``linalg._sparse_kernel``) or quotients by
+(``_quotient_space``); no Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from .linalg import (
     kernel_basis,
     solve_matrix,
 )
-from .poly import Polynomial
 
 __all__ = [
     "Module",
@@ -75,41 +82,48 @@ class Module:
         self._check_representation()
 
     def _check_representation(self):
-        n = self.dim
+        n, field = self.dim, self.algebra.field
         for a in self.actions:
             if a.rows != n or a.cols != n:
                 raise ValueError("action matrices must be square of the module dimension")
-        for i in range(len(self.actions)):
-            for j in range(i + 1, len(self.actions)):
-                if self.actions[i] @ self.actions[j] != self.actions[j] @ self.actions[i]:
+        arrs = [a.data for a in self.actions]
+        for i, a in enumerate(arrs):
+            for b in arrs[i + 1 :]:
+                if not np.array_equal(_dot(a, b, field.p), _dot(b, a, field.p)):
                     raise ValueError("variable actions do not commute")
-        for g in self.algebra.presentation.ideal_generators:
-            if not self._evaluate_poly(g).is_zero():
-                raise ValueError("an ideal generator does not vanish on the actions")
-
-    def _evaluate_poly(self, f: Polynomial) -> Matrix:
-        terms = ((self.monomial_action(m), c) for m, c in f.terms)
-        return _linear_combination(self.algebra.field, (self.dim, self.dim), terms)
+        # every ideal generator at once: its coefficients against the
+        # actions of the monomials the generators use
+        mats = [self.monomial_action(m) for m in self.algebra.relation_monomials]
+        if np.count_nonzero(_linear_combination(field, self.algebra.relation_coeffs, mats, (n, n))):
+            raise ValueError("an ideal generator does not vanish on the actions")
 
     def monomial_action(self, m) -> Matrix:
+        """The action of a monomial, from that of the monomial with one
+        exponent fewer (cached), so each new monomial costs one product."""
         m = tuple(m)
         cached = self._mon_cache.get(m)
-        if cached is not None:
-            return cached
-        out = Matrix.identity(self.algebra.field, self.dim)
-        for v, e in enumerate(m):
-            for _ in range(e):
-                out = self.actions[v] @ out
-        self._mon_cache[m] = out
-        return out
+        if cached is None:
+            v = next((v for v, e in enumerate(m) if e), None)
+            if v is None:
+                cached = Matrix.identity(self.algebra.field, self.dim)
+            elif sum(m) == 1:
+                cached = self.actions[v]
+            else:
+                lower = m[:v] + (m[v] - 1,) + m[v + 1 :]
+                cached = self.actions[v] @ self.monomial_action(lower)
+            self._mon_cache[m] = cached
+        return cached
 
     def element_action(self, r: Element) -> Matrix:
         """Action matrix of an algebra element (staircase coordinates)."""
         if r.parent != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        coords = zip(self.algebra.staircase, r.coords.data[:, 0])
-        terms = ((self.monomial_action(m), c) for m, c in coords if c != 0)
-        return _linear_combination(self.algebra.field, (self.dim, self.dim), terms)
+        coords = r.coords.data[:, 0]
+        used = [(m, c) for m, c in zip(self.algebra.staircase, coords.tolist()) if c]
+        mats = [self.monomial_action(m) for m, _ in used]
+        row = np.array([[c for _, c in used]], dtype=coords.dtype)
+        out = _linear_combination(self.algebra.field, row, mats, (self.dim,) * 2)
+        return Matrix(self.algebra.field, out[0])
 
     def socle_dim(self) -> int:
         """dim of the simultaneous kernel of all variable actions."""
@@ -203,7 +217,10 @@ def scale_quotient(module: Module, x: Element, with_section: bool = False):
     section of the projection (a k-linear map M/xM -> M) that the same
     reduction picked."""
     ax = module.element_action(x)
-    proj, section, acts = _quotient_space(module.algebra.field, module.dim, [ax], module.actions)
+    proj, section, acts = _quotient_space(
+        module.algebra.field, _sparse_columns(ax.data.T), module.dim,
+        lambda proj: [(proj @ a).data for a in module.actions],
+    )
     quot = Module(module.algebra, acts, label=f"{module.label or 'M'}/x")
     if with_section:
         return quot, Morphism(module, quot, proj), section
@@ -231,19 +248,15 @@ class HomModule(Module):
             raise ValueError("Hom requires modules over the same algebra")
         field = source.algebra.field
         ns, nt = source.dim, target.dim
-        # unknowns: nt x ns matrix entries, flattened row-major
-        constraints = []
+        # unknowns: the entries X[b, c] of an nt x ns matrix, at b * ns + c;
+        # one block of rows T X - X S = (T (x) 1 - 1 (x) S^t) vec(X) per variable
+        rows = []
         for sa, ta in zip(source.actions, target.actions):
-            # with row-major vec: T X - X S = (T (x) I - I (x) S^t) vec(X)
-            lhs = _kron(field, _eye_arr(field, nt), sa.T.data)
-            rhs = _kron(field, ta.data, _eye_arr(field, ns))
-            constraints.append(Matrix(field, rhs) - Matrix(field, lhs))
-        if constraints:
-            stacked = Matrix.vstack(constraints)
-        else:
-            stacked = Matrix.zeros(field, 0, ns * nt)
+            block = [{} for _ in range(nt * ns)]
+            _kron_difference(block, ta.data, sa.data.T, field.p)
+            rows += block
         # columns are vec(phi); its rows at ``_free`` form an identity block
-        kernel = _sparse_kernel(_sparse_columns(stacked.data.T), ns * nt, field.p)
+        kernel = _sparse_kernel(rows, ns * nt, field.p)
         self._bmat = _dense(field, ns * nt, kernel.values())
         self._free = list(kernel)
         h = self._bmat.cols
@@ -282,15 +295,26 @@ class HomModule(Module):
         return self._coords(mat.data.reshape(-1, 1))
 
 
-def _eye_arr(field, n):
-    return Matrix.identity(field, n).data
-
-
-def _kron(field, a, b):
-    out = np.kron(a, b)
-    if field.p is not None:
-        out = out % field.p
-    return out
+def _kron_difference(rows: list, a: np.ndarray, b: np.ndarray, p, shift: int = 0):
+    """Write the rows of a (x) 1 - 1 (x) b into the sparse ``rows``, at
+    columns ``shift`` on, from the nonzero entries of the square arrays a
+    and b alone.  Row and column indices are row-major: i * len(b) + j."""
+    na, nb = len(a), len(b)
+    ai, ak = a.nonzero()
+    for i, k, x in zip(ai.tolist(), ak.tolist(), a[ai, ak].tolist()):
+        for j in range(nb):
+            rows[i * nb + j][shift + k * nb + j] = x
+    bj, bl = b.nonzero()
+    for j, l, x in zip(bj.tolist(), bl.tolist(), b[bj, bl].tolist()):
+        for i in range(na):
+            row, c = rows[i * nb + j], shift + i * nb + l
+            y = row.get(c, 0) - x
+            if p is not None:
+                y %= p
+            if y:
+                row[c] = y
+            else:
+                del row[c]
 
 
 def hom_module(source: Module, target: Module) -> HomModule:
@@ -307,18 +331,23 @@ class TensorModule(Module):
             raise ValueError("tensor requires modules over the same algebra")
         field = left.algebra.field
         nl, nr = left.dim, right.dim
-        # relation subspace: (a·m)(x)n - m(x)(a·n) over variable generators
-        rels = []
-        for la, ra in zip(left.actions, right.actions):
-            diff = Matrix(field, _kron(field, la.data, _eye_arr(field, nr))) - Matrix(
-                field, _kron(field, _eye_arr(field, nl), ra.data)
-            )
-            rels.append(diff)
-        full_actions = [
-            Matrix(field, _kron(field, la.data, _eye_arr(field, nr)))
-            for la in left.actions
-        ]
-        proj, section, acts = _quotient_space(field, nl * nr, rels, full_actions)
+        n = nl * nr
+        # relation subspace: (a·m)(x)n - m(x)(a·n) over variable generators,
+        # the columns of L (x) 1 - 1 (x) R side by side, one block per variable
+        rows = [{} for _ in range(n)]
+        for v, (la, ra) in enumerate(zip(left.actions, right.actions)):
+            _kron_difference(rows, la.data, ra.data, field.p, v * n)
+
+        def acted(proj):
+            # proj @ (L (x) 1): contract L with the left index of proj
+            q = proj.rows
+            flipped = proj.data.reshape(q, nl, nr).transpose(0, 2, 1)
+            return [
+                _dot(flipped, la.data, field.p).transpose(0, 2, 1).reshape(q, n)
+                for la in left.actions
+            ]
+
+        proj, section, acts = _quotient_space(field, rows, n * len(left.actions), acted)
         self.left = left
         self.right = right
         self.projection = proj
@@ -330,21 +359,22 @@ class TensorModule(Module):
         )
 
 
-def _quotient_space(field, n, subs: list, action_mats: list):
-    """Quotient of k^n by the span of the columns of the ``subs`` blocks,
-    with its projection, its section and the induced actions.
+def _quotient_space(field, rows: list, s: int, acted):
+    """Quotient of k^n by the span of the columns of an n x s block, given
+    by its n sparse ``rows``, with its projection, its section and the
+    induced actions; ``acted(proj)`` gives the arrays proj @ a, one per
+    action a on k^n.
 
-    One reduction of the rows of [subs | I_n]: its pivots in the I block
+    One reduction of the rows of [block | I_n]: its pivots in the I block
     pick the coordinate vectors the section spans, and its rows with those
-    pivots are zero in the subs block; their I block is the projection (it
-    kills the subs rows and is the identity on the section)."""
-    s = sum(m.cols for m in subs)
-    joined = np.hstack([*(m.data for m in subs), Matrix.identity(field, n).data])
-    basis = _sparse_rref(_sparse_columns(joined.T), field.p)
+    pivots are zero in the block; their I block is the projection (it
+    kills the block's columns and is the identity on the section)."""
+    n = len(rows)
+    basis = _sparse_rref([{**row, s + r: field.one} for r, row in enumerate(rows)], field.p)
     comp = [c - s for c in sorted(basis) if c >= s]
     section = _dense(field, n, [{c: field.one} for c in comp])
     proj = _dense(field, n, [{k - s: x for k, x in basis[s + c].items()} for c in comp]).T
-    acts = [_adopt(field, (proj @ a).data[:, comp]) for a in action_mats]
+    acts = [_adopt(field, x[:, comp]) for x in acted(proj)]
     return proj, section, acts
 
 
@@ -459,19 +489,17 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0):
 
 
 def _combine(field, basis, coeffs):
-    terms = ((phi, field.canon(c)) for phi, c in zip(basis, coeffs))
-    return _linear_combination(field, basis[0].data.shape, terms)
+    row = Matrix.from_rows(field, [[field.canon(c) for c in coeffs]]).data
+    return Matrix(field, _linear_combination(field, row, basis, basis[0].data.shape)[0])
 
 
-def _linear_combination(field, shape: tuple, terms) -> Matrix:
-    """The sum of c * mat over the (mat, c) pairs, all of the given shape.
-
-    Over GF(p) the sum is reduced after every term: a product of residues is
-    below 2^62 and the running residue below 2^31, so no int64 sum wraps.
-    """
-    acc = Matrix.zeros(field, *shape).data.copy()
-    for mat, c in terms:
-        acc += mat.data * c
-        if field.p is not None:
-            acc %= field.p
-    return _adopt(field, acc)
+def _linear_combination(field, coeffs: np.ndarray, mats: list, shape: tuple) -> np.ndarray:
+    """The sums of coeffs[i, k] * mats[k] over k, one per row i of
+    ``coeffs``, as an array of matrices of the given shape: one ``_dot`` of
+    the coefficients against the stacked matrices, so exact for every p."""
+    size = shape[0] * shape[1]
+    if mats:
+        stack = np.array([m.data for m in mats]).reshape(len(mats), size)
+    else:
+        stack = Matrix.zeros(field, 0, size).data
+    return _dot(coeffs, stack, field.p).reshape(len(coeffs), *shape)

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, exit codes, JSON reports."""
 
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ezdlab import cli
 from ezdlab.cli import main
@@ -318,3 +322,57 @@ def test_internal_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "minimal_free_resolution", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["resolve", *RING, "--module", "k"])
+
+
+def test_verify_paper_reasons_are_one_line(tmp_path, capsys):
+    """An inconclusive relative dimension names the class and the failed
+    check instead of printing the whole membership report."""
+    out = tmp_path / "verify.json"
+    code, _, _ = run(["verify-paper", "--json", str(out)], capsys)
+    assert code == 0
+    results = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    assert len(results) == 144
+    for r in results.values():
+        witness = r.get("witness", "")
+        assert "Undefined(" not in witness and "ClassMembershipReport(" not in witness
+    reason = "undefined (B_C fails: natural map xi is not an isomorphism)"
+    for rid in ("F-pc:sprime_omega", "G-i:sprime_omega", "H-i:sprime_omega"):
+        assert results[rid]["status"] == "inconclusive"
+        assert reason in results[rid]["witness"], rid
+
+
+TOKEN = re.compile(r"\w+|\S")
+STRAY = ["@", "$", "{", '"', "é", "\t", "0", "-", "1/2", "^", "(", ")", ";", ","]
+
+
+def _mutant(text, unit, op, where, replacement):
+    """``text`` with the character or token at ``where`` (modulo their
+    count) deleted, duplicated or replaced."""
+    spans = ([m.span() for m in TOKEN.finditer(text)] if unit == "token"
+             else [(i, i + 1) for i in range(len(text))])
+    s, e = spans[where % len(spans)]
+    piece = {"delete": "", "duplicate": text[s:e] * 2, "replace": replacement}[op]
+    return text[:s] + piece + text[e:]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    path=st.sampled_from(sorted(CORPUS.glob("*.ezd"))),
+    unit=st.sampled_from(["char", "token"]),
+    op=st.sampled_from(["delete", "duplicate", "replace"]),
+    where=st.integers(min_value=0),
+    data=st.data(),
+)
+def test_mutated_scripts_keep_the_error_contract(tmp_path_factory, path, unit, op, where, data):
+    """A corpus script with one character or token deleted, duplicated or
+    replaced (by a token of the same script or a stray character) ends in
+    exit 0, 1 or 2 and never in an uncaught exception."""
+    text = path.read_text()
+    replacement = data.draw(st.sampled_from(TOKEN.findall(text) + STRAY))
+    script = tmp_path_factory.mktemp("mutant") / path.name
+    script.write_text(_mutant(text, unit, op, where, replacement))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", str(script)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

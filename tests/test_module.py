@@ -24,7 +24,7 @@ from ezdlab.module import (
     tensor_module,
     transport_to_quotient,
 )
-from ezdlab.module import _combine
+from ezdlab.module import _combine, _linear_combination
 
 from conftest import GF2, GF101, QQ, make_algebra, var
 
@@ -174,7 +174,7 @@ def _int_combination(mats, coeffs, p):
 
 
 def test_sums_exact_at_large_p():
-    """Element actions, polynomial evaluation and Hom combinations sum up to
+    """Element actions, ideal-generator evaluation and Hom combinations sum up to
     dim A products of residues near 2^31; each must match Python ints."""
     field = Field(P_MAX)
     rng = random.Random(5)
@@ -189,8 +189,10 @@ def test_sums_exact_at_large_p():
     coeffs = [rng.randrange(1, P_MAX) for _ in alg.staircase]
     expected = _int_combination(monos, coeffs, P_MAX)
     assert m.element_action(alg.element(coeffs)).data.tolist() == expected
-    f = alg.ring.poly(dict(zip(alg.staircase, coeffs)))
-    assert m._evaluate_poly(f).data.tolist() == expected
+    # the contraction that evaluates the ideal generators on every module
+    row = Matrix.from_rows(field, [coeffs]).data
+    mats = [m.monomial_action(s) for s in alg.staircase]
+    assert _linear_combination(field, row, mats, (8, 8))[0].tolist() == expected
     basis = [Matrix(field, mono) for mono in monos]
     assert _combine(field, basis, coeffs).data.tolist() == expected
 

@@ -5,6 +5,7 @@ variable), entry for entry over GF(2), GF(101) and QQ."""
 
 import random
 
+import numpy as np
 import pytest
 
 import ezdlab.linalg as linalg
@@ -53,6 +54,18 @@ def _quotient_reference(field, n, sub, action_mats):
     return proj, section, [proj @ a @ section for a in action_mats]
 
 
+def _quotient(field, subs, acts):
+    """``_quotient_space`` on the sparse rows of the joined ``subs`` blocks."""
+    joined = Matrix.hstack(subs)
+    return _quotient_space(field, _sparse_columns(joined.data.T), joined.cols,
+                           lambda proj: [(proj @ a).data for a in acts])
+
+
+def _kron(field, a, b):
+    """The Kronecker product of two matrices, by numpy."""
+    return Matrix(field, np.kron(a.data, b.data))
+
+
 def _min_gens_reference(kernel, rad_images):
     rad = image_basis(Matrix.hstack(rad_images))
     res = rref(Matrix.hstack([rad, kernel]))
@@ -81,7 +94,7 @@ def test_quotient_space_matches_reference(field, n):
     rng = random.Random(n)
     acts = [_random(field, rng, n, n) for _ in range(2)]
     for name, subs in _subs(field, rng, n).items():
-        proj, section, quot = _quotient_space(field, n, subs, acts)
+        proj, section, quot = _quotient(field, subs, acts)
         ref = _quotient_reference(field, n, Matrix.hstack(subs), acts)
         assert (proj, section, quot) == ref, name
         assert section.rows == n and proj.rows == section.cols
@@ -159,13 +172,10 @@ def test_module_quotients_match_reference(field):
         ref = _quotient_reference(field, m.dim, m.element_action(x), m.actions)
         assert proj.matrix == ref[0] and list(quot.actions) == ref[2]
         t = tensor_module(omega, m)
-        rels = [
-            Matrix(field, module_mod._kron(field, la.data, module_mod._eye_arr(field, m.dim)))
-            - Matrix(field, module_mod._kron(field, module_mod._eye_arr(field, omega.dim), ra.data))
-            for la, ra in zip(omega.actions, m.actions)
-        ]
-        full = [Matrix(field, module_mod._kron(field, la.data, module_mod._eye_arr(field, m.dim)))
-                for la in omega.actions]
+        eye_m, eye_omega = Matrix.identity(field, m.dim), Matrix.identity(field, omega.dim)
+        rels = [_kron(field, la, eye_m) - _kron(field, eye_omega, ra)
+                for la, ra in zip(omega.actions, m.actions)]
+        full = [_kron(field, la, eye_m) for la in omega.actions]
         ref = _quotient_reference(field, omega.dim * m.dim, Matrix.hstack(rels), full)
         assert (t.projection, t.section, list(t.actions)) == ref
 
@@ -200,7 +210,7 @@ def test_one_elimination_each(monkeypatch):
     solve_matrix(a, b)
     assert len(calls) == 1
     calls.clear()
-    _quotient_space(GF101, 5, [a, b], [])
+    _quotient(GF101, [a, b], [])
     assert calls == [(5, 10)]
     alg = make_algebra(GF101, ["x", "y"], [{(1, 1): 1}, {(2, 0): 1, (0, 2): -1}])
     k = residue_field_module(alg)
