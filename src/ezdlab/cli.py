@@ -154,6 +154,21 @@ def _module_from_expr(env, flag: str, text: str) -> Module:
 # subcommands
 
 
+def _timed(report: Report, id: str, fn):
+    """(fn(), wall millis), or None once a budget stop or a C that is not
+    semidualizing has been reported as ``id``'s entry."""
+    t0 = time.monotonic()
+    try:
+        out = fn()
+    except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
+        report.add(id, "budget", witness=str(exc))
+        return None
+    except NotSemidualizingError as exc:
+        report.add(id, "fail", witness=f"C is not semidualizing: {exc}")
+        return None
+    return out, int((time.monotonic() - t0) * 1000)
+
+
 def _cmd_check(args) -> int:
     report = Report("check", args.seed, args.bound)
     with open(args.script) as fh:
@@ -168,15 +183,13 @@ def _cmd_resolve(args) -> int:
     report = Report("resolve", args.seed, args.bound)
     env = _build_env(args.ring)
     m = _module_from_expr(env, "--module", args.module)
-    t0 = time.monotonic()
-    try:
-        res = minimal_free_resolution(m, args.bound)
-    except ResolutionBudgetExceeded as exc:
-        report.add(f"resolve({args.module})", "budget", witness=str(exc))
+    rid = f"resolve({args.module})"
+    got = _timed(report, rid, lambda: minimal_free_resolution(m, args.bound))
+    if got is None:
         return _emit(report, args)
-    millis = int((time.monotonic() - t0) * 1000)
+    res, millis = got
     report.add(
-        f"resolve({args.module})",
+        rid,
         "pass",
         witness=f"betti={list(res.betti)} terminated={res.terminated}",
         tables={"betti": list(res.betti), "terminated": res.terminated},
@@ -192,17 +205,13 @@ def _cmd_ext_tor(args) -> int:
     src = _module_from_expr(env, "--from", getattr(args, "from"))
     dst = _module_from_expr(env, "--to", args.to)
     fn = ext if which == "ext" else tor
-    t0 = time.monotonic()
-    try:
-        table = fn(src, dst, args.bound)
-    except ResolutionBudgetExceeded as exc:
-        report.add(
-            f"{which}({getattr(args, 'from')},{args.to})", "budget", witness=str(exc)
-        )
+    rid = f"{which}({getattr(args, 'from')},{args.to})"
+    got = _timed(report, rid, lambda: fn(src, dst, args.bound))
+    if got is None:
         return _emit(report, args)
-    millis = int((time.monotonic() - t0) * 1000)
+    table, millis = got
     report.add(
-        f"{which}({getattr(args, 'from')},{args.to})",
+        rid,
         "pass",
         witness=f"dims={list(table.dims)}",
         tables={
@@ -234,54 +243,29 @@ def _cmd_classify(args) -> int:
         else regular_module(env.rings["A"], label="A")
     )
     c_name = args.c or "A"
-
-    def timed(id, fn):
-        t0 = time.monotonic()
-        try:
-            out = fn()
-        except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
-            report.add(id, "budget", witness=str(exc))
-            return None
-        except NotSemidualizingError as exc:
-            report.add(id, "fail", witness=f"C is not semidualizing: {exc}")
-            return None
-        millis = int((time.monotonic() - t0) * 1000)
-        return out, millis
-
-    got = timed(f"semidualizing({c_name})", lambda: is_semidualizing(c, args.bound))
+    rid = f"semidualizing({c_name})"
+    got = _timed(report, rid, lambda: is_semidualizing(c, args.bound))
     if got is not None:
         cert, ms = got
-        report.add(
-            f"semidualizing({c_name})",
-            "pass" if cert.holds else "fail",
-            witness=None if cert.holds else cert.failure,
-            millis=ms,
-        )
-    for label, fn in (
-        ("in_G_C", in_G_C),
-        ("in_A_C", in_A_C),
-        ("in_B_C", in_B_C),
-    ):
-        got = timed(f"{label}({args.module};{c_name})", lambda fn=fn: fn(m, c, args.bound))
+        report.add(rid, "pass" if cert.holds else "fail",
+                   witness=None if cert.holds else cert.failure, millis=ms)
+    for label, fn in (("in_G_C", in_G_C), ("in_A_C", in_A_C), ("in_B_C", in_B_C)):
+        rid = f"{label}({args.module};{c_name})"
+        got = _timed(report, rid, lambda fn=fn: fn(m, c, args.bound))
         if got is None:
             continue
         rep, ms = got
         verdict = type(rep.verdict).__name__
-        report.add(
-            f"{label}({args.module};{c_name})",
-            "pass" if rep.holds else "fail",
-            witness=verdict if rep.holds else rep.verdict.witness,
-            millis=ms,
-        )
+        report.add(rid, "pass" if rep.holds else "fail",
+                   witness=verdict if rep.holds else rep.verdict.witness, millis=ms)
     for label, fn in (("pc_pd", pc_pd), ("ic_id", ic_id)):
-        got = timed(f"{label}({args.module};{c_name})", lambda fn=fn: fn(m, c, args.bound))
+        rid = f"{label}({args.module};{c_name})"
+        got = _timed(report, rid, lambda fn=fn: fn(m, c, args.bound))
         if got is None:
             continue
         dim, ms = got
         status = "inconclusive" if type(dim).__name__ == "Undefined" else "pass"
-        report.add(
-            f"{label}({args.module};{c_name})", status, witness=_dim_str(dim), millis=ms
-        )
+        report.add(rid, status, witness=_dim_str(dim), millis=ms)
     return _emit(report, args)
 
 
@@ -300,16 +284,11 @@ def _cmd_verify_paper(args) -> int:
     for pid in prop_ids:
         verifier = PROP_VERIFIERS[pid]
         for inst in instances:
-            t0 = time.monotonic()
-            try:
-                result = verifier(inst)
-            except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
-                report.add(f"{pid}:{inst.name}", "budget", witness=str(exc))
-                continue
-            millis = int((time.monotonic() - t0) * 1000)
-            report.add(
-                f"{pid}:{inst.name}", result.status, result.witness, millis=millis
-            )
+            rid = f"{pid}:{inst.name}"
+            got = _timed(report, rid, lambda: verifier(inst))
+            if got is not None:
+                result, millis = got
+                report.add(rid, result.status, result.witness, millis=millis)
     return _emit(report, args)
 
 

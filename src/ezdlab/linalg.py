@@ -37,7 +37,6 @@ __all__ = [
     "RrefResult",
     "rref",
     "kernel_basis",
-    "solve",
     "solve_matrix",
     "inverse",
 ]
@@ -471,11 +470,6 @@ def kernel_basis(m: Matrix) -> Matrix:
     """
     kernel = _sparse_kernel(_sparse_columns(m.data.T), m.cols, m.field.p)
     return _dense(m.field, m.cols, kernel.values())
-
-
-def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """One solution of a x = b (b a column), or None if b is not in im(a)."""
-    return solve_matrix(a, b)
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:

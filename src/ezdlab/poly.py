@@ -50,9 +50,6 @@ class Polynomial:
     def lead_monomial(self) -> Monomial:
         return self.lead[0]
 
-    def degree(self) -> int:
-        return max((sum(m) for m, _ in self.terms), default=-1)
-
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))

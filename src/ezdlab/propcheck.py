@@ -4,11 +4,19 @@ along an exact zero-divisor.
 
 Every verifier gates its hypotheses computationally before asserting the
 conclusion; instances failing a hypothesis yield Inconclusive, never a
-vacuous Pass.  All randomness is driven by explicit seeds.
+vacuous Pass.  There is one gate path: a verifier body calls
+``_require(ok, reason)`` or a shared gate (``_require_ezd`` for exactness
+of the pair on a module, ``_gate_ring_and_c`` for the ring and C,
+``_require_x_moves`` for x acting neither as zero nor onto M), which raise
+``_Inconclusive`` with the reason.  The ``_verifier`` decorator catches it
+once and builds every ``VerificationResult``; bodies only return
+``_pass(...)`` or ``_fail(witness, ...)``.  Base changes to A/xA go through
+``_mod``.  All randomness is driven by explicit seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -52,10 +60,7 @@ from .resolution import (
 )
 from .classes import (
     DEFAULT_BOUND,
-    CertifiedAll,
     Fails,
-    HoldsUpTo,
-    Undefined,
     _table_with_fallback,
     ic_id,
     in_A_C,
@@ -120,20 +125,69 @@ class VerificationResult:
     details: tuple = ()
 
 
-def _pass(pid, inst, *details):
-    return VerificationResult(pid, inst.name, "pass", None, tuple(details))
+# ---------------------------------------------------------------------------
+# the gate path
 
 
-def _fail(pid, inst, witness, *details):
-    return VerificationResult(pid, inst.name, "fail", witness, tuple(details))
+class _Inconclusive(Exception):
+    """The instance fails a hypothesis; the message is the reason."""
 
 
-def _skip(pid, inst, reason):
-    return VerificationResult(pid, inst.name, "inconclusive", reason)
+def _require(ok: bool, reason: str):
+    if not ok:
+        raise _Inconclusive(reason)
 
 
-def _holds(report) -> bool:
-    return isinstance(report.verdict, (HoldsUpTo, CertifiedAll))
+def _require_ezd(inst: Instance, module: Module, name: str, listing: bool = False):
+    """Gate: (x, y) is an exact pair on ``module``; with ``listing`` the
+    reason names the failing checks."""
+    rep = is_ezd_pair(inst.x, inst.y, module)
+    checks = f": {rep.failing_checks()}" if listing else ""
+    _require(rep.holds, f"(x,y) not ezd on {name}{checks}")
+
+
+def _gate_ring_and_c(inst: Instance):
+    """Gate: (x, y) is exact on the ring and on C, and C is semidualizing."""
+    _require_ezd(inst, inst.regular(), "the ring")
+    _require_ezd(inst, inst.c, "C")
+    cert = is_semidualizing(inst.c, inst.bound)
+    _require(cert.holds, f"C not semidualizing: {cert.failure}")
+
+
+def _require_x_moves(inst: Instance):
+    """Gate: x acts on M neither as zero nor onto."""
+    m = inst.m
+    _require(rank(m.element_action(inst.x)) not in (0, m.dim), "x acts as zero or onto M")
+
+
+def _pass(*details):
+    return "pass", None, details
+
+
+def _fail(witness, *details):
+    return "fail", witness, details
+
+
+def _verifier(prefix: str):
+    """Wrap a verifier body into ``verify(inst[, part]) -> VerificationResult``
+    with prop id ``prefix`` and the part joined by "-".  The body returns
+    ``_pass`` or ``_fail``; an ``_Inconclusive`` it raises becomes an
+    inconclusive result with its reason."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def verify(inst: Instance, *part) -> VerificationResult:
+            part = part or body.__defaults__ or ()
+            pid = "-".join((prefix, *part))
+            try:
+                status, witness, details = body(inst, *part)
+            except _Inconclusive as exc:
+                return VerificationResult(pid, inst.name, "inconclusive", str(exc))
+            return VerificationResult(pid, inst.name, status, witness, details)
+
+        return verify
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +202,12 @@ def _cyclic(inst: Instance) -> Module:
 def _bar(module: Module, quotient: Algebra, x: Element) -> Module:
     """M/xM viewed over A/xA."""
     return transport_to_quotient(scale_quotient(module, x)[0], quotient, x)
+
+
+def _mod(inst: Instance, x: Element, *modules: Module) -> tuple:
+    """A/xA for the instance's algebra A, then each M/xM over it."""
+    abar = quotient_algebra(inst.algebra, x)
+    return (abar, *(_bar(m, abar, x) for m in modules))
 
 
 # ---------------------------------------------------------------------------
@@ -170,35 +230,30 @@ def fact22_witness(x: Element, y: Element, m: Module) -> Morphism:
     return Morphism(quot, ann, coords)
 
 
-def verify_fact_a(inst: Instance) -> VerificationResult:
-    pid = "fact-a"
-    rep = is_ezd_pair(inst.x, inst.y, inst.m)
-    if not rep.holds:
-        return _skip(pid, inst, f"(x,y) not ezd on M: {rep.failing_checks()}")
+@_verifier("fact-a")
+def verify_fact_a(inst: Instance):
+    _require_ezd(inst, inst.m, "M", listing=True)
     try:
         phi = fact22_witness(inst.x, inst.y, inst.m)
     except AssertionError as exc:
-        return _fail(pid, inst, str(exc))
+        return _fail(str(exc))
     if not phi.is_isomorphism():
-        return _fail(pid, inst, "induced map M/xM -> (0:_M x) is not invertible")
+        return _fail("induced map M/xM -> (0:_M x) is not invertible")
     verdict = is_isomorphic(phi.source, phi.target, seed=inst.seed)
     if isinstance(verdict, NotIso):
-        return _fail(pid, inst, f"generic iso test disagrees: {verdict.reason}")
-    return _pass(pid, inst, f"explicit witness of dimension {phi.source.dim}")
+        return _fail(f"generic iso test disagrees: {verdict.reason}")
+    return _pass(f"explicit witness of dimension {phi.source.dim}")
 
 
 # ---------------------------------------------------------------------------
 # Fact: ezd on M vs vanishing of Ext/Tor against R/xR
 
 
-def verify_fact_b(inst: Instance) -> VerificationResult:
-    pid = "fact-b"
-    reg = inst.regular()
-    if not is_ezd_pair(inst.x, inst.y, reg).holds:
-        return _skip(pid, inst, "(x,y) not ezd on the ring")
+@_verifier("fact-b")
+def verify_fact_b(inst: Instance):
+    _require_ezd(inst, inst.regular(), "the ring")
     m = inst.m
-    if m.dim == 0:
-        return _skip(pid, inst, "zero module")
+    _require(m.dim != 0, "zero module")
     cyc = _cyclic(inst)
     i = is_ezd_pair(inst.x, inst.y, m).holds
     et = _table_with_fallback(ext, cyc, m, inst.bound)
@@ -210,34 +265,29 @@ def verify_fact_b(inst: Instance) -> VerificationResult:
     )
     if i and not (ii and iii):
         bad = et.last_nonzero() if not ii else tt.last_nonzero()
-        return _fail(pid, inst, f"(i) holds but vanishing fails at degree {bad}", *details)
+        return _fail(f"(i) holds but vanishing fails at degree {bad}", *details)
     if ii != iii:
-        return _fail(pid, inst, "(ii) and (iii) disagree", *details)
+        return _fail("(ii) and (iii) disagree", *details)
     # converse: the algebra is local and M is finite (condition (b)), and
     # condition (a) may hold independently; either licenses (ii) => (i)
     ax = m.element_action(inst.x)
     cond_a = rank(ax) not in (0, m.dim)
-    if ii and not i:
-        if et.certified_all_beyond and tt.certified_all_beyond:
-            return _fail(pid, inst, "certified vanishing without (i)", *details)
-        return _skip(pid, inst, "vanishing only up to bound; converse undecided")
-    return _pass(pid, inst, *details, f"condition (a) holds: {cond_a}")
+    if ii and not i and et.certified_all_beyond and tt.certified_all_beyond:
+        return _fail("certified vanishing without (i)", *details)
+    _require(i or not ii, "vanishing only up to bound; converse undecided")
+    return _pass(*details, f"condition (a) holds: {cond_a}")
 
 
-def verify_fact_c(inst: Instance) -> VerificationResult:
+@_verifier("fact-c")
+def verify_fact_c(inst: Instance):
     """Base change of Ext/Tor along A -> A/xA at the dimension level."""
-    pid = "fact-c"
-    reg = inst.regular()
-    if not is_ezd_pair(inst.x, inst.y, reg).holds:
-        return _skip(pid, inst, "(x,y) not ezd on the ring")
+    _require_ezd(inst, inst.regular(), "the ring")
     m = inst.m
-    if not is_ezd_pair(inst.x, inst.y, m).holds:
-        return _skip(pid, inst, "(x,y) not ezd on M")
-    abar = quotient_algebra(inst.algebra, inst.x)
+    _require_ezd(inst, m, "M")
+    abar, m_bar = _mod(inst, inst.x, m)
     # test object: the residue field of the quotient
     n_bar = residue_field_module(abar)
     n_up = transport_from_quotient(n_bar, inst.algebra)
-    m_bar = _bar(m, abar, inst.x)
     bound = min(inst.bound, 6)
     pairs = [
         ("Ext(N,M)", _table_with_fallback(ext, n_up, m, bound),
@@ -253,195 +303,152 @@ def verify_fact_c(inst: Instance) -> VerificationResult:
         for i in range(upto + 1):
             if over_a.entry(i) != over_abar.entry(i):
                 return _fail(
-                    pid, inst,
                     f"{name} degree {i}: {over_a.entry(i)} over A vs "
                     f"{over_abar.entry(i)} over A/xA",
                 )
         details.append(f"{name} agrees through degree {upto}")
-    return _pass(pid, inst, *details)
+    return _pass(*details)
 
 
 # ---------------------------------------------------------------------------
 # the cyclic module R/xR lies in G_C and A_C
 
 
-def _gate_ring_and_c(inst: Instance, pid: str):
-    reg = inst.regular()
-    if not is_ezd_pair(inst.x, inst.y, reg).holds:
-        return _skip(pid, inst, "(x,y) not ezd on the ring")
-    if not is_ezd_pair(inst.x, inst.y, inst.c).holds:
-        return _skip(pid, inst, "(x,y) not ezd on C")
-    cert = is_semidualizing(inst.c, inst.bound)
-    if not cert.holds:
-        return _skip(pid, inst, f"C not semidualizing: {cert.failure}")
-    return None
+def _cyclic_member(inst: Instance, membership):
+    _gate_ring_and_c(inst)
+    rep = membership(_cyclic(inst), inst.c, inst.bound)
+    if rep.holds:
+        return _pass(f"verdict {rep.verdict!r}")
+    return _fail(rep.verdict.witness)
 
 
-def verify_prop_A(inst: Instance) -> VerificationResult:
-    pid = "prop-A"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
-    rep = in_G_C(_cyclic(inst), inst.c, inst.bound)
-    if _holds(rep):
-        return _pass(pid, inst, f"verdict {rep.verdict!r}")
-    return _fail(pid, inst, rep.verdict.witness)
+@_verifier("prop-A")
+def verify_prop_A(inst: Instance):
+    """R/xR lies in G_C."""
+    return _cyclic_member(inst, in_G_C)
 
 
-def verify_prop_C(inst: Instance) -> VerificationResult:
-    pid = "prop-C"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
-    rep = in_A_C(_cyclic(inst), inst.c, inst.bound)
-    if _holds(rep):
-        return _pass(pid, inst, f"verdict {rep.verdict!r}")
-    return _fail(pid, inst, rep.verdict.witness)
+@_verifier("prop-C")
+def verify_prop_C(inst: Instance):
+    """R/xR lies in A_C."""
+    return _cyclic_member(inst, in_A_C)
 
 
 # ---------------------------------------------------------------------------
 # semidualizing descends and lifts along the pair
 
 
-def verify_prop_B(inst: Instance, b: Optional[Module] = None) -> VerificationResult:
-    """B semidualizing over A iff B/xB and B/yB are semidualizing over the
-    two quotients.  Checked as a biconditional on the instance."""
-    pid = "prop-B"
-    b = b if b is not None else inst.c
-    reg = inst.regular()
-    if not is_ezd_pair(inst.x, inst.y, reg).holds:
-        return _skip(pid, inst, "(x,y) not ezd on the ring")
-    if not is_ezd_pair(inst.x, inst.y, b).holds:
-        return _skip(pid, inst, "(x,y) not ezd on B")
+@_verifier("prop-B")
+def verify_prop_B(inst: Instance):
+    """B (the instance's C) semidualizing over A iff B/xB and B/yB are
+    semidualizing over the two quotients.  Checked as a biconditional on
+    the instance."""
+    b = inst.c
+    _require_ezd(inst, inst.regular(), "the ring")
+    _require_ezd(inst, b, "B")
     over_a = is_semidualizing(b, inst.bound).holds
-    abar_x = quotient_algebra(inst.algebra, inst.x)
-    abar_y = quotient_algebra(inst.algebra, inst.y)
-    sx = is_semidualizing(_bar(b, abar_x, inst.x), inst.bound).holds
-    sy = is_semidualizing(_bar(b, abar_y, inst.y), inst.bound).holds
+    _, bx = _mod(inst, inst.x, b)
+    _, by = _mod(inst, inst.y, b)
+    sx = is_semidualizing(bx, inst.bound).holds
+    sy = is_semidualizing(by, inst.bound).holds
     details = (f"over A: {over_a}; B/xB over A/xA: {sx}; B/yB over A/yA: {sy}",)
     if over_a != (sx and sy):
-        return _fail(pid, inst, "biconditional violated", *details)
-    return _pass(pid, inst, *details)
+        return _fail("biconditional violated", *details)
+    return _pass(*details)
 
 
-def verify_cor_dualizing(inst: Instance) -> VerificationResult:
+@_verifier("cor-dualizing")
+def verify_cor_dualizing(inst: Instance):
     """If D/xD is dualizing over A/xA and D/yD semidualizing over A/yA,
     then D is dualizing over A (D is the instance's C)."""
-    pid = "cor-dualizing"
     d = inst.c
-    reg = inst.regular()
-    if not is_ezd_pair(inst.x, inst.y, reg).holds:
-        return _skip(pid, inst, "(x,y) not ezd on the ring")
-    if not is_ezd_pair(inst.x, inst.y, d).holds:
-        return _skip(pid, inst, "(x,y) not ezd on D")
-    abar_x = quotient_algebra(inst.algebra, inst.x)
-    abar_y = quotient_algebra(inst.algebra, inst.y)
-    dx = _bar(d, abar_x, inst.x)
-    dy = _bar(d, abar_y, inst.y)
-    if not is_semidualizing(dx, inst.bound).holds:
-        return _skip(pid, inst, "D/xD not semidualizing over A/xA")
+    _require_ezd(inst, inst.regular(), "the ring")
+    _require_ezd(inst, d, "D")
+    _, dx = _mod(inst, inst.x, d)
+    _, dy = _mod(inst, inst.y, d)
+    _require(is_semidualizing(dx, inst.bound).holds, "D/xD not semidualizing over A/xA")
     idx = id_bounded(dx, inst.bound)
-    if idx != Exactly(0):
-        return _skip(pid, inst, f"D/xD not injective over A/xA: id = {idx!r}")
-    if not is_semidualizing(dy, inst.bound).holds:
-        return _skip(pid, inst, "D/yD not semidualizing over A/yA")
+    _require(idx == Exactly(0), f"D/xD not injective over A/xA: id = {idx!r}")
+    _require(is_semidualizing(dy, inst.bound).holds, "D/yD not semidualizing over A/yA")
     if not is_semidualizing(d, inst.bound).holds:
-        return _fail(pid, inst, "D fails semidualizing over A")
+        return _fail("D fails semidualizing over A")
     idd = id_bounded(d, inst.bound)
     if idd != Exactly(0):
-        return _fail(pid, inst, f"D semidualizing but id = {idd!r}, not 0")
-    return _pass(pid, inst, "D dualizing: semidualizing with id 0")
+        return _fail(f"D semidualizing but id = {idd!r}, not 0")
+    return _pass("D dualizing: semidualizing with id 0")
 
 
 # ---------------------------------------------------------------------------
 # membership over A vs over A/xA for modules killed by x
 
 
-def verify_cor_K(inst: Instance, which: str) -> VerificationResult:
+@_verifier("cor-K")
+def verify_cor_K(inst: Instance, which: str):
     """For an A/xA-module M: membership over A agrees with membership of
     the same module over A/xA (G for i, A for ii, B for iii)."""
-    pid = f"cor-K-{which}"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
+    _gate_ring_and_c(inst)
     m = inst.m
-    if not m.element_action(inst.x).is_zero():
-        return _skip(pid, inst, "M is not killed by x")
-    if m.dim == 0:
-        return _skip(pid, inst, "zero module")
-    abar = quotient_algebra(inst.algebra, inst.x)
+    _require(m.element_action(inst.x).is_zero(), "M is not killed by x")
+    _require(m.dim != 0, "zero module")
+    abar, c_bar = _mod(inst, inst.x, inst.c)
     m_bar = transport_to_quotient(m, abar, inst.x)
-    c_bar = _bar(inst.c, abar, inst.x)
-    if not is_semidualizing(c_bar, inst.bound).holds:
-        return _skip(pid, inst, "C/xC not semidualizing over A/xA")
+    _require(is_semidualizing(c_bar, inst.bound).holds, "C/xC not semidualizing over A/xA")
     fn = {"i": in_G_C, "ii": in_A_C, "iii": in_B_C}[which]
     over_a = fn(m, inst.c, inst.bound)
     over_bar = fn(m_bar, c_bar, inst.bound)
-    da = _holds(over_a)
-    db = _holds(over_bar)
     details = (f"over A: {over_a.verdict!r}; over A/xA: {over_bar.verdict!r}",)
-    if da != db:
-        return _fail(pid, inst, "membership verdicts disagree across base change", *details)
-    return _pass(pid, inst, *details)
+    if over_a.holds != over_bar.holds:
+        return _fail("membership verdicts disagree across base change", *details)
+    return _pass(*details)
 
 
-def verify_prop_D(inst: Instance, which: str) -> VerificationResult:
+@_verifier("prop-D")
+def verify_prop_D(inst: Instance, which: str):
     """Membership of M/xM and M/yM over the two quotients forces
     membership of M (A for i, B for ii, G for iii)."""
-    pid = f"prop-D-{which}"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
+    _gate_ring_and_c(inst)
     m = inst.m
-    if not is_ezd_pair(inst.x, inst.y, m).holds:
-        return _skip(pid, inst, "(x,y) not ezd on M")
+    _require_ezd(inst, m, "M")
     fn = {"i": in_A_C, "ii": in_B_C, "iii": in_G_C}[which]
-    abar_x = quotient_algebra(inst.algebra, inst.x)
-    abar_y = quotient_algebra(inst.algebra, inst.y)
-    cx, cy = _bar(inst.c, abar_x, inst.x), _bar(inst.c, abar_y, inst.y)
-    if not (is_semidualizing(cx, inst.bound).holds and is_semidualizing(cy, inst.bound).holds):
-        return _skip(pid, inst, "C does not stay semidualizing over the quotients")
-    hx = fn(_bar(m, abar_x, inst.x), cx, inst.bound)
-    hy = fn(_bar(m, abar_y, inst.y), cy, inst.bound)
-    if not (_holds(hx) and _holds(hy)):
-        missing = "x" if not _holds(hx) else "y"
-        return _skip(pid, inst, f"hypothesis fails over A/{missing}A")
+    _, cx, mx = _mod(inst, inst.x, inst.c, m)
+    _, cy, my = _mod(inst, inst.y, inst.c, m)
+    _require(
+        is_semidualizing(cx, inst.bound).holds and is_semidualizing(cy, inst.bound).holds,
+        "C does not stay semidualizing over the quotients",
+    )
+    hx = fn(mx, cx, inst.bound)
+    hy = fn(my, cy, inst.bound)
+    _require(hx.holds and hy.holds, f"hypothesis fails over A/{'y' if hx.holds else 'x'}A")
     concl = fn(m, inst.c, inst.bound)
-    if _holds(concl):
-        return _pass(pid, inst, f"conclusion verdict {concl.verdict!r}")
-    return _fail(pid, inst, concl.verdict.witness)
+    if concl.holds:
+        return _pass(f"conclusion verdict {concl.verdict!r}")
+    return _fail(concl.verdict.witness)
 
 
-def verify_prop_J(inst: Instance, which: str, direction: str = "forward") -> VerificationResult:
+@_verifier("prop-J")
+def verify_prop_J(inst: Instance, which: str):
     """With M in the class, membership of M/xM (over A, same C) is
     equivalent to (x,y) being ezd on the auxiliary module
     (Hom(M,C) for i, Hom(C,M) for ii, C(x)M for iii)."""
-    pid = f"prop-J-{which}"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
+    _gate_ring_and_c(inst)
     m = inst.m
-    if not is_ezd_pair(inst.x, inst.y, m).holds:
-        return _skip(pid, inst, "(x,y) not ezd on M")
+    _require_ezd(inst, m, "M")
     fn = {"i": in_G_C, "ii": in_B_C, "iii": in_A_C}[which]
-    if not _holds(fn(m, inst.c, inst.bound)):
-        return _skip(pid, inst, "M not verified in the class")
+    _require(fn(m, inst.c, inst.bound).holds, "M not verified in the class")
     if which == "i":
         aux = hom_module(m, inst.c)
     elif which == "ii":
         aux = hom_module(inst.c, m)
     else:
         aux = tensor_module(inst.c, m)
-    left = _holds(fn(scale_quotient(m, inst.x)[0], inst.c, inst.bound))
+    left = fn(scale_quotient(m, inst.x)[0], inst.c, inst.bound).holds
     right = is_ezd_pair(inst.x, inst.y, aux).holds
     details = (f"M/xM in class: {left}; (x,y) ezd on auxiliary: {right}",)
-    if direction == "forward" and left and not right:
-        return _fail(pid, inst, "membership without the auxiliary ezd pair", *details)
-    if direction == "backward" and right and not left:
-        return _fail(pid, inst, "auxiliary ezd pair without membership", *details)
     if left != right:
-        return _fail(pid, inst, "biconditional inconsistent", *details)
-    return _pass(pid, inst, *details)
+        witness = ("membership without the auxiliary ezd pair" if left
+                   else "auxiliary ezd pair without membership")
+        return _fail(witness, *details)
+    return _pass(*details)
 
 
 # ---------------------------------------------------------------------------
@@ -461,69 +468,53 @@ def _pc_member_rank(m: Module, c: Module, seed: int) -> Optional[int]:
     return r if isinstance(is_isomorphic(m, target, seed=seed), Iso) else None
 
 
-def verify_prop_E(inst: Instance, mode: str = "pc") -> VerificationResult:
+@_verifier("prop-E")
+def verify_prop_E(inst: Instance, mode: str = "pc"):
     """If M is in P_C (mode pc) or I_C (mode ic) and x acts neither as zero
     nor onto, then (x,y) is ezd on M and M/xM lands in the quotient class."""
-    pid = f"prop-E-{mode}"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
+    _gate_ring_and_c(inst)
+    _require_x_moves(inst)
     m = inst.m
-    ax = m.element_action(inst.x)
-    if rank(ax) in (0, m.dim):
-        return _skip(pid, inst, "x acts as zero or onto M")
     gen = inst.c if mode == "pc" else hom_module(inst.c, dual_k(inst.regular()))
     r = _pc_member_rank(m, gen, inst.seed)
-    if r is None:
-        return _skip(pid, inst, f"M not recognized in the class (generator dim {gen.dim})")
+    _require(r is not None, f"M not recognized in the class (generator dim {gen.dim})")
     if not is_ezd_pair(inst.x, inst.y, m).holds:
-        return _fail(pid, inst, "(x,y) fails to be ezd on M")
-    abar = quotient_algebra(inst.algebra, inst.x)
-    m_bar = _bar(m, abar, inst.x)
-    c_bar = _bar(inst.c, abar, inst.x)
+        return _fail("(x,y) fails to be ezd on M")
+    abar, m_bar, c_bar = _mod(inst, inst.x, m, inst.c)
     gen_bar = c_bar if mode == "pc" else hom_module(
         c_bar, dual_k(regular_module(abar))
     )
     rq = _pc_member_rank(m_bar, gen_bar, inst.seed)
     if rq is None:
-        return _fail(pid, inst, "M/xM not in the quotient class")
-    return _pass(pid, inst, f"rank {r} over A, rank {rq} over A/xA")
+        return _fail("M/xM not in the quotient class")
+    return _pass(f"rank {r} over A, rank {rq} over A/xA")
 
 
-def verify_prop_F(inst: Instance, mode: str = "pc") -> VerificationResult:
+@_verifier("prop-F")
+def verify_prop_F(inst: Instance, mode: str = "pc"):
     """Finite P_C-pd (or I_C-id) with x acting neither zero nor onto
     forces (x,y) ezd on M."""
-    pid = f"prop-F-{mode}"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
+    _gate_ring_and_c(inst)
+    _require_x_moves(inst)
     m = inst.m
-    ax = m.element_action(inst.x)
-    if rank(ax) in (0, m.dim):
-        return _skip(pid, inst, "x acts as zero or onto M")
     dim_fn = pc_pd if mode == "pc" else ic_id
     verdict = dim_fn(m, inst.c, inst.bound)
-    if isinstance(verdict, Undefined) or not isinstance(verdict, Exactly):
-        return _skip(pid, inst, f"dimension not verified finite: {verdict!r}")
+    _require(isinstance(verdict, Exactly), f"dimension not verified finite: {verdict!r}")
     if is_ezd_pair(inst.x, inst.y, m).holds:
-        return _pass(pid, inst, f"dimension {verdict!r}")
-    return _fail(pid, inst, f"dimension {verdict!r} finite but pair not ezd on M")
+        return _pass(f"dimension {verdict!r}")
+    return _fail(f"dimension {verdict!r} finite but pair not ezd on M")
 
 
-def verify_lemma_H(inst: Instance, part: str = "i") -> VerificationResult:
+@_verifier("lemma-H")
+def verify_lemma_H(inst: Instance, part: str = "i"):
     """Dimension 0 in the relative class forces Tor (parts i, ii) or Ext
     (part iii) against R/xR to vanish above 0."""
-    pid = f"lemma-H-{part}"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
+    _gate_ring_and_c(inst)
     m = inst.m
-    if m.dim == 0:
-        return _skip(pid, inst, "zero module")
+    _require(m.dim != 0, "zero module")
     dim_fn = ic_id if part == "iii" else pc_pd
     verdict = dim_fn(m, inst.c, inst.bound)
-    if verdict != Exactly(0):
-        return _skip(pid, inst, f"dimension is {verdict!r}, lemma exercised at n = 0")
+    _require(verdict == Exactly(0), f"dimension is {verdict!r}, lemma exercised at n = 0")
     cyc = _cyclic(inst)
     if part == "iii":
         table = _table_with_fallback(ext, cyc, m, inst.bound)
@@ -532,47 +523,33 @@ def verify_lemma_H(inst: Instance, part: str = "i") -> VerificationResult:
         table = _table_with_fallback(tor, cyc, m, inst.bound)
         name = "Tor(R/xR, M)"
     if table.vanishes_above(0):
-        return _pass(pid, inst, f"{name} vanishes above 0 up to {table.bound}")
-    return _fail(pid, inst, f"{name} nonzero at degree {table.last_nonzero()}")
+        return _pass(f"{name} vanishes above 0 up to {table.bound}")
+    return _fail(f"{name} nonzero at degree {table.last_nonzero()}")
 
 
-def verify_prop_G(inst: Instance, part: str = "i") -> VerificationResult:
+@_verifier("prop-G")
+def verify_prop_G(inst: Instance, part: str = "i"):
     """Finite relative dimension descends to the quotient with equality in
     the local finite case.  Over these artinian algebras finite values are
     0, so the statement is exercised at 0 (the collapse is asserted)."""
-    pid = f"prop-G-{part}"
-    gate = _gate_ring_and_c(inst, pid)
-    if gate is not None:
-        return gate
+    _gate_ring_and_c(inst)
+    _require_x_moves(inst)
     m = inst.m
-    ax = m.element_action(inst.x)
-    if rank(ax) in (0, m.dim):
-        return _skip(pid, inst, "x acts as zero or onto M")
     dim_fn = ic_id if part == "iii" else pc_pd
     verdict = dim_fn(m, inst.c, inst.bound)
-    if not isinstance(verdict, Exactly):
-        return _skip(pid, inst, f"dimension not verified finite: {verdict!r}")
+    _require(isinstance(verdict, Exactly), f"dimension not verified finite: {verdict!r}")
     if verdict.value != 0:
-        return _fail(
-            pid, inst,
-            f"artinian collapse violated: finite nonzero dimension {verdict!r}",
-        )
-    abar = quotient_algebra(inst.algebra, inst.x)
-    m_bar = _bar(m, abar, inst.x)
-    c_bar = _bar(inst.c, abar, inst.x)
-    if not is_semidualizing(c_bar, inst.bound).holds:
-        return _skip(pid, inst, "C/xC not semidualizing over A/xA")
+        return _fail(f"artinian collapse violated: finite nonzero dimension {verdict!r}")
+    _, m_bar, c_bar = _mod(inst, inst.x, m, inst.c)
+    _require(is_semidualizing(c_bar, inst.bound).holds, "C/xC not semidualizing over A/xA")
     verdict_bar = dim_fn(m_bar, c_bar, inst.bound)
     if not isinstance(verdict_bar, Exactly):
-        return _fail(pid, inst, f"quotient dimension not finite: {verdict_bar!r}")
+        return _fail(f"quotient dimension not finite: {verdict_bar!r}")
     if verdict_bar.value > verdict.value:
-        return _fail(pid, inst, f"{verdict_bar!r} exceeds {verdict!r}")
+        return _fail(f"{verdict_bar!r} exceeds {verdict!r}")
     if verdict_bar.value != verdict.value:
-        return _fail(
-            pid, inst,
-            f"equality fails in the local finite case: {verdict_bar!r} vs {verdict!r}",
-        )
-    return _pass(pid, inst, f"both dimensions {verdict!r}")
+        return _fail(f"equality fails in the local finite case: {verdict_bar!r} vs {verdict!r}")
+    return _pass(f"both dimensions {verdict!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +772,7 @@ def _search_trial(algebra: Algebra, elems: list, bound: int):
                         continue
                     if not once(
                         ("G_C", m_key, c_name),
-                        lambda: _holds(in_G_C(m, c, bound)),
+                        lambda: in_G_C(m, c, bound).holds,
                     ):
                         continue
                     fully_gated += 1

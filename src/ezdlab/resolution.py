@@ -143,15 +143,10 @@ def _block_rows(entries: np.ndarray, stack: np.ndarray, p, transpose=False) -> l
     return _sparse_lines(count, *_block_triplets(entries, stack, p, transpose))
 
 
-def _free_var_apply(var_mat: Matrix, v: np.ndarray, rank_: int, d: int, field) -> Matrix:
-    """Apply the block-diagonal action (rank_ copies of var_mat) to columns v."""
-    out = _dot(var_mat.data, v.reshape(rank_, d, v.shape[1]), field.p)
-    return _adopt(field, out.reshape(rank_ * d, v.shape[1]))
-
-
 def _sparse_var_apply(var_cols: list, v: dict, d: int, p) -> dict:
-    """The same action on one sparse column; var_cols[k] is column k of
-    var_mat, sparse."""
+    """The block-diagonal action of one variable on a free module (one
+    copy of its d x d action matrix per generator) applied to one sparse
+    column; var_cols[k] is column k of that matrix, sparse."""
     out: dict = {}
     for i, x in v.items():
         for k, y in var_cols[i % d].items():
@@ -291,12 +286,6 @@ class FreeResolution:
 
     def free_module(self, i: int) -> Module:
         return free_module(self.module.algebra, self.free_rank(i))
-
-    def kernel_basis_at(self, i: int) -> Matrix:
-        """Basis of the i-th syzygy inside F_{i-1} (i >= 1), as ``kernel_basis``
-        of d_{i-1} gives it."""
-        st = self._state
-        return _dense(st.field, st.betti[i - 1] * st.algebra.dim, st.kernels[i])
 
 
 def minimal_free_resolution(
@@ -462,13 +451,15 @@ def syzygy_module(module: Module, i: int) -> Module:
     if res.length < i:
         acts = [Matrix.zeros(module.algebra.field, 0, 0) for _ in module.actions]
         return Module(module.algebra, acts, label=f"syz{i}")
-    basis = res.kernel_basis_at(i)
     algebra = module.algebra
+    field, d = algebra.field, algebra.dim
+    # the syzygy is ker d_{i-1} inside F_{i-1}; its sparse basis is kept
+    kernel, rows = res._state.kernels[i], res.betti[i - 1] * d
     images = [
-        _free_var_apply(va, basis.data, res.betti[i - 1], algebra.dim, algebra.field)
-        for va in algebra.var_action
+        _dense(field, rows, [_sparse_var_apply(vm, v, d, field.p) for v in kernel])
+        for vm in (_sparse_columns(va.data) for va in algebra.var_action)
     ]
-    acts = _restricted_actions(basis, images)
+    acts = _restricted_actions(_dense(field, rows, kernel), images)
     return Module(algebra, acts, label=f"syz{i}({module.label or 'M'})")
 
 

@@ -1,6 +1,7 @@
 """Lint checks on the syntax tree of each ``src/ezdlab/*.py``: every
 imported name is used there or re-exported, no module-level cache, and
-every top-level definition is named somewhere in the project.
+every top-level definition and every method of a top-level class is named
+somewhere in the project.
 
 No linter ships with the project's test dependencies, so these walk the
 tree with ``ast``.
@@ -111,9 +112,24 @@ def _referenced(tree):
     return out
 
 
+def _definitions(tree):
+    """(line, name) of every top-level function and class, and of every
+    non-dunder method of a top-level class as ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.lineno, f"{node.name}.{item.name}"
+
+
 def test_no_dead_definitions():
-    """Every top-level function and class of ``src/ezdlab`` is named in
-    ``src/``, ``tests/`` or ``perfbench/``; one that nothing names is dead."""
+    """Every top-level function and class of ``src/ezdlab``, and every
+    non-dunder method of its top-level classes, is named in ``src/``,
+    ``tests/`` or ``perfbench/``; one that nothing names is dead.  A method
+    counts as named when any attribute access or dotted string uses its
+    name."""
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for folder in ("src", "tests", "perfbench")
@@ -121,9 +137,9 @@ def test_no_dead_definitions():
     }
     referenced = set().union(*map(_referenced, trees.values()))
     dead = [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{line} {name}"
         for path, tree in trees.items() if path.parent == SRC
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+        for line, name in _definitions(tree)
+        if name.rpartition(".")[2] not in referenced
     ]
-    assert not dead, f"top-level definitions nothing names: {', '.join(dead)}"
+    assert not dead, f"definitions nothing names: {', '.join(dead)}"

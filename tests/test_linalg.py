@@ -15,7 +15,7 @@ from ezdlab.linalg import (
     kernel_basis,
     rank,
     rref,
-    solve,
+    solve_matrix,
 )
 
 from conftest import _int_kernel, _int_rref
@@ -118,7 +118,7 @@ def test_solve_consistency(field, data):
         )
     )
     b = a @ Matrix.from_rows(field, [[c] for c in coeffs])
-    x = solve(a, b)
+    x = solve_matrix(a, b)
     assert x is not None
     assert a @ x == b
 

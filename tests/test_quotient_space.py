@@ -11,7 +11,15 @@ import pytest
 import ezdlab.linalg as linalg
 import ezdlab.module as module_mod
 import ezdlab.resolution as resolution
-from ezdlab.linalg import Matrix, _dense, _sparse_columns, image_basis, rref, solve_matrix
+from ezdlab.linalg import (
+    Matrix,
+    _dense,
+    _sparse_columns,
+    image_basis,
+    kernel_basis,
+    rref,
+    solve_matrix,
+)
 from ezdlab.module import (
     _quotient_space,
     _restricted_actions,
@@ -24,7 +32,6 @@ from ezdlab.module import (
     zero_module,
 )
 from ezdlab.resolution import (
-    _free_var_apply,
     _pick_independent,
     minimal_free_resolution,
     syzygy_module,
@@ -75,6 +82,16 @@ def _min_gens_reference(kernel, rad_images):
 
 def _restricted_reference(basis, images):
     return [solve_matrix(basis, img) for img in images]
+
+
+def _syzygy_reference(res, i):
+    """The i-th syzygy's basis, as ``kernel_basis`` of d_{i-1} gives it, and
+    its images under the variables: dense products with the block-diagonal
+    action on F_{i-1}, one copy of each variable's matrix per generator."""
+    alg = res.module.algebra
+    basis = kernel_basis(res.differential_matrix(i - 1))
+    eye = Matrix.identity(alg.field, res.betti[i - 1])
+    return basis, [_kron(alg.field, eye, va) @ basis for va in alg.var_action]
 
 
 def _subs(field, rng, n):
@@ -128,9 +145,7 @@ def test_resolution_generators_match_two_rrefs(field):
         assert st.gens[0] == _min_gens_reference(
             Matrix.identity(field, m.dim), list(m.actions))
         for i in range(1, len(st.gens)):
-            kernel = res.kernel_basis_at(i)
-            rads = [_free_var_apply(va, kernel.data, res.betti[i - 1], alg.dim, field)
-                    for va in alg.var_action]
+            kernel, rads = _syzygy_reference(res, i)
             assert st.gens[i] == _min_gens_reference(kernel, rads)
 
 
@@ -145,9 +160,7 @@ def test_restricted_actions_match_per_variable_solve(field):
     cyclic = scale_quotient(r, var(alg, 0))[0]
     res = minimal_free_resolution(cyclic, 2)
     for i in (1, 2):
-        basis = res.kernel_basis_at(i)
-        images = [_free_var_apply(va, basis.data, res.betti[i - 1], alg.dim, field)
-                  for va in alg.var_action]
+        basis, images = _syzygy_reference(res, i)
         syz = syzygy_module(cyclic, i)
         assert list(syz.actions) == _restricted_reference(basis, images)
     # a 0-dimensional subspace
