@@ -289,7 +289,24 @@ def _cmd_verify_paper(args) -> int:
             if got is not None:
                 result, millis = got
                 report.add(rid, result.status, result.witness, millis=millis)
-    return _emit(report, args)
+    code = _emit(report, args)
+    if not args.quiet:
+        _print_tally(report.results)
+    return code
+
+
+def _print_tally(results: list):
+    """The count of each status, then each inconclusive reason with its
+    count, most frequent first."""
+    counts = dict.fromkeys(("pass", "fail", "inconclusive", "budget"), 0)
+    reasons: dict = {}
+    for r in results:
+        counts[r["status"]] += 1
+        if r["status"] == "inconclusive":
+            reasons[r["witness"]] = reasons.get(r["witness"], 0) + 1
+    print("tally: " + ", ".join(f"{n} {status}" for status, n in counts.items()))
+    for reason, n in sorted(reasons.items(), key=lambda item: -item[1]):
+        print(f"{n:>5}  {reason}")
 
 
 def _cmd_search(args) -> int:

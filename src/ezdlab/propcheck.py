@@ -10,8 +10,20 @@ of the pair on a module, ``_gate_ring_and_c`` for the ring and C,
 ``_require_x_moves`` for x acting neither as zero nor onto M), which raise
 ``_Inconclusive`` with the reason.  The ``_verifier`` decorator catches it
 once and builds every ``VerificationResult``; bodies only return
-``_pass(...)`` or ``_fail(witness, ...)``.  Base changes to A/xA go through
-``_mod``.  All randomness is driven by explicit seeds.
+``_pass(...)`` or ``_fail(witness, ...)``.  All randomness is driven by
+explicit seeds.
+
+The verifiers state facts about a few objects of one instance: A, R/xR,
+A/xA and A/yA, C and M reduced over them, the class verdicts of M, R/xR
+and M/xM, and the P_C/I_C dimensions of M.  Each is built once, in the
+instance's memo (``Instance.once``), under a key that names its role
+(``("bar", "C", "y")`` is C/yC over A/yA), and lives as long as the
+instance, so a later verifier resumes the resolutions and semidualizing
+certificates an earlier one left on those modules.  Whole membership
+reports are not kept: a class verdict is stored without its Ext/Tor
+tables and natural-map witness, which would hold on to every Hom and
+tensor module behind them.  Base changes go through ``_mod``.  The
+searcher keeps a separate memo per trial (``_search_trial``).
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -98,10 +110,18 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
     """One test configuration: a local algebra with a zero-divisor pair, a
-    semidualizing candidate C and a test module M."""
+    semidualizing candidate C and a test module M.
+
+    ``_memo`` holds what the verifiers derive from these fields (the ring
+    as a module, R/xR, the quotients and base changes, slim class verdicts
+    and the P_C/I_C dimensions of M), keyed by role, for as long as the
+    instance lives; whole membership reports are not kept.  The instance
+    is frozen so that no field changes under a filled memo, and
+    ``dataclasses.replace`` starts a new instance with an empty one.  The
+    searcher does not build instances and keeps its own memo per trial."""
 
     name: str
     algebra: Algebra
@@ -111,9 +131,17 @@ class Instance:
     m: Module
     bound: int = DEFAULT_BOUND
     seed: int = 0
+    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def once(self, key, build):
+        """The memo entry ``key``, made by ``build()`` the first time.  Only
+        results are stored: a build that raises runs again on the next call."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def regular(self) -> Module:
-        return regular_module(self.algebra, label="A")
+        return self.once("A", lambda: regular_module(self.algebra, label="A"))
 
 
 @dataclass
@@ -194,20 +222,66 @@ def _verifier(prefix: str):
 # base-change helpers
 
 
-def _cyclic(inst: Instance) -> Module:
-    """R/xR as a module over the ambient algebra."""
-    return scale_quotient(inst.regular(), inst.x)[0]
-
-
 def _bar(module: Module, quotient: Algebra, x: Element) -> Module:
     """M/xM viewed over A/xA."""
     return transport_to_quotient(scale_quotient(module, x)[0], quotient, x)
 
 
-def _mod(inst: Instance, x: Element, *modules: Module) -> tuple:
-    """A/xA for the instance's algebra A, then each M/xM over it."""
-    abar = quotient_algebra(inst.algebra, x)
-    return (abar, *(_bar(m, abar, x) for m in modules))
+def _role(inst: Instance, r: str) -> str:
+    """The role under which what is derived from ``r`` ("x", "y", "C" or
+    "M") is kept: "x" for a y with the coordinates of x, "R" for a C or M
+    that is the ring itself, else ``r``; so each is built once."""
+    if r == "y" and inst.y.coords == inst.x.coords:
+        return "x"
+    if r in ("C", "M") and getattr(inst, r.lower()) is inst.regular():
+        return "R"
+    return r
+
+
+def _quotient(inst: Instance, r: str, e: str) -> Module:
+    """N/eN as an A-module, for N the module of role ``r`` ("R", "C" or "M")
+    and e the pair element named ``e``; ``_quotient(inst, "R", "x")`` is R/xR."""
+    module = {"R": inst.regular(), "C": inst.c, "M": inst.m}[r]
+    return inst.once(f"{r}/{e}{r}", lambda: scale_quotient(module, getattr(inst, e))[0])
+
+
+def _mod(inst: Instance, e: str, *roles: str) -> tuple:
+    """A/eA for the pair element ``e`` ("x" or "y"), then each module of
+    ``roles`` ("C" or "M") reduced mod e, over it."""
+    e = _role(inst, e)
+    x = getattr(inst, e)
+    abar = inst.once(f"A/{e}A", lambda: quotient_algebra(inst.algebra, x))
+    rs = [_role(inst, r) for r in roles]
+    return (abar, *(
+        inst.once(("bar", r, e), lambda r=r: transport_to_quotient(_quotient(inst, r, e), abar, x))
+        for r in rs
+    ))
+
+
+def _slim(report):
+    """A membership report without its tables and natural-map witness."""
+    return replace(report, tables={}, witness=None)
+
+
+def _member(inst: Instance, kind: str, x_role: str, c_role: str, x: Module, c: Module):
+    """The slim verdict of ``x`` in the class ``kind`` ("G_C", "A_C" or
+    "B_C") of ``c``, keyed by their roles; a C/xC role means the verdict is
+    over A/xA."""
+    fn = {"G_C": in_G_C, "A_C": in_A_C, "B_C": in_B_C}[kind]
+    return inst.once((kind, x_role, c_role), lambda: _slim(fn(x, c, inst.bound)))
+
+
+def _dim(inst: Instance, dim_fn):
+    """``pc_pd`` or ``ic_id`` of (M, C); an undefined one keeps its
+    membership report slim."""
+
+    def build():
+        verdict = dim_fn(inst.m, inst.c, inst.bound)
+        if hasattr(verdict, "membership"):
+            return replace(verdict, membership=_slim(verdict.membership))
+        return verdict
+
+    return inst.once((dim_fn.__name__, _role(inst, "M"), _role(inst, "C")), build)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +328,7 @@ def verify_fact_b(inst: Instance):
     _require_ezd(inst, inst.regular(), "the ring")
     m = inst.m
     _require(m.dim != 0, "zero module")
-    cyc = _cyclic(inst)
+    cyc = _quotient(inst, "R", "x")
     i = is_ezd_pair(inst.x, inst.y, m).holds
     et = _table_with_fallback(ext, cyc, m, inst.bound)
     tt = _table_with_fallback(tor, cyc, m, inst.bound)
@@ -284,10 +358,10 @@ def verify_fact_c(inst: Instance):
     _require_ezd(inst, inst.regular(), "the ring")
     m = inst.m
     _require_ezd(inst, m, "M")
-    abar, m_bar = _mod(inst, inst.x, m)
+    abar, m_bar = _mod(inst, "x", "M")
     # test object: the residue field of the quotient
-    n_bar = residue_field_module(abar)
-    n_up = transport_from_quotient(n_bar, inst.algebra)
+    n_bar = inst.once("k of A/xA", lambda: residue_field_module(abar))
+    n_up = inst.once("k of A/xA over A", lambda: transport_from_quotient(n_bar, inst.algebra))
     bound = min(inst.bound, 6)
     pairs = [
         ("Ext(N,M)", _table_with_fallback(ext, n_up, m, bound),
@@ -314,9 +388,9 @@ def verify_fact_c(inst: Instance):
 # the cyclic module R/xR lies in G_C and A_C
 
 
-def _cyclic_member(inst: Instance, membership):
+def _cyclic_member(inst: Instance, kind: str):
     _gate_ring_and_c(inst)
-    rep = membership(_cyclic(inst), inst.c, inst.bound)
+    rep = _member(inst, kind, "R/xR", _role(inst, "C"), _quotient(inst, "R", "x"), inst.c)
     if rep.holds:
         return _pass(f"verdict {rep.verdict!r}")
     return _fail(rep.verdict.witness)
@@ -325,13 +399,13 @@ def _cyclic_member(inst: Instance, membership):
 @_verifier("prop-A")
 def verify_prop_A(inst: Instance):
     """R/xR lies in G_C."""
-    return _cyclic_member(inst, in_G_C)
+    return _cyclic_member(inst, "G_C")
 
 
 @_verifier("prop-C")
 def verify_prop_C(inst: Instance):
     """R/xR lies in A_C."""
-    return _cyclic_member(inst, in_A_C)
+    return _cyclic_member(inst, "A_C")
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +421,8 @@ def verify_prop_B(inst: Instance):
     _require_ezd(inst, inst.regular(), "the ring")
     _require_ezd(inst, b, "B")
     over_a = is_semidualizing(b, inst.bound).holds
-    _, bx = _mod(inst, inst.x, b)
-    _, by = _mod(inst, inst.y, b)
+    _, bx = _mod(inst, "x", "C")
+    _, by = _mod(inst, "y", "C")
     sx = is_semidualizing(bx, inst.bound).holds
     sy = is_semidualizing(by, inst.bound).holds
     details = (f"over A: {over_a}; B/xB over A/xA: {sx}; B/yB over A/yA: {sy}",)
@@ -364,8 +438,8 @@ def verify_cor_dualizing(inst: Instance):
     d = inst.c
     _require_ezd(inst, inst.regular(), "the ring")
     _require_ezd(inst, d, "D")
-    _, dx = _mod(inst, inst.x, d)
-    _, dy = _mod(inst, inst.y, d)
+    _, dx = _mod(inst, "x", "C")
+    _, dy = _mod(inst, "y", "C")
     _require(is_semidualizing(dx, inst.bound).holds, "D/xD not semidualizing over A/xA")
     idx = id_bounded(dx, inst.bound)
     _require(idx == Exactly(0), f"D/xD not injective over A/xA: id = {idx!r}")
@@ -390,12 +464,13 @@ def verify_cor_K(inst: Instance, which: str):
     m = inst.m
     _require(m.element_action(inst.x).is_zero(), "M is not killed by x")
     _require(m.dim != 0, "zero module")
-    abar, c_bar = _mod(inst, inst.x, inst.c)
-    m_bar = transport_to_quotient(m, abar, inst.x)
+    abar, c_bar = _mod(inst, "x", "C")
+    m_bar = inst.once("M over A/xA", lambda: transport_to_quotient(m, abar, inst.x))
     _require(is_semidualizing(c_bar, inst.bound).holds, "C/xC not semidualizing over A/xA")
-    fn = {"i": in_G_C, "ii": in_A_C, "iii": in_B_C}[which]
-    over_a = fn(m, inst.c, inst.bound)
-    over_bar = fn(m_bar, c_bar, inst.bound)
+    kind = {"i": "G_C", "ii": "A_C", "iii": "B_C"}[which]
+    rm, rc = _role(inst, "M"), _role(inst, "C")
+    over_a = _member(inst, kind, rm, rc, m, inst.c)
+    over_bar = _member(inst, kind, "M over A/xA", f"{rc}/x{rc}", m_bar, c_bar)
     details = (f"over A: {over_a.verdict!r}; over A/xA: {over_bar.verdict!r}",)
     if over_a.holds != over_bar.holds:
         return _fail("membership verdicts disagree across base change", *details)
@@ -409,17 +484,18 @@ def verify_prop_D(inst: Instance, which: str):
     _gate_ring_and_c(inst)
     m = inst.m
     _require_ezd(inst, m, "M")
-    fn = {"i": in_A_C, "ii": in_B_C, "iii": in_G_C}[which]
-    _, cx, mx = _mod(inst, inst.x, inst.c, m)
-    _, cy, my = _mod(inst, inst.y, inst.c, m)
+    kind = {"i": "A_C", "ii": "B_C", "iii": "G_C"}[which]
+    _, cx, mx = _mod(inst, "x", "C", "M")
+    _, cy, my = _mod(inst, "y", "C", "M")
     _require(
         is_semidualizing(cx, inst.bound).holds and is_semidualizing(cy, inst.bound).holds,
         "C does not stay semidualizing over the quotients",
     )
-    hx = fn(mx, cx, inst.bound)
-    hy = fn(my, cy, inst.bound)
+    rm, rc, ey = _role(inst, "M"), _role(inst, "C"), _role(inst, "y")
+    hx = _member(inst, kind, f"{rm}/x{rm}", f"{rc}/x{rc}", mx, cx)
+    hy = _member(inst, kind, f"{rm}/{ey}{rm}", f"{rc}/{ey}{rc}", my, cy)
     _require(hx.holds and hy.holds, f"hypothesis fails over A/{'y' if hx.holds else 'x'}A")
-    concl = fn(m, inst.c, inst.bound)
+    concl = _member(inst, kind, rm, rc, m, inst.c)
     if concl.holds:
         return _pass(f"conclusion verdict {concl.verdict!r}")
     return _fail(concl.verdict.witness)
@@ -433,15 +509,17 @@ def verify_prop_J(inst: Instance, which: str):
     _gate_ring_and_c(inst)
     m = inst.m
     _require_ezd(inst, m, "M")
-    fn = {"i": in_G_C, "ii": in_B_C, "iii": in_A_C}[which]
-    _require(fn(m, inst.c, inst.bound).holds, "M not verified in the class")
+    kind = {"i": "G_C", "ii": "B_C", "iii": "A_C"}[which]
+    rm, rc = _role(inst, "M"), _role(inst, "C")
+    _require(_member(inst, kind, rm, rc, m, inst.c).holds, "M not verified in the class")
     if which == "i":
         aux = hom_module(m, inst.c)
     elif which == "ii":
         aux = hom_module(inst.c, m)
     else:
         aux = tensor_module(inst.c, m)
-    left = fn(scale_quotient(m, inst.x)[0], inst.c, inst.bound).holds
+    mx = _quotient(inst, rm, "x")
+    left = _member(inst, kind, f"{rm}/x{rm}", rc, mx, inst.c).holds
     right = is_ezd_pair(inst.x, inst.y, aux).holds
     details = (f"M/xM in class: {left}; (x,y) ezd on auxiliary: {right}",)
     if left != right:
@@ -475,14 +553,16 @@ def verify_prop_E(inst: Instance, mode: str = "pc"):
     _gate_ring_and_c(inst)
     _require_x_moves(inst)
     m = inst.m
-    gen = inst.c if mode == "pc" else hom_module(inst.c, dual_k(inst.regular()))
+    gen = inst.c if mode == "pc" else inst.once(
+        ("I_C", "A"), lambda: hom_module(inst.c, dual_k(inst.regular()))
+    )
     r = _pc_member_rank(m, gen, inst.seed)
     _require(r is not None, f"M not recognized in the class (generator dim {gen.dim})")
     if not is_ezd_pair(inst.x, inst.y, m).holds:
         return _fail("(x,y) fails to be ezd on M")
-    abar, m_bar, c_bar = _mod(inst, inst.x, m, inst.c)
-    gen_bar = c_bar if mode == "pc" else hom_module(
-        c_bar, dual_k(regular_module(abar))
+    abar, m_bar, c_bar = _mod(inst, "x", "M", "C")
+    gen_bar = c_bar if mode == "pc" else inst.once(
+        ("I_C", "A/xA"), lambda: hom_module(c_bar, dual_k(regular_module(abar)))
     )
     rq = _pc_member_rank(m_bar, gen_bar, inst.seed)
     if rq is None:
@@ -497,8 +577,7 @@ def verify_prop_F(inst: Instance, mode: str = "pc"):
     _gate_ring_and_c(inst)
     _require_x_moves(inst)
     m = inst.m
-    dim_fn = pc_pd if mode == "pc" else ic_id
-    verdict = dim_fn(m, inst.c, inst.bound)
+    verdict = _dim(inst, pc_pd if mode == "pc" else ic_id)
     _require(isinstance(verdict, Exactly), f"dimension not verified finite: {verdict!r}")
     if is_ezd_pair(inst.x, inst.y, m).holds:
         return _pass(f"dimension {verdict!r}")
@@ -512,10 +591,9 @@ def verify_lemma_H(inst: Instance, part: str = "i"):
     _gate_ring_and_c(inst)
     m = inst.m
     _require(m.dim != 0, "zero module")
-    dim_fn = ic_id if part == "iii" else pc_pd
-    verdict = dim_fn(m, inst.c, inst.bound)
+    verdict = _dim(inst, ic_id if part == "iii" else pc_pd)
     _require(verdict == Exactly(0), f"dimension is {verdict!r}, lemma exercised at n = 0")
-    cyc = _cyclic(inst)
+    cyc = _quotient(inst, "R", "x")
     if part == "iii":
         table = _table_with_fallback(ext, cyc, m, inst.bound)
         name = "Ext(R/xR, M)"
@@ -536,11 +614,11 @@ def verify_prop_G(inst: Instance, part: str = "i"):
     _require_x_moves(inst)
     m = inst.m
     dim_fn = ic_id if part == "iii" else pc_pd
-    verdict = dim_fn(m, inst.c, inst.bound)
+    verdict = _dim(inst, dim_fn)
     _require(isinstance(verdict, Exactly), f"dimension not verified finite: {verdict!r}")
     if verdict.value != 0:
         return _fail(f"artinian collapse violated: finite nonzero dimension {verdict!r}")
-    _, m_bar, c_bar = _mod(inst, inst.x, m, inst.c)
+    _, m_bar, c_bar = _mod(inst, "x", "M", "C")
     _require(is_semidualizing(c_bar, inst.bound).holds, "C/xC not semidualizing over A/xA")
     verdict_bar = dim_fn(m_bar, c_bar, inst.bound)
     if not isinstance(verdict_bar, Exactly):
@@ -584,9 +662,9 @@ def load_corpus(directory: Optional[Path] = None, bound: int = DEFAULT_BOUND):
         reg = regular_module(algebra, label="A")
         c = env.modules.get("C", reg)
         m = env.modules.get("M", reg)
-        instances.append(
-            Instance(path.stem, algebra, env.elems["ex"], env.elems["ey"], c, m, bound)
-        )
+        inst = Instance(path.stem, algebra, env.elems["ex"], env.elems["ey"], c, m, bound)
+        inst.once("A", lambda: reg)  # a C or M that defaults to the ring is the ring
+        instances.append(inst)
     return instances
 
 

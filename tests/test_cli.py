@@ -341,6 +341,22 @@ def test_verify_paper_reasons_are_one_line(tmp_path, capsys):
         assert reason in results[rid]["witness"], rid
 
 
+
+def test_verify_paper_ends_with_a_tally(capsys):
+    """The text output ends with the count of each status and the count of
+    each inconclusive reason; ``--quiet`` prints neither."""
+    code, out, _ = run(["verify-paper"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("tally: 120 pass, 0 fail, 24 inconclusive, 0 budget")
+    assert start == 144
+    reasons = [line.split(None, 1) for line in lines[start + 1:]]
+    assert sum(int(n) for n, _ in reasons) == 24
+    assert reasons[0] == ["18", "M is not killed by x"]
+    assert len({reason for _, reason in reasons}) == len(reasons)
+    code, out, _ = run(["verify-paper", "--quiet", "--prop", "fact-a"], capsys)
+    assert code == 0 and out == ""
+
 TOKEN = re.compile(r"\w+|\S")
 STRAY = ["@", "$", "{", '"', "é", "\t", "0", "-", "1/2", "^", "(", ")", ";", ","]
 

@@ -143,3 +143,21 @@ def test_no_dead_definitions():
         if name.rpartition(".")[2] not in referenced
     ]
     assert not dead, f"definitions nothing names: {', '.join(dead)}"
+
+
+def _id_calls(tree):
+    """Line numbers of calls to the builtin ``id``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_identity_keys(path):
+    """No code calls ``id``: an ``id()`` key outlives its object and can be
+    reused by a new one, so memos are keyed by role or by coordinates
+    (``Instance.once``, the search's per-trial memo)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _id_calls(tree)
+    assert not lines, f"{path.name} calls id() on lines {lines}"
