@@ -133,9 +133,9 @@ def _build_env(ring_text: str):
     ``GF(101)[x,y]/(x*y, x^2-y^2)``."""
     try:
         decl = dsl.parse_ring(ring_text)
+        env, _ = dsl.run_script(dsl.Script((decl,)))
     except dsl.DslError as exc:
         raise _flag_error("--ring", ring_text, exc) from None
-    env, _ = dsl.run_script(dsl.Script((decl,)))
     return env
 
 

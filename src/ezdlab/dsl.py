@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, Element
-from .groebner import PairBudgetExceeded, QuotientPresentation
+from .groebner import PairBudgetExceeded, QuotientPresentation, QuotientTooLargeError
 from .linalg import Field, prime_field_error
 from .module import (
     Module,
@@ -127,6 +127,7 @@ class RingDecl:
     variables: tuple
     order: str  # "degrevlex" | "lex"
     generators: tuple  # of poly term-tuples
+    pos: tuple = _pos()  # of the declaration's first token
 
 
 @dataclass(frozen=True)
@@ -277,16 +278,19 @@ class _Parser:
         self.error(f"unknown statement keyword {tok.value!r}")
 
     def ring_decl(self) -> RingDecl:
-        self.expect("name", "ring")
+        start = self.expect("name", "ring")
         name = self.expect("name").value
         self.expect("sym", "=")
-        decl = self.ring_body(name)
+        decl = self.ring_body(name, start)
         self.expect("sym", ";")
         return decl
 
-    def ring_body(self, name: str) -> RingDecl:
+    def ring_body(self, name: str, start: Optional[_Token] = None) -> RingDecl:
         """``field[vars] [order o] / (gens)``, the part of a ring
-        declaration after its ``=``."""
+        declaration after its ``=``; ``start`` is the declaration's first
+        token, by default the body's own."""
+        if start is None:
+            start = self.peek()
         p = self.field_spec()
         self.expect("sym", "[")
         variables = []
@@ -311,7 +315,9 @@ class _Parser:
             while self.accept("sym", ","):
                 gens.append(self.polynomial(variables))
             self.expect("sym", ")")
-        return RingDecl(name, p, tuple(variables), order, tuple(gens))
+        return RingDecl(
+            name, p, tuple(variables), order, tuple(gens), (start.line, start.col)
+        )
 
     def field_spec(self) -> Optional[int]:
         tok = self.expect("name")
@@ -609,7 +615,11 @@ def _build_ring(decl: RingDecl) -> Algebra:
     order = DEGREVLEX if decl.order == "degrevlex" else LEX
     ring = PolyRing(field, list(decl.variables), order)
     gens = [_terms_to_polynomial(ring, g) for g in decl.generators]
-    return Algebra(QuotientPresentation(ring, gens))
+    try:
+        pres = QuotientPresentation(ring, gens)
+    except QuotientTooLargeError as exc:
+        raise DslError(str(exc), *decl.pos) from None
+    return Algebra(pres)
 
 
 def _ref(table: dict, kind: str, arg, at):

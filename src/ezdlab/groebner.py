@@ -16,12 +16,16 @@ __all__ = [
     "PairBudgetExceeded",
     "InfiniteDimensionalError",
     "NonLocalError",
+    "QuotientTooLargeError",
     "groebner_basis",
     "quotient_basis",
     "QuotientPresentation",
 ]
 
 DEFAULT_PAIR_BUDGET = 10_000
+# The largest quotient dimension d accepted: an Algebra holds a dense
+# (d, d, d) int64 multiplication stack, 128 MiB at d = 256.
+MAX_QUOTIENT_DIM = 256
 
 
 class PairBudgetExceeded(Exception):
@@ -34,6 +38,10 @@ class InfiniteDimensionalError(Exception):
 
 class NonLocalError(Exception):
     """The quotient is finite-dimensional but some variable is not nilpotent."""
+
+
+class QuotientTooLargeError(Exception):
+    """The staircase has more than ``MAX_QUOTIENT_DIM`` monomials."""
 
 
 def groebner_basis(
@@ -111,26 +119,33 @@ def _interreduce(ring: PolyRing, basis: list[Polynomial]) -> list[Polynomial]:
 
 def quotient_basis(ring: PolyRing, groebner: list[Polynomial]) -> list:
     """The staircase: monomials outside the lead-term ideal, sorted by
-    degree then ambient order.  Raises when the staircase is infinite."""
+    degree then ambient order.  Raises when the staircase is infinite or
+    has more than ``MAX_QUOTIENT_DIM`` monomials."""
     lms = [g.lead_monomial for g in groebner]
-    bounds = []
     for v in range(ring.nvars):
-        pure = [
-            m[v]
-            for m in lms
-            if all(e == 0 for i, e in enumerate(m) if i != v) and m[v] > 0
-        ]
-        if not pure:
+        if not any(m[v] > 0 and sum(m) == m[v] for m in lms):
             raise InfiniteDimensionalError(
                 f"variable {ring.names[v]} has no pure power in the lead-term ideal"
             )
-        bounds.append(min(pure))
-    monomials = [()]
-    for b in bounds:
-        monomials = [m + (e,) for m in monomials for e in range(b)]
-    staircase = [
-        m for m in monomials if not any(mono_divides(lm, m) for lm in lms)
-    ]
+    # The staircase is closed under division, so it grows one variable at a
+    # time: a prefix padded with zeros is a staircase monomial, and each
+    # prefix extends until the next exponent of the new variable leaves the
+    # staircase.  Every layer is a set of staircase monomials, so counting
+    # it stops an oversized quotient before it is enumerated.
+    staircase = [()]
+    for v in range(ring.nvars):
+        pad = (0,) * (ring.nvars - v - 1)
+        grown = []
+        for m in staircase:
+            e = 0
+            while not any(mono_divides(lm, m + (e,) + pad) for lm in lms):
+                grown.append(m + (e,))
+                if len(grown) > MAX_QUOTIENT_DIM:
+                    raise QuotientTooLargeError(
+                        f"quotient dimension exceeds {MAX_QUOTIENT_DIM}"
+                    )
+                e += 1
+        staircase = grown
     staircase.sort(key=lambda m: (sum(m), ring.order.key(m)))
     return staircase
 

@@ -23,7 +23,11 @@ certificates an earlier one left on those modules.  Whole membership
 reports are not kept: a class verdict is stored without its Ext/Tor
 tables and natural-map witness, which would hold on to every Hom and
 tensor module behind them.  Base changes go through ``_mod``.  The
-searcher keeps a separate memo per trial (``_search_trial``).
+searcher keeps a separate memo per trial (``_search_trial``), and two
+per search keyed by the ideal's reduced Groebner basis, not the text of
+its generators: each ideal builds one algebra, each (ideal, drawn radical
+elements) runs one trial, and a replayed trial's counterexample entries
+print the generators the replaying trial drew.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .groebner import (
     NonLocalError,
     PairBudgetExceeded,
     QuotientPresentation,
+    QuotientTooLargeError,
 )
 from .linalg import Field, rank, solve_matrix
 from .module import (
@@ -701,19 +706,38 @@ def _draw_presentation(rng: random.Random, p: int):
     return ring, gens
 
 
-def _build_algebra(ring: PolyRing, gens: list, max_dim: int) -> Optional[Algebra]:
-    """ring/(gens) as a local algebra, or None when it is not local, not
-    finite-dimensional, or its dimension is outside 2..max_dim."""
+def _presentation(ring: PolyRing, gens: list, max_dim: int) -> Optional[QuotientPresentation]:
+    """ring/(gens) with its reduced Groebner basis and staircase, or None
+    when it is not finite-dimensional, larger than ``MAX_QUOTIENT_DIM``,
+    or its dimension is outside 2..max_dim."""
     try:
         pres = QuotientPresentation(ring, gens)
-    except (InfiniteDimensionalError, NonLocalError, PairBudgetExceeded, ValueError):
+    except (
+        InfiniteDimensionalError,
+        PairBudgetExceeded,
+        QuotientTooLargeError,
+        ValueError,
+    ):
         return None
     if pres.dim < 2 or pres.dim > max_dim:
+        return None
+    return pres
+
+
+def _local_algebra(pres: Optional[QuotientPresentation]) -> Optional[Algebra]:
+    """The algebra of `pres`, or None when there is none or it is not local."""
+    if pres is None:
         return None
     try:
         return Algebra(pres)
     except (NonLocalError, ValueError):
         return None
+
+
+def _build_algebra(ring: PolyRing, gens: list, max_dim: int) -> Optional[Algebra]:
+    """ring/(gens) as a local algebra, or None when `_presentation` or
+    `_local_algebra` rejects it."""
+    return _local_algebra(_presentation(ring, gens, max_dim))
 
 
 def _radical_elements(algebra: Algebra, rng: random.Random, cap: int = 40):
@@ -886,12 +910,17 @@ def search_counterexamples(config: SearchConfig) -> dict:
     """Look for M in G_C with (x,y) ezd on A, C and M such that M/xM is
     not in G_{C/xC} over A/xA.  Returns a deterministic report dict.
 
-    Random presentations repeat, so two memos live for the length of one
-    call.  `algebras` builds each distinct presentation once, keyed by its
-    formatted ideal generators (which are also what a counterexample entry
-    prints).  `outcomes` replays a trial whose ideal and drawn radical
-    elements were seen before: it adds that trial's stored counts and
-    counterexample entries to the report instead of running it again.
+    Random presentations repeat, and many generator lists give one ideal,
+    so the memos that live for the length of one call are keyed by the
+    ideal: its variable names and formatted reduced Groebner basis, which
+    is monic, interreduced and sorted, hence canonical.  `bases` runs
+    Buchberger once per distinct generator text and maps it to that key
+    (None when the presentation is rejected).  `algebras` builds one
+    `Algebra` per key.  `outcomes` replays a trial whose key and drawn
+    radical elements were seen before: it adds that trial's stored counts
+    and counterexample entries to the report instead of running it again.
+    A stored entry may come from another generator list of the ideal, so
+    every entry's "ideal" is rewritten to the current trial's generators.
     The elements are drawn on every trial, so the RNG takes the same steps
     as without the memos, and the report is the same byte for byte."""
     rng = random.Random(config.seed)
@@ -907,26 +936,34 @@ def search_counterexamples(config: SearchConfig) -> dict:
         "budget_skips": 0,
         "counterexamples": [],
     }
+    bases: dict = {}
     algebras: dict = {}
     outcomes: dict = {}
     for _trial in range(config.trials):
         ring, gens = _draw_presentation(rng, config.p)
         ideal = tuple(ring.format_poly(g) for g in gens)
-        if ideal not in algebras:
-            algebras[ideal] = _build_algebra(ring, gens, config.max_dim)
-        algebra = algebras[ideal]
+        if ideal not in bases:
+            pres = _presentation(ring, gens, config.max_dim)
+            bases[ideal] = basis = None if pres is None else (
+                tuple(ring.names),
+                tuple(ring.format_poly(g) for g in pres.groebner),
+            )
+            if basis not in algebras:
+                algebras[basis] = _local_algebra(pres)
+        basis = bases[ideal]
+        algebra = algebras[basis]
         if algebra is None:
             continue
         report["algebras_built"] += 1
         elems = _radical_elements(algebra, rng)
-        key = (ideal, tuple(e.coords.data.tobytes() for e in elems))
+        key = (basis, tuple(e.coords.data.tobytes() for e in elems))
         if key not in outcomes:
             outcomes[key] = _search_trial(algebra, elems, config.bound)
         pairs, gated, skips, found = outcomes[key]
         report["ring_pairs"] += pairs
         report["fully_gated"] += gated
         report["budget_skips"] += skips
-        report["counterexamples"].extend(found)
+        report["counterexamples"].extend({**e, "ideal": list(ideal)} for e in found)
     return report
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ezdlab import cli
 from ezdlab.cli import main
+from ezdlab.groebner import MAX_QUOTIENT_DIM
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -215,6 +217,23 @@ def test_prime_over_cap_exit_code(tmp_path, capsys, p):
     assert "line 1, column 13" in err and "2^31" in err
 
 
+@pytest.mark.parametrize(
+    "ring",
+    ["GF(101)[x,y] / (x^2, x*y, y^99999)", "GF(101)[x,y,z]/(x^99999, y^99999, z^99999)"],
+    ids=["staircase-mutant", "three-powers"],
+)
+def test_oversized_ring_exit_code(tmp_path, capsys, ring):
+    """A ring whose staircase passes MAX_QUOTIENT_DIM is refused at its
+    declaration while the staircase is counted, before any table is built."""
+    script = tmp_path / "big.ezd"
+    script.write_text(f"# too large\n  ring R = {ring};\n")
+    t0 = time.monotonic()
+    code, _, err = run(["check", str(script)], capsys)
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    assert f"line 2, column 3: quotient dimension exceeds {MAX_QUOTIENT_DIM}" in err
+
+
 RING = ["--ring", "GF(101)[x]/(x^2)"]
 
 
@@ -235,8 +254,11 @@ RING = ["--ring", "GF(101)[x]/(x^2)"]
          "--ring 'GF(101)[x]/(x^2', column 16: expected ')', found 'eof'"),
         (["resolve", "--ring", "GF(101)[x,x]/(x^2)", "--module", "k"],
          "--ring 'GF(101)[x,x]/(x^2)', column 11: duplicate variable 'x'"),
+        (["resolve", "--ring", "GF(101)[x]/(x^300)", "--module", "k"],
+         "--ring 'GF(101)[x]/(x^300)', column 1: quotient dimension exceeds 256"),
     ],
-    ids=["module", "c", "from", "to", "ring", "ring-unclosed", "ring-duplicate"],
+    ids=["module", "c", "from", "to", "ring", "ring-unclosed", "ring-duplicate",
+         "ring-too-large"],
 )
 def test_bad_expression_names_its_flag(argv, expected, capsys):
     """Errors in a module or ring given on the command line point at the

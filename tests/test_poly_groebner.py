@@ -1,12 +1,17 @@
 """Groebner bases, staircases and quotient presentations against frozen
 oracle values (computed independently by hand on these tiny ideals)."""
 
+import itertools
+import random
+
 import pytest
 
 from ezdlab.groebner import (
+    MAX_QUOTIENT_DIM,
     InfiniteDimensionalError,
     NonLocalError,
     QuotientPresentation,
+    QuotientTooLargeError,
     groebner_basis,
     quotient_basis,
 )
@@ -70,6 +75,40 @@ def test_staircase_infinite():
     gb = groebner_basis(r, [_poly(r, {(1, 1): 1})])
     with pytest.raises(InfiniteDimensionalError):
         quotient_basis(r, gb)
+
+
+def test_staircase_equals_box_filter():
+    """The staircase grown one variable at a time equals the monomials of
+    the bounding box that no lead monomial divides, in the same order."""
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        r = _ring("xyz"[:n])
+        lms = [tuple(rng.randint(1, 5) if i == v else 0 for i in range(n)) for v in range(n)]
+        lms += [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        gb = groebner_basis(r, [_poly(r, {m: 1}) for m in lms if sum(m)])
+        leads = [g.lead_monomial for g in gb]
+        box = itertools.product(*(range(6) for _ in range(n)))
+        expected = [
+            m for m in box if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
+        ]
+        expected.sort(key=lambda m: (sum(m), r.order.key(m)))
+        assert quotient_basis(r, gb) == expected
+
+
+def test_staircase_size_limit():
+    """A staircase of MAX_QUOTIENT_DIM monomials is accepted; one more is
+    refused while it is counted, however large the box around it."""
+    r = _ring("x")
+    at_limit = groebner_basis(r, [_poly(r, {(MAX_QUOTIENT_DIM,): 1})])
+    assert len(quotient_basis(r, at_limit)) == MAX_QUOTIENT_DIM
+    over = groebner_basis(r, [_poly(r, {(MAX_QUOTIENT_DIM + 1,): 1})])
+    with pytest.raises(QuotientTooLargeError):
+        quotient_basis(r, over)
+    r3 = _ring("xyz")
+    huge = [_poly(r3, {m: 1}) for m in [(99999, 0, 0), (0, 99999, 0), (0, 0, 99999)]]
+    with pytest.raises(QuotientTooLargeError):
+        QuotientPresentation(r3, huge)
 
 
 def test_non_local_rejected():

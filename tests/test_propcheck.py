@@ -9,7 +9,9 @@ import pytest
 
 from ezdlab import propcheck, resolution
 from ezdlab.classes import ClassMembershipReport, Fails
+from ezdlab.linalg import Field
 from ezdlab.module import is_isomorphic, Iso, regular_module, scale_quotient
+from ezdlab.poly import PolyRing
 from ezdlab.propcheck import (
     PROP_VERIFIERS,
     SearchConfig,
@@ -124,16 +126,98 @@ def test_search_seed7_counts(counted_search):
     assert report["counterexamples"] == []
 
 
+def _basis_key(pres):
+    """The search's algebra key: variable names and reduced Groebner basis."""
+    return tuple(pres.ring.names), tuple(pres.ring.format_poly(g) for g in pres.groebner)
+
+
 def test_search_builds_each_quotient_once_per_trial(counted_search):
-    """A/xA is built once per distinct (ideal, x) in the whole search: not
-    once per gated configuration, and not again when a trial repeats an
-    earlier presentation."""
+    """A/xA is built once per distinct (reduced Groebner basis, x) in the
+    whole search: not once per gated configuration, and not again when a
+    trial repeats an earlier ideal under the same or other generators."""
     _report, calls, _states = counted_search
-    keys = {
-        (tuple(a.ring.format_poly(g) for g in a.presentation.ideal_generators), x)
-        for a, x in calls
-    }
-    assert len(calls) == len(keys) == 40
+    keys = {(_basis_key(a.presentation), x) for a, x in calls}
+    assert len(calls) == len(keys) == 12
+
+
+def test_search_builds_one_algebra_and_trial_per_reduced_basis(monkeypatch):
+    """The seed-7 100-trial search accepts 26 distinct generator lists, which
+    reduce to 10 reduced Groebner bases: it builds one Algebra and runs one
+    trial per basis."""
+    texts, built, trials = set(), [], []
+    present, make, run = propcheck._presentation, propcheck.Algebra, propcheck._search_trial
+
+    def recording_presentation(ring, gens, max_dim):
+        pres = present(ring, gens, max_dim)
+        if pres is not None:
+            texts.add(tuple(ring.format_poly(g) for g in gens))
+        return pres
+
+    def counting_algebra(pres):
+        built.append(_basis_key(pres))
+        return make(pres)
+
+    def counting_trial(algebra, elems, bound):
+        trials.append(_basis_key(algebra.presentation))
+        return run(algebra, elems, bound)
+
+    monkeypatch.setattr(propcheck, "_presentation", recording_presentation)
+    monkeypatch.setattr(propcheck, "Algebra", counting_algebra)
+    monkeypatch.setattr(propcheck, "_search_trial", counting_trial)
+    report = search_counterexamples(SearchConfig(seed=7, trials=100))
+    assert report["algebras_built"] == 73
+    assert len(texts) == 26
+    assert len(built) == len(set(built)) == 10
+    assert sorted(trials) == sorted(built)
+
+
+def test_generator_lists_of_one_ideal_share_an_algebra_and_a_trial(monkeypatch):
+    """(x^2, y^2) and (x^2, y^2, x^2 + y^2) are one ideal of GF(2)[x,y]: the
+    search builds one Algebra and runs one trial for both, and every
+    counterexample entry prints the generators its own trial drew."""
+    ring = PolyRing(Field(2), ["x", "y"])
+    x2, y2 = ring.monomial((2, 0)), ring.monomial((0, 2))
+    draws = [[x2, y2], [x2, y2, ring.add(x2, y2)]] * 2
+    built, trials, quotients = [], [], []
+    make, run, build = propcheck.Algebra, propcheck._search_trial, propcheck.quotient_algebra
+    real_in_G_C = propcheck.in_G_C
+
+    def counting_algebra(pres):
+        built.append(pres)
+        return make(pres)
+
+    def counting_trial(algebra, elems, bound):
+        trials.append(algebra)
+        return run(algebra, elems, bound)
+
+    def recording(algebra, x):
+        quotients.append(build(algebra, x))
+        return quotients[-1]
+
+    def planted(m, c, bound):
+        if any(m.algebra is q for q in quotients):
+            return ClassMembershipReport("G_C", Fails("planted"), False, None, {}, bound)
+        return real_in_G_C(m, c, bound)
+
+    monkeypatch.setattr(propcheck, "_draw_presentation", lambda rng, p: (ring, draws.pop(0)))
+    monkeypatch.setattr(propcheck, "Algebra", counting_algebra)
+    monkeypatch.setattr(propcheck, "_search_trial", counting_trial)
+    monkeypatch.setattr(propcheck, "quotient_algebra", recording)
+    monkeypatch.setattr(propcheck, "in_G_C", planted)
+    report = search_counterexamples(SearchConfig(seed=0, trials=4))
+    assert report["algebras_built"] == 4
+    assert len(built) == len(trials) == 1
+    entries = report["counterexamples"]
+    assert entries and len(entries) % 4 == 0
+    quarter = len(entries) // 4
+    ideals = [["x^2", "y^2"], ["x^2", "y^2", "x^2 + y^2"]] * 2
+    for k, ideal in enumerate(ideals):
+        block = entries[k * quarter : (k + 1) * quarter]
+        assert all(e["ideal"] == ideal for e in block)
+        assert [list(e)[0] for e in block] == ["ideal"] * quarter
+        assert [{**e, "ideal": None} for e in block] == [
+            {**e, "ideal": None} for e in entries[:quarter]
+        ]
 
 
 def test_search_leaves_no_resolution_state_alive(counted_search):
