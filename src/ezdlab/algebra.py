@@ -1,4 +1,5 @@
-"""Finite-dimensional commutative local algebras and their elements."""
+"""Finite-dimensional commutative local algebras, their elements, and
+representations given by one action matrix per variable."""
 
 from __future__ import annotations
 
@@ -6,33 +7,93 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groebner import QuotientPresentation
-from .linalg import Field, Matrix, _adopt, _dot
+from .groebner import NonLocalError, QuotientPresentation
+from .linalg import Field, Matrix, _adopt, _dot, _linear_combination, _sparse_matmul
 from .poly import Polynomial
 
-__all__ = ["Algebra", "Element"]
+__all__ = ["Algebra", "Element", "Representation"]
 
 
-class Algebra:
+class Representation:
+    """Actions X_1..X_n of the variables of ``self.algebra`` on k^dim:
+    monomials act by the recurrence M_1 = I, M_m = X_v M_{m - e_v} (v the
+    first variable of m), cached, and ``_check_representation`` accepts
+    actions that commute and kill every ideal generator."""
+
+    __slots__ = ("dim", "actions", "_mon_cache")
+
+    def __init__(self, actions: list):
+        self.actions = tuple(actions)
+        self.dim = actions[0].rows if actions else 0
+        self._mon_cache = {}
+
+    def _times(self, v: int, m: Matrix) -> Matrix:
+        return self.actions[v] @ m
+
+    def monomial_action(self, m) -> Matrix:
+        """The action of m, from that of m with one exponent fewer."""
+        m = tuple(m)
+        cached = self._mon_cache.get(m)
+        if cached is None:
+            v = next((v for v, e in enumerate(m) if e), None)
+            if v is None:
+                cached = Matrix.identity(self.algebra.field, self.dim)
+            elif sum(m) == 1:
+                cached = self.actions[v]
+            else:
+                lower = m[:v] + (m[v] - 1,) + m[v + 1 :]
+                cached = self._times(v, self.monomial_action(lower))
+            self._mon_cache[m] = cached
+        return cached
+
+    def action_stack(self) -> np.ndarray:
+        """The (dim A, dim, dim) stack of monomial actions, in staircase order."""
+        return np.stack([self.monomial_action(m).data for m in self.algebra.staircase])
+
+    def _check_representation(self):
+        n, field = self.dim, self.algebra.field
+        for a in self.actions:
+            if a.rows != n or a.cols != n:
+                raise ValueError("action matrices must be square of the module dimension")
+        arrs = [a.data for a in self.actions]
+        for i, a in enumerate(arrs):
+            for b in arrs[i + 1 :]:
+                if not np.array_equal(_dot(a, b, field.p), _dot(b, a, field.p)):
+                    raise ValueError("variable actions do not commute")
+        # every ideal generator at once: its coefficients against the
+        # actions of the monomials the generators use
+        mats = [self.monomial_action(m) for m in self.algebra.relation_monomials]
+        if np.count_nonzero(_linear_combination(field, self.algebra.relation_coeffs, mats, (n, n))):
+            raise ValueError("an ideal generator does not vanish on the actions")
+
+
+class Algebra(Representation):
     """A finite-dimensional commutative local k-algebra on a staircase basis.
 
-    Carries the multiplication matrix of every basis monomial, so the
-    action of an arbitrary element is a coordinate-weighted sum of them.
+    A acts on itself through its variable actions X_v = (NF(x_v m_j))_j,
+    and ``mult_stack[i]`` is the action M_i of staircase monomial m_i by
+    the recurrence of ``Representation``.  It is the table of A: the X_v
+    commute and kill every ideal generator, so a -> M_a represents A;
+    M_i e_0 = e_i, so a -> M_a e_0 maps A onto k^d, an isomorphism of
+    A-modules as dim A = d; hence M_i e_j = NF(m_i m_j).  A is local when
+    each X_v^d e_0 = NF(x_v^d) vanishes; that check runs first, so a
+    non-local quotient raises ``NonLocalError`` before any ``ValueError``.
     """
 
     def __init__(self, presentation: QuotientPresentation):
-        presentation.check_local()
         self.presentation = presentation
         self.field: Field = presentation.field
-        self.dim: int = presentation.dim
         self.staircase = list(presentation.staircase)
-        self.mult = presentation.multiplication_matrices()
-        # mult_stack[i] is the multiplication matrix of staircase monomial i
-        self.mult_stack = np.stack([m.data for m in self.mult])
-        self.var_action = [
+        super().__init__([
             presentation.poly_action_matrix(presentation.ring.variable(v))
             for v in range(self.nvars)
-        ]
+        ])
+        for name, x in zip(self.ring.names, self.actions):
+            power = self.one_element().coords
+            for _ in range(self.dim):
+                power = x @ power
+            if not power.is_zero():
+                raise NonLocalError(f"variable {name} is not nilpotent in the quotient")
         self.radical_indices = [i for i, m in enumerate(self.staircase) if sum(m) > 0]
         # the ideal generators as one (generators x monomials) coefficient
         # array over the monomials they use, so a module evaluates them all
@@ -42,7 +103,19 @@ class Algebra:
         self.relation_coeffs = Matrix.from_rows(
             self.field, [[g.get(m, 0) for m in self.relation_monomials] for g in gens]
         ).data
-        self._check_structure()
+        self.mult_stack = self.action_stack()
+        self.mult_stack.setflags(write=False)
+        # column 0 of M_i is m_i * 1, which must be e_i
+        if not np.array_equal(self.mult_stack[:, :, 0], Matrix.identity(self.field, self.dim).data):
+            raise ValueError("a staircase monomial does not map 1 to itself")
+        self._check_representation()
+        self._mon_cache.clear()  # mult_stack holds the actions now
+
+    algebra = property(lambda self: self)  # A is a representation of itself
+
+    def _times(self, v: int, m: Matrix) -> Matrix:
+        # each X_v has about one nonzero per column: skip the zeros
+        return _adopt(self.field, _sparse_matmul(self.field, self.actions[v].data, m.data))
 
     @property
     def ring(self):
@@ -62,23 +135,6 @@ class Algebra:
         ring = self.presentation.ring
         gens = ", ".join(ring.format_poly(g) for g in self.presentation.ideal_generators)
         return f"Algebra({ring.field}[{', '.join(ring.names)}]/({gens}), dim={self.dim})"
-
-    def _check_structure(self):
-        ident = Matrix.identity(self.field, self.dim)
-        if self.mult[0] != ident:
-            raise ValueError("unit does not act as the identity")
-        # commutativity and associativity on all basis pairs/triples:
-        # M_i M_j must equal the multiplication matrix of m_i*m_j,
-        # which is sum_k table[i][j][k] M_k.
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                prod = self.mult[i] @ self.mult[j]
-                if prod != self.mult[j] @ self.mult[i]:
-                    raise ValueError("multiplication table is not commutative")
-                coords = prod.col(0)  # image of 1 = coordinates of m_i*m_j
-                expected = self.element_action(Element(self, coords))
-                if prod != expected:
-                    raise ValueError("multiplication table is not associative")
 
     # -- elements -----------------------------------------------------
     def element(self, coords) -> "Element":

@@ -29,7 +29,6 @@ from .resolution import (
     ExtTable,
     NEG_INF,
     ResolutionBudgetExceeded,
-    _action_stack,
     _block_matrix,
     ext,
     minimal_free_resolution,
@@ -121,7 +120,7 @@ def homothety_map(c: Module) -> Morphism:
     algebra = c.algebra
     hcc = hom_module(c, c)
     # column i is vec of the action of staircase monomial i
-    vecs = _action_stack(c).reshape(algebra.dim, c.dim * c.dim).T
+    vecs = c.action_stack().reshape(algebra.dim, c.dim * c.dim).T
     return Morphism(regular_module(algebra), hcc, hcc._coords(vecs))
 
 
@@ -365,7 +364,7 @@ def build_proper_PC_resolution(
     phis = (h._bmat @ res._state.gens[0]).data.reshape(m.dim, c.dim, b0).transpose(2, 0, 1)
     aug = Matrix(field, phis.transpose(1, 0, 2).reshape(m.dim, b0 * c.dim))
     maps = [aug]
-    c_stack = _action_stack(c)
+    c_stack = c.action_stack()
     for i in range(1, res.length + 1):
         maps.append(_block_matrix(res.diff_alg(i), c_stack, field))
 
@@ -378,7 +377,7 @@ def build_proper_PC_resolution(
     comps = _dot(phis[:, None], psis, field.p).reshape(b0 * hcc.dim, m.dim * c.dim)
     aug_hom = h._coords(comps.T)
     hom_maps = [aug_hom]
-    hcc_stack = _action_stack(hcc)
+    hcc_stack = hcc.action_stack()
     for i in range(1, res.length + 1):
         hom_maps.append(_block_matrix(res.diff_alg(i), hcc_stack, field))
     fail_hom = _complex_is_exact(hom_maps)

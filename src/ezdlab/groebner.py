@@ -1,8 +1,9 @@
-"""Buchberger completion, staircase bases and structure constants.
+"""Buchberger completion, staircase bases and normal forms.
 
-The quotient algebras in play are tiny (a few variables, dimensions in
-the dozens), so a plain Buchberger loop with the product criterion and a
-pair budget is entirely adequate.
+The quotient algebras in play are small (a few variables, at most
+``MAX_QUOTIENT_DIM`` staircase monomials), so a plain Buchberger loop with
+the product criterion and a pair budget is entirely adequate.  Normal
+forms give the variable actions, from which ``algebra`` builds the table.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ __all__ = [
 ]
 
 DEFAULT_PAIR_BUDGET = 10_000
-# The largest quotient dimension d accepted: an Algebra holds a dense
-# (d, d, d) int64 multiplication stack, 128 MiB at d = 256.
+# The largest quotient dimension d accepted.  An Algebra holds a dense
+# (d, d, d) multiplication stack, 128 MiB of int64 at d = 256, and builds it
+# with about d^2 nnz(X_v) field operations: 0.65 s at d = 256 over GF(p) on a
+# 2-core Xeon VM (x^256, or x^16 and y^16).  Over QQ each is a Fraction
+# operation, so d = 128 already takes about 10 s.
 MAX_QUOTIENT_DIM = 256
 
 
@@ -193,40 +197,6 @@ class QuotientPresentation:
 
     def poly_action_matrix(self, f: Polynomial) -> Matrix:
         """Matrix of multiplication by f on the staircase basis."""
-        cols = []
-        for m in self.staircase:
-            prod = self.ring.mul(f, self.ring.monomial(m))
-            cols.append(self.normal_form_coords(prod))
-        return Matrix.from_rows(self.field, list(map(list, zip(*cols))))
-
-    def multiplication_matrices(self) -> list:
-        """Per staircase monomial, the matrix of multiplication by it."""
-        return [self.poly_action_matrix(self.ring.monomial(m)) for m in self.staircase]
-
-    def structure_constants(self):
-        """table[i][j] = coordinates of NF(m_i * m_j) in the staircase basis."""
-        table = []
-        for mi in self.staircase:
-            row = []
-            for mj in self.staircase:
-                row.append(
-                    self.normal_form_coords(
-                        self.ring.mul(self.ring.monomial(mi), self.ring.monomial(mj))
-                    )
-                )
-            table.append(row)
-        return table
-
-    def check_local(self):
-        """Every variable must act nilpotently on the quotient."""
-        for v in range(self.ring.nvars):
-            a = self.poly_action_matrix(self.ring.variable(v))
-            power = a
-            for _ in range(self.dim):
-                if power.is_zero():
-                    break
-                power = power @ a
-            if not power.is_zero():
-                raise NonLocalError(
-                    f"variable {self.ring.names[v]} is not nilpotent in the quotient"
-                )
+        cols = [self.normal_form_coords(self.ring.mul(f, self.ring.monomial(m)))
+                for m in self.staircase]
+        return Matrix.from_rows(self.field, zip(*cols))

@@ -184,6 +184,32 @@ def _dot(a: np.ndarray, b: np.ndarray, p: Optional[int]) -> np.ndarray:
     return out
 
 
+def _linear_combination(field, coeffs: np.ndarray, mats: list, shape: tuple) -> np.ndarray:
+    """The sums of coeffs[i, k] * mats[k] over k, one per row i of
+    ``coeffs``, as an array of matrices of the given shape: one ``_dot`` of
+    the coefficients against the stacked matrices, so exact for every p."""
+    size = shape[0] * shape[1]
+    if mats:
+        stack = np.array([m.data for m in mats]).reshape(len(mats), size)
+    else:
+        stack = Matrix.zeros(field, 0, size).data
+    return _dot(coeffs, stack, field.p).reshape(len(coeffs), *shape)
+
+
+def _sparse_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` from the nonzeros of ``a`` alone: each adds one scaled row
+    of b, so the cost is nnz(a) row operations and no zero is multiplied."""
+    rows, cols = a.nonzero()
+    terms = a[rows, cols][:, None] * b[cols]
+    out = Matrix.zeros(field, len(a), b.shape[1]).data.copy()
+    if field.p is not None:
+        terms %= field.p  # so each entry of out sums residues, at most len(b) of them
+    np.add.at(out, rows, terms)
+    if field.p is not None:
+        out %= field.p
+    return out
+
+
 def _adopt(field: Field, arr: np.ndarray) -> "Matrix":
     """Wrap ``arr`` without reducing it again.
 
@@ -308,9 +334,8 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------
     def _wrap(self, arr) -> "Matrix":
         if self.field.p is not None:
-            return _adopt(self.field, arr % self.field.p)
-        # object arithmetic can yield plain ints (an empty dot product is 0)
-        return Matrix(self.field, arr)
+            arr %= self.field.p
+        return _adopt(self.field, arr)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._wrap(self.data + other.data)
@@ -326,7 +351,8 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.data.shape} @ {other.data.shape}")
         if self.field.p is not None:
             return _adopt(self.field, _dot(self.data, other.data, self.field.p))
-        return self._wrap(self.data.dot(other.data))
+        # a Fraction product costs a gcd even by zero, so skip the zeros
+        return _adopt(self.field, _sparse_matmul(self.field, self.data, other.data))
 
     @property
     def T(self) -> "Matrix":

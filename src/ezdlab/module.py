@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, Representation
 from .groebner import QuotientPresentation
 from .linalg import (
     Matrix,
     _adopt,
     _dense,
     _dot,
+    _linear_combination,
     _sparse_columns,
     _sparse_kernel,
     _sparse_rref,
@@ -62,57 +63,20 @@ __all__ = [
 ]
 
 
-class Module:
-    # the caches a module keeps about itself: monomial actions, the state of
-    # its minimal free resolution, and its semidualizing certificates by bound
-    __slots__ = (
-        "algebra", "dim", "actions", "label", "_mon_cache", "_resolution", "_semidual"
-    )
+class Module(Representation):
+    # besides the monomial actions it caches the state of its minimal free
+    # resolution and its semidualizing certificates by bound
+    __slots__ = ("algebra", "label", "_resolution", "_semidual")
 
     def __init__(self, algebra: Algebra, actions: list, label: str = ""):
+        super().__init__(actions)
         self.algebra = algebra
-        self.actions = tuple(actions)
-        self.dim = actions[0].rows if actions else 0
         self.label = label
-        self._mon_cache = {}
         self._resolution = None
         self._semidual = {}
         if algebra.nvars != len(self.actions):
             raise ValueError("need one action matrix per variable")
         self._check_representation()
-
-    def _check_representation(self):
-        n, field = self.dim, self.algebra.field
-        for a in self.actions:
-            if a.rows != n or a.cols != n:
-                raise ValueError("action matrices must be square of the module dimension")
-        arrs = [a.data for a in self.actions]
-        for i, a in enumerate(arrs):
-            for b in arrs[i + 1 :]:
-                if not np.array_equal(_dot(a, b, field.p), _dot(b, a, field.p)):
-                    raise ValueError("variable actions do not commute")
-        # every ideal generator at once: its coefficients against the
-        # actions of the monomials the generators use
-        mats = [self.monomial_action(m) for m in self.algebra.relation_monomials]
-        if np.count_nonzero(_linear_combination(field, self.algebra.relation_coeffs, mats, (n, n))):
-            raise ValueError("an ideal generator does not vanish on the actions")
-
-    def monomial_action(self, m) -> Matrix:
-        """The action of a monomial, from that of the monomial with one
-        exponent fewer (cached), so each new monomial costs one product."""
-        m = tuple(m)
-        cached = self._mon_cache.get(m)
-        if cached is None:
-            v = next((v for v, e in enumerate(m) if e), None)
-            if v is None:
-                cached = Matrix.identity(self.algebra.field, self.dim)
-            elif sum(m) == 1:
-                cached = self.actions[v]
-            else:
-                lower = m[:v] + (m[v] - 1,) + m[v + 1 :]
-                cached = self.actions[v] @ self.monomial_action(lower)
-            self._mon_cache[m] = cached
-        return cached
 
     def element_action(self, r: Element) -> Matrix:
         """Action matrix of an algebra element (staircase coordinates)."""
@@ -169,13 +133,13 @@ class Morphism:
 
 
 def regular_module(algebra: Algebra, label: str = "") -> Module:
-    return Module(algebra, list(algebra.var_action), label=label or "A")
+    return Module(algebra, list(algebra.actions), label=label or "A")
 
 
 def free_module(algebra: Algebra, n: int, label: str = "") -> Module:
     acts = [
         Matrix.block_diag([a] * n) if n else Matrix.zeros(algebra.field, 0, 0)
-        for a in algebra.var_action
+        for a in algebra.actions
     ]
     return Module(algebra, acts, label=label or f"A^{n}")
 
@@ -491,15 +455,3 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0):
 def _combine(field, basis, coeffs):
     row = Matrix.from_rows(field, [[field.canon(c) for c in coeffs]]).data
     return Matrix(field, _linear_combination(field, row, basis, basis[0].data.shape)[0])
-
-
-def _linear_combination(field, coeffs: np.ndarray, mats: list, shape: tuple) -> np.ndarray:
-    """The sums of coeffs[i, k] * mats[k] over k, one per row i of
-    ``coeffs``, as an array of matrices of the given shape: one ``_dot`` of
-    the coefficients against the stacked matrices, so exact for every p."""
-    size = shape[0] * shape[1]
-    if mats:
-        stack = np.array([m.data for m in mats]).reshape(len(mats), size)
-    else:
-        stack = Matrix.zeros(field, 0, size).data
-    return _dot(coeffs, stack, field.p).reshape(len(coeffs), *shape)

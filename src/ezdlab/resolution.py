@@ -99,11 +99,6 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def _action_stack(module: Module) -> np.ndarray:
-    """The (dim A, n, n) stack of monomial actions, in staircase order."""
-    return np.stack([module.monomial_action(m).data for m in module.algebra.staircase])
-
-
 def _block_triplets(entries: np.ndarray, stack: np.ndarray, p, transpose=False):
     """(rows, columns, values) of the nonzero entries of the block matrix
     whose block (t, j), or (j, t) when transposed, is
@@ -197,7 +192,7 @@ class _ResolutionState:
             self.terminated = True
             return
         # column j*d + k of d0 is monomial k acting on generator j
-        d0 = _dot(_action_stack(m), g0.data, self.field.p).transpose(1, 2, 0)
+        d0 = _dot(m.action_stack(), g0.data, self.field.p).transpose(1, 2, 0)
         self._d0 = _adopt(self.field, d0.reshape(m.dim, b0 * self.algebra.dim))
 
     @property
@@ -234,7 +229,7 @@ class _ResolutionState:
             self.terminated = True
             return
         # the kernel columns outside rad·kernel complete a basis of kernel/rad·kernel
-        var_maps = [_sparse_columns(va.data) for va in self.algebra.var_action]
+        var_maps = [_sparse_columns(va.data) for va in self.algebra.actions]
         rad = (_sparse_var_apply(vm, v, d, p) for vm in var_maps for v in kernel)
         picks = _pick_independent(rad, kernel, p)
         b = len(picks)
@@ -340,7 +335,7 @@ def _complex_dims(
     maps at that degree, so each map is reduced once."""
     nN = other.dim
     L = res.length
-    stack = _action_stack(other)
+    stack = other.action_stack()
     p = other.algebra.field.p
     ranks = {0: 0}
     for i in range(1, min(L, bound + 1) + 1):
@@ -457,7 +452,7 @@ def syzygy_module(module: Module, i: int) -> Module:
     kernel, rows = res._state.kernels[i], res.betti[i - 1] * d
     images = [
         _dense(field, rows, [_sparse_var_apply(vm, v, d, field.p) for v in kernel])
-        for vm in (_sparse_columns(va.data) for va in algebra.var_action)
+        for vm in (_sparse_columns(va.data) for va in algebra.actions)
     ]
     acts = _restricted_actions(_dense(field, rows, kernel), images)
     return Module(algebra, acts, label=f"syz{i}({module.label or 'M'})")

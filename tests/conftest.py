@@ -64,6 +64,17 @@ def make_algebra(field, names, gen_specs):
     return Algebra(QuotientPresentation(ring, gens))
 
 
+def reference_table(algebra):
+    """The multiplication table from normal forms alone, as Python ints mod
+    p or Fractions: entry [i][r][j] is coordinate r of NF(m_i * m_j), so
+    entry [i] is the matrix of multiplication by staircase monomial m_i,
+    in the layout of ``Algebra.mult_stack``."""
+    pres, ring = algebra.presentation, algebra.ring
+    monos = [ring.monomial(m) for m in algebra.staircase]
+    columns = [[pres.normal_form_coords(ring.mul(a, b)) for b in monos] for a in monos]
+    return [[list(row) for row in zip(*cols)] for cols in columns]
+
+
 def var(algebra, i, power=1):
     """The element x_i^power of the algebra."""
     mono = tuple(power if j == i else 0 for j in range(algebra.nvars))

@@ -184,7 +184,7 @@ def test_sums_exact_at_large_p():
         t_inv = inverse(t)
         if t_inv is not None:
             break
-    m = Module(alg, [t_inv @ a @ t for a in alg.var_action])
+    m = Module(alg, [t_inv @ a @ t for a in alg.actions])
     monos = [m.monomial_action(s).data.tolist() for s in alg.staircase]
     coeffs = [rng.randrange(1, P_MAX) for _ in alg.staircase]
     expected = _int_combination(monos, coeffs, P_MAX)
@@ -207,6 +207,6 @@ def test_sums_exact_at_large_p():
             gens.append({mono: 1, (0, 0, 0, 0, 2): -rng.randrange(P_MAX // 2, P_MAX)})
     alg = make_algebra(field, names, gens)
     coeffs = [rng.randrange(P_MAX // 2, P_MAX) for _ in alg.staircase]
-    mults = [mat.data.tolist() for mat in alg.mult]
+    mults = alg.mult_stack.tolist()
     expected = _int_combination(mults, coeffs, P_MAX)
     assert alg.element_action(alg.element(coeffs)).data.tolist() == expected

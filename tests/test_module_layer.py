@@ -107,10 +107,10 @@ def test_an_unmet_ideal_generator_is_rejected(field):
     k[x,y]/(x^3, y^3, x*y) commutes and kills x^3 and y^3, but not q."""
     alg = _with_cubes(field, _quadric(field))
     rng = random.Random(2)
-    Module(alg, _conjugated(field, list(alg.var_action), rng))
+    Module(alg, _conjugated(field, list(alg.actions), rng))
     other = _with_cubes(field, {(1, 1): 1})
     with pytest.raises(ValueError, match="an ideal generator does not vanish"):
-        Module(alg, _conjugated(field, list(other.var_action), rng))
+        Module(alg, _conjugated(field, list(other.actions), rng))
 
 
 def test_every_constructor_checks_its_representation(ci, monkeypatch):
@@ -152,7 +152,7 @@ def test_hom_matches_the_kronecker_kernel(field):
     dimension 0, and with zero actions."""
     alg = _ci(field)
     rng = random.Random(3)
-    reg = Module(alg, _conjugated(field, list(alg.var_action), rng))
+    reg = Module(alg, _conjugated(field, list(alg.actions), rng))
     k = residue_field_module(alg)
     modules = [
         reg, dual_k(reg), k, direct_sum(k, k), zero_module(alg),

@@ -91,7 +91,7 @@ def _syzygy_reference(res, i):
     alg = res.module.algebra
     basis = kernel_basis(res.differential_matrix(i - 1))
     eye = Matrix.identity(alg.field, res.betti[i - 1])
-    return basis, [_kron(alg.field, eye, va) @ basis for va in alg.var_action]
+    return basis, [_kron(alg.field, eye, va) @ basis for va in alg.actions]
 
 
 def _subs(field, rng, n):

@@ -18,7 +18,6 @@ from ezdlab.module import (
     zero_module,
 )
 from ezdlab.resolution import (
-    _action_stack,
     _block_matrix,
     AtLeast,
     Exactly,
@@ -255,7 +254,7 @@ def test_block_builders_match_loop_reference(field):
     alg = make_algebra(field, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}])
     res = minimal_free_resolution(residue_field_module(alg), 3)
     assert res.betti == [1, 2, 3, 4]
-    mult = np.stack([m.data for m in alg.mult])
+    mult = alg.mult_stack
     others = (dual_k(regular_module(alg)), residue_field_module(alg))
     zero_blocks = 0
     for i in range(1, res.length + 1):
@@ -266,7 +265,7 @@ def test_block_builders_match_loop_reference(field):
         for other in others:
             stack = np.stack([other.monomial_action(m).data for m in alg.staircase])
             for transpose in (False, True):
-                got = _block_matrix(entries, _action_stack(other), field, transpose)
+                got = _block_matrix(entries, other.action_stack(), field, transpose)
                 _check_blocks(got, entries, stack, field, transpose)
     assert zero_blocks > 0
 
@@ -277,7 +276,7 @@ def test_block_matrix_edge_shapes(field, shape):
     """An all-zero entry block, an entry that uses one coordinate, and a
     differential with no columns (b = 0) or no rows."""
     alg = make_algebra(field, ["x"], [{(3,): 1}])
-    mult = np.stack([m.data for m in alg.mult])
+    mult = alg.mult_stack
     rng = np.random.default_rng(5)
     raw = rng.integers(0, 2, size=shape + (alg.dim,))
     if shape == (2, 3):
@@ -298,7 +297,7 @@ def test_block_matrix_zero_dim_target(field):
     block matrix, not a reshape error."""
     alg = make_algebra(field, ["x"], [{(2,): 1}])
     res = minimal_free_resolution(residue_field_module(alg), 2)
-    stack = _action_stack(zero_module(alg))
+    stack = zero_module(alg).action_stack()
     assert stack.shape == (alg.dim, 0, 0)
     entries = res.diff_alg(1)
     assert (entries != 0).any()

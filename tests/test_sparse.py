@@ -25,7 +25,6 @@ from ezdlab.linalg import (
 )
 from ezdlab.module import dual_k, regular_module, residue_field_module, zero_module
 from ezdlab.resolution import (
-    _action_stack,
     _block_matrix,
     _complex_dims,
     _pick_independent,
@@ -152,7 +151,7 @@ def test_rref_solve_and_image_match_reference(field, density):
 
 
 def _complex_dims_reference(res, other, bound, transpose):
-    stack = _action_stack(other)
+    stack = other.action_stack()
     field = other.algebra.field
     top = min(res.length, bound + 1)
     ranks = [0] + [
