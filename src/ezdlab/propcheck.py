@@ -16,18 +16,21 @@ explicit seeds.
 The verifiers state facts about a few objects of one instance: A, R/xR,
 A/xA and A/yA, C and M reduced over them, the class verdicts of M, R/xR
 and M/xM, and the P_C/I_C dimensions of M.  Each is built once, in the
-instance's memo (``Instance.once``), under a key that names its role
-(``("bar", "C", "y")`` is C/yC over A/yA), and lives as long as the
+instance's memo (``Instance.once``), under a key that names what it is
+built from, module objects and the coordinates of pair elements
+(``("bar", C, y.coords)`` is C/yC over A/yA), and lives as long as the
 instance, so a later verifier resumes the resolutions and semidualizing
 certificates an earlier one left on those modules.  Whole membership
 reports are not kept: a class verdict is stored without its Ext/Tor
 tables and natural-map witness, which would hold on to every Hom and
-tensor module behind them.  Base changes go through ``_mod``.  The
-searcher keeps a separate memo per trial (``_search_trial``), and two
-per search keyed by the ideal's reduced Groebner basis, not the text of
-its generators: each ideal builds one algebra, each (ideal, drawn radical
-elements) runs one trial, and a replayed trial's counterexample entries
-print the generators the replaying trial drew.
+tensor module behind them.  Base changes go through ``_mod``.  The open
+question is the body ``open-G``, kept out of ``PROP_VERIFIERS``: a search
+trial runs it on each configuration through ``Instance.share``, so the
+trial has one memo.  Two more live for one search, keyed by the ideal's
+reduced Groebner basis, not the text of its generators: each ideal builds
+one algebra, each (ideal, drawn radical elements) runs one trial, and a
+replayed trial's counterexample entries print the generators the
+replaying trial drew.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ __all__ = [
     "verify_prop_F",
     "verify_lemma_H",
     "verify_prop_G",
+    "verify_open_G",
     "PROP_VERIFIERS",
     "SearchConfig",
     "search_counterexamples",
@@ -121,12 +125,12 @@ class Instance:
     semidualizing candidate C and a test module M.
 
     ``_memo`` holds what the verifiers derive from these fields (the ring
-    as a module, R/xR, the quotients and base changes, slim class verdicts
-    and the P_C/I_C dimensions of M), keyed by role, for as long as the
-    instance lives; whole membership reports are not kept.  The instance
+    as a module, R/xR, the quotients and base changes, exactness reports,
+    slim class verdicts and the P_C/I_C dimensions of M), keyed by what
+    each is built from, for as long as the instance lives.  The instance
     is frozen so that no field changes under a filled memo, and
-    ``dataclasses.replace`` starts a new instance with an empty one.  The
-    searcher does not build instances and keeps its own memo per trial."""
+    ``dataclasses.replace`` starts a new instance with an empty one;
+    ``share`` keeps the memo, as a search trial does for its configurations."""
 
     name: str
     algebra: Algebra
@@ -144,6 +148,17 @@ class Instance:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    def share(self, **changes) -> "Instance":
+        """This instance with other ``x``, ``y``, ``c`` or ``m``, holding the
+        same memo.  No memo key names the algebra or the bound, so no other
+        field may change: that raises ``ValueError``."""
+        fixed = set(changes) - {"x", "y", "c", "m"}
+        if fixed:
+            raise ValueError(f"a shared instance keeps its {', '.join(sorted(fixed))}")
+        twin = replace(self, **changes)
+        object.__setattr__(twin, "_memo", self._memo)
+        return twin
 
     def regular(self) -> Module:
         return self.once("A", lambda: regular_module(self.algebra, label="A"))
@@ -171,10 +186,18 @@ def _require(ok: bool, reason: str):
         raise _Inconclusive(reason)
 
 
+def _ezd(inst: Instance, module: Module):
+    """The report on whether (x, y) is an exact pair on ``module``."""
+    return inst.once(
+        ("ezd", module, inst.x.coords, inst.y.coords),
+        lambda: is_ezd_pair(inst.x, inst.y, module),
+    )
+
+
 def _require_ezd(inst: Instance, module: Module, name: str, listing: bool = False):
     """Gate: (x, y) is an exact pair on ``module``; with ``listing`` the
     reason names the failing checks."""
-    rep = is_ezd_pair(inst.x, inst.y, module)
+    rep = _ezd(inst, module)
     checks = f": {rep.failing_checks()}" if listing else ""
     _require(rep.holds, f"(x,y) not ezd on {name}{checks}")
 
@@ -185,6 +208,9 @@ def _gate_ring_and_c(inst: Instance):
     _require_ezd(inst, inst.c, "C")
     cert = is_semidualizing(inst.c, inst.bound)
     _require(cert.holds, f"C not semidualizing: {cert.failure}")
+
+
+_C_BAR_NOT_SEMIDUALIZING = "C/xC not semidualizing over A/xA"
 
 
 def _require_x_moves(inst: Instance):
@@ -227,39 +253,20 @@ def _verifier(prefix: str):
 # base-change helpers
 
 
-def _bar(module: Module, quotient: Algebra, x: Element) -> Module:
-    """M/xM viewed over A/xA."""
-    return transport_to_quotient(scale_quotient(module, x)[0], quotient, x)
+def _quotient(inst: Instance, module: Module, e: Element) -> Module:
+    """N/eN as an A-module, for N = ``module`` and e a pair element;
+    ``_quotient(inst, inst.regular(), inst.x)`` is R/xR."""
+    return inst.once(("N/eN", module, e.coords), lambda: scale_quotient(module, e)[0])
 
 
-def _role(inst: Instance, r: str) -> str:
-    """The role under which what is derived from ``r`` ("x", "y", "C" or
-    "M") is kept: "x" for a y with the coordinates of x, "R" for a C or M
-    that is the ring itself, else ``r``; so each is built once."""
-    if r == "y" and inst.y.coords == inst.x.coords:
-        return "x"
-    if r in ("C", "M") and getattr(inst, r.lower()) is inst.regular():
-        return "R"
-    return r
-
-
-def _quotient(inst: Instance, r: str, e: str) -> Module:
-    """N/eN as an A-module, for N the module of role ``r`` ("R", "C" or "M")
-    and e the pair element named ``e``; ``_quotient(inst, "R", "x")`` is R/xR."""
-    module = {"R": inst.regular(), "C": inst.c, "M": inst.m}[r]
-    return inst.once(f"{r}/{e}{r}", lambda: scale_quotient(module, getattr(inst, e))[0])
-
-
-def _mod(inst: Instance, e: str, *roles: str) -> tuple:
-    """A/eA for the pair element ``e`` ("x" or "y"), then each module of
-    ``roles`` ("C" or "M") reduced mod e, over it."""
-    e = _role(inst, e)
-    x = getattr(inst, e)
-    abar = inst.once(f"A/{e}A", lambda: quotient_algebra(inst.algebra, x))
-    rs = [_role(inst, r) for r in roles]
+def _mod(inst: Instance, e: Element, *modules: Module) -> tuple:
+    """A/eA for the pair element ``e``, then each of ``modules`` reduced mod
+    e, over it."""
+    abar = inst.once(("A/eA", e.coords), lambda: quotient_algebra(inst.algebra, e))
     return (abar, *(
-        inst.once(("bar", r, e), lambda r=r: transport_to_quotient(_quotient(inst, r, e), abar, x))
-        for r in rs
+        inst.once(("bar", n, e.coords),
+                  lambda n=n: transport_to_quotient(_quotient(inst, n, e), abar, e))
+        for n in modules
     ))
 
 
@@ -268,12 +275,11 @@ def _slim(report):
     return replace(report, tables={}, witness=None)
 
 
-def _member(inst: Instance, kind: str, x_role: str, c_role: str, x: Module, c: Module):
+def _member(inst: Instance, kind: str, x: Module, c: Module):
     """The slim verdict of ``x`` in the class ``kind`` ("G_C", "A_C" or
-    "B_C") of ``c``, keyed by their roles; a C/xC role means the verdict is
-    over A/xA."""
+    "B_C") of ``c``, over the algebra they are modules over."""
     fn = {"G_C": in_G_C, "A_C": in_A_C, "B_C": in_B_C}[kind]
-    return inst.once((kind, x_role, c_role), lambda: _slim(fn(x, c, inst.bound)))
+    return inst.once((kind, x, c), lambda: _slim(fn(x, c, inst.bound)))
 
 
 def _dim(inst: Instance, dim_fn):
@@ -286,7 +292,7 @@ def _dim(inst: Instance, dim_fn):
             return replace(verdict, membership=_slim(verdict.membership))
         return verdict
 
-    return inst.once((dim_fn.__name__, _role(inst, "M"), _role(inst, "C")), build)
+    return inst.once((dim_fn.__name__, inst.m, inst.c), build)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +339,8 @@ def verify_fact_b(inst: Instance):
     _require_ezd(inst, inst.regular(), "the ring")
     m = inst.m
     _require(m.dim != 0, "zero module")
-    cyc = _quotient(inst, "R", "x")
-    i = is_ezd_pair(inst.x, inst.y, m).holds
+    cyc = _quotient(inst, inst.regular(), inst.x)
+    i = _ezd(inst, m).holds
     et = _table_with_fallback(ext, cyc, m, inst.bound)
     tt = _table_with_fallback(tor, cyc, m, inst.bound)
     ii = et.vanishes_above(0)
@@ -363,10 +369,11 @@ def verify_fact_c(inst: Instance):
     _require_ezd(inst, inst.regular(), "the ring")
     m = inst.m
     _require_ezd(inst, m, "M")
-    abar, m_bar = _mod(inst, "x", "M")
+    abar, m_bar = _mod(inst, inst.x, m)
     # test object: the residue field of the quotient
-    n_bar = inst.once("k of A/xA", lambda: residue_field_module(abar))
-    n_up = inst.once("k of A/xA over A", lambda: transport_from_quotient(n_bar, inst.algebra))
+    xc = inst.x.coords
+    n_bar = inst.once(("k of A/eA", xc), lambda: residue_field_module(abar))
+    n_up = inst.once(("k of A/eA over A", xc), lambda: transport_from_quotient(n_bar, inst.algebra))
     bound = min(inst.bound, 6)
     pairs = [
         ("Ext(N,M)", _table_with_fallback(ext, n_up, m, bound),
@@ -395,7 +402,7 @@ def verify_fact_c(inst: Instance):
 
 def _cyclic_member(inst: Instance, kind: str):
     _gate_ring_and_c(inst)
-    rep = _member(inst, kind, "R/xR", _role(inst, "C"), _quotient(inst, "R", "x"), inst.c)
+    rep = _member(inst, kind, _quotient(inst, inst.regular(), inst.x), inst.c)
     if rep.holds:
         return _pass(f"verdict {rep.verdict!r}")
     return _fail(rep.verdict.witness)
@@ -426,8 +433,8 @@ def verify_prop_B(inst: Instance):
     _require_ezd(inst, inst.regular(), "the ring")
     _require_ezd(inst, b, "B")
     over_a = is_semidualizing(b, inst.bound).holds
-    _, bx = _mod(inst, "x", "C")
-    _, by = _mod(inst, "y", "C")
+    _, bx = _mod(inst, inst.x, b)
+    _, by = _mod(inst, inst.y, b)
     sx = is_semidualizing(bx, inst.bound).holds
     sy = is_semidualizing(by, inst.bound).holds
     details = (f"over A: {over_a}; B/xB over A/xA: {sx}; B/yB over A/yA: {sy}",)
@@ -443,8 +450,8 @@ def verify_cor_dualizing(inst: Instance):
     d = inst.c
     _require_ezd(inst, inst.regular(), "the ring")
     _require_ezd(inst, d, "D")
-    _, dx = _mod(inst, "x", "C")
-    _, dy = _mod(inst, "y", "C")
+    _, dx = _mod(inst, inst.x, d)
+    _, dy = _mod(inst, inst.y, d)
     _require(is_semidualizing(dx, inst.bound).holds, "D/xD not semidualizing over A/xA")
     idx = id_bounded(dx, inst.bound)
     _require(idx == Exactly(0), f"D/xD not injective over A/xA: id = {idx!r}")
@@ -469,13 +476,13 @@ def verify_cor_K(inst: Instance, which: str):
     m = inst.m
     _require(m.element_action(inst.x).is_zero(), "M is not killed by x")
     _require(m.dim != 0, "zero module")
-    abar, c_bar = _mod(inst, "x", "C")
-    m_bar = inst.once("M over A/xA", lambda: transport_to_quotient(m, abar, inst.x))
-    _require(is_semidualizing(c_bar, inst.bound).holds, "C/xC not semidualizing over A/xA")
+    abar, c_bar = _mod(inst, inst.x, inst.c)
+    m_bar = inst.once(("over A/eA", m, inst.x.coords),
+                      lambda: transport_to_quotient(m, abar, inst.x))
+    _require(is_semidualizing(c_bar, inst.bound).holds, _C_BAR_NOT_SEMIDUALIZING)
     kind = {"i": "G_C", "ii": "A_C", "iii": "B_C"}[which]
-    rm, rc = _role(inst, "M"), _role(inst, "C")
-    over_a = _member(inst, kind, rm, rc, m, inst.c)
-    over_bar = _member(inst, kind, "M over A/xA", f"{rc}/x{rc}", m_bar, c_bar)
+    over_a = _member(inst, kind, m, inst.c)
+    over_bar = _member(inst, kind, m_bar, c_bar)
     details = (f"over A: {over_a.verdict!r}; over A/xA: {over_bar.verdict!r}",)
     if over_a.holds != over_bar.holds:
         return _fail("membership verdicts disagree across base change", *details)
@@ -490,17 +497,16 @@ def verify_prop_D(inst: Instance, which: str):
     m = inst.m
     _require_ezd(inst, m, "M")
     kind = {"i": "A_C", "ii": "B_C", "iii": "G_C"}[which]
-    _, cx, mx = _mod(inst, "x", "C", "M")
-    _, cy, my = _mod(inst, "y", "C", "M")
+    _, cx, mx = _mod(inst, inst.x, inst.c, m)
+    _, cy, my = _mod(inst, inst.y, inst.c, m)
     _require(
         is_semidualizing(cx, inst.bound).holds and is_semidualizing(cy, inst.bound).holds,
         "C does not stay semidualizing over the quotients",
     )
-    rm, rc, ey = _role(inst, "M"), _role(inst, "C"), _role(inst, "y")
-    hx = _member(inst, kind, f"{rm}/x{rm}", f"{rc}/x{rc}", mx, cx)
-    hy = _member(inst, kind, f"{rm}/{ey}{rm}", f"{rc}/{ey}{rc}", my, cy)
+    hx = _member(inst, kind, mx, cx)
+    hy = _member(inst, kind, my, cy)
     _require(hx.holds and hy.holds, f"hypothesis fails over A/{'y' if hx.holds else 'x'}A")
-    concl = _member(inst, kind, rm, rc, m, inst.c)
+    concl = _member(inst, kind, m, inst.c)
     if concl.holds:
         return _pass(f"conclusion verdict {concl.verdict!r}")
     return _fail(concl.verdict.witness)
@@ -515,16 +521,14 @@ def verify_prop_J(inst: Instance, which: str):
     m = inst.m
     _require_ezd(inst, m, "M")
     kind = {"i": "G_C", "ii": "B_C", "iii": "A_C"}[which]
-    rm, rc = _role(inst, "M"), _role(inst, "C")
-    _require(_member(inst, kind, rm, rc, m, inst.c).holds, "M not verified in the class")
+    _require(_member(inst, kind, m, inst.c).holds, "M not verified in the class")
     if which == "i":
         aux = hom_module(m, inst.c)
     elif which == "ii":
         aux = hom_module(inst.c, m)
     else:
         aux = tensor_module(inst.c, m)
-    mx = _quotient(inst, rm, "x")
-    left = _member(inst, kind, f"{rm}/x{rm}", rc, mx, inst.c).holds
+    left = _member(inst, kind, _quotient(inst, m, inst.x), inst.c).holds
     right = is_ezd_pair(inst.x, inst.y, aux).holds
     details = (f"M/xM in class: {left}; (x,y) ezd on auxiliary: {right}",)
     if left != right:
@@ -559,15 +563,15 @@ def verify_prop_E(inst: Instance, mode: str = "pc"):
     _require_x_moves(inst)
     m = inst.m
     gen = inst.c if mode == "pc" else inst.once(
-        ("I_C", "A"), lambda: hom_module(inst.c, dual_k(inst.regular()))
+        ("I_C", inst.c), lambda: hom_module(inst.c, dual_k(inst.regular()))
     )
     r = _pc_member_rank(m, gen, inst.seed)
     _require(r is not None, f"M not recognized in the class (generator dim {gen.dim})")
-    if not is_ezd_pair(inst.x, inst.y, m).holds:
+    if not _ezd(inst, m).holds:
         return _fail("(x,y) fails to be ezd on M")
-    abar, m_bar, c_bar = _mod(inst, "x", "M", "C")
+    abar, m_bar, c_bar = _mod(inst, inst.x, m, inst.c)
     gen_bar = c_bar if mode == "pc" else inst.once(
-        ("I_C", "A/xA"), lambda: hom_module(c_bar, dual_k(regular_module(abar)))
+        ("I_C", c_bar), lambda: hom_module(c_bar, dual_k(regular_module(abar)))
     )
     rq = _pc_member_rank(m_bar, gen_bar, inst.seed)
     if rq is None:
@@ -584,7 +588,7 @@ def verify_prop_F(inst: Instance, mode: str = "pc"):
     m = inst.m
     verdict = _dim(inst, pc_pd if mode == "pc" else ic_id)
     _require(isinstance(verdict, Exactly), f"dimension not verified finite: {verdict!r}")
-    if is_ezd_pair(inst.x, inst.y, m).holds:
+    if _ezd(inst, m).holds:
         return _pass(f"dimension {verdict!r}")
     return _fail(f"dimension {verdict!r} finite but pair not ezd on M")
 
@@ -598,7 +602,7 @@ def verify_lemma_H(inst: Instance, part: str = "i"):
     _require(m.dim != 0, "zero module")
     verdict = _dim(inst, ic_id if part == "iii" else pc_pd)
     _require(verdict == Exactly(0), f"dimension is {verdict!r}, lemma exercised at n = 0")
-    cyc = _quotient(inst, "R", "x")
+    cyc = _quotient(inst, inst.regular(), inst.x)
     if part == "iii":
         table = _table_with_fallback(ext, cyc, m, inst.bound)
         name = "Ext(R/xR, M)"
@@ -623,8 +627,8 @@ def verify_prop_G(inst: Instance, part: str = "i"):
     _require(isinstance(verdict, Exactly), f"dimension not verified finite: {verdict!r}")
     if verdict.value != 0:
         return _fail(f"artinian collapse violated: finite nonzero dimension {verdict!r}")
-    _, m_bar, c_bar = _mod(inst, "x", "M", "C")
-    _require(is_semidualizing(c_bar, inst.bound).holds, "C/xC not semidualizing over A/xA")
+    _, m_bar, c_bar = _mod(inst, inst.x, m, inst.c)
+    _require(is_semidualizing(c_bar, inst.bound).holds, _C_BAR_NOT_SEMIDUALIZING)
     verdict_bar = dim_fn(m_bar, c_bar, inst.bound)
     if not isinstance(verdict_bar, Exactly):
         return _fail(f"quotient dimension not finite: {verdict_bar!r}")
@@ -830,12 +834,30 @@ class SearchConfig:
     bound: int = 4
 
 
+@_verifier("open-G")
+def verify_open_G(inst: Instance):
+    """The open question: M in G_C with (x,y) ezd on A, C and M; is M/xM
+    in G_{C/xC} over A/xA?  A fail is a counterexample."""
+    _gate_ring_and_c(inst)
+    _require_ezd(inst, inst.m, "M")
+    _require(_member(inst, "G_C", inst.m, inst.c).holds, "M not in G_C")
+    _, c_bar, m_bar = _mod(inst, inst.x, inst.c, inst.m)
+    _require(is_semidualizing(c_bar, inst.bound).holds, _C_BAR_NOT_SEMIDUALIZING)
+    concl = _member(inst, "G_C", m_bar, c_bar)
+    if isinstance(concl.verdict, Fails):
+        return _fail(concl.verdict.witness)
+    return _pass(f"verdict {concl.verdict!r}")
+
+
 def _search_trial(algebra: Algebra, elems: list, bound: int):
     """One search trial on `algebra` with the radical elements `elems` drawn
     for it: returns (ring_pairs, fully_gated, budget_skips, counterexamples).
 
-    The result depends on nothing but the algebra, the elements and the
-    bound, which is what lets the searcher replay it."""
+    Every configuration runs ``open-G`` on an instance sharing the trial's
+    memo.  A configuration is fully gated once M passes the G_C gate, and a
+    budget stop skips the rest of its (pair, C).  The result depends on
+    nothing but the algebra, the elements and the bound, which is what lets
+    the searcher replay it."""
     reg = regular_module(algebra, label="A")
     pairs = _ezd_pairs(reg, elems, limit=3)
     if not pairs:
@@ -844,63 +866,24 @@ def _search_trial(algebra: Algebra, elems: list, bound: int):
     counterexamples: list = []
     dual = dual_k(reg, label="dual")
     c_candidates = [("A", reg), ("dual_k(A)", dual)]
-    # Base changes and G_C verdicts repeat across the pairs of a trial:
-    # each is built once, keyed by candidate names and the coordinate
-    # bytes of x and y.  Only results are stored, so a computation that
-    # raises runs (and raises) again wherever it is needed.
-    memo: dict = {}
-
-    def once(key, build):
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
-
+    ideal = algebra.presentation.ideal_generators
+    base = Instance("search", algebra, *pairs[0], reg, reg, bound)
+    base.once("A", lambda: reg)
     for x, y in pairs:
-        xb, yb = x.coords.data.tobytes(), y.coords.data.tobytes()
-        quot_y = once(("A/yA", yb), lambda: scale_quotient(reg, y)[0])
-        m_candidates = [
-            ("A", "A", reg),
-            ("dual_k(A)", "dual_k(A)", dual),
-            ("A/yA", ("A/yA", yb), quot_y),
-        ]
+        m_candidates = c_candidates + [("A/yA", _quotient(base, reg, y))]
         for c_name, c in c_candidates:
             try:
-                if not is_ezd_pair(x, y, c).holds:
-                    continue
-                if not is_semidualizing(c, bound).holds:
-                    continue
-                for m_name, m_key, m in m_candidates:
-                    if not is_ezd_pair(x, y, m).holds:
-                        continue
-                    if not once(
-                        ("G_C", m_key, c_name),
-                        lambda: in_G_C(m, c, bound).holds,
-                    ):
-                        continue
-                    fully_gated += 1
-                    abar = once(("A/xA", xb), lambda: quotient_algebra(algebra, x))
-                    m_bar = once(("bar", m_key, xb), lambda: _bar(m, abar, x))
-                    c_bar = once(("bar", c_name, xb), lambda: _bar(c, abar, x))
-                    if not is_semidualizing(c_bar, bound).holds:
-                        continue
-                    concl = once(
-                        ("G_C", m_key, c_name, xb),
-                        lambda: in_G_C(m_bar, c_bar, bound),
-                    )
-                    if isinstance(concl.verdict, Fails):
-                        counterexamples.append(
-                            {
-                                "ideal": [
-                                    algebra.ring.format_poly(g)
-                                    for g in algebra.presentation.ideal_generators
-                                ],
-                                "x": repr(x),
-                                "y": repr(y),
-                                "C": c_name,
-                                "M": m_name,
-                                "witness": concl.verdict.witness,
-                            }
-                        )
+                for m_name, m in m_candidates:
+                    result = verify_open_G(base.share(x=x, y=y, c=c, m=m))
+                    status, reason = result.status, result.witness
+                    if status != "inconclusive" or reason == _C_BAR_NOT_SEMIDUALIZING:
+                        fully_gated += 1
+                    if status == "fail":
+                        counterexamples.append({
+                            "ideal": [algebra.ring.format_poly(g) for g in ideal],
+                            "x": repr(x), "y": repr(y), "C": c_name, "M": m_name,
+                            "witness": reason,
+                        })
             except (ResolutionBudgetExceeded, PairBudgetExceeded):
                 budget_skips += 1
     return len(pairs), fully_gated, budget_skips, counterexamples

@@ -156,8 +156,8 @@ def _id_calls(tree):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_identity_keys(path):
     """No code calls ``id``: an ``id()`` key outlives its object and can be
-    reused by a new one, so memos are keyed by role or by coordinates
-    (``Instance.once``, the search's per-trial memo)."""
+    reused by a new one, so memos hold the objects and coordinates their
+    entries are built from in their keys (``Instance.once``)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _id_calls(tree)
     assert not lines, f"{path.name} calls id() on lines {lines}"

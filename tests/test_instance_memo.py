@@ -1,6 +1,7 @@
 """The per-instance memo of the paper verifiers: results do not depend on
-the order the verifiers run in, a replaced instance starts empty, and one
-pass builds each base change once.
+the order the verifiers run in, a replaced instance starts empty, a shared
+one gives the results of a fresh one, and one pass builds each base change
+once.
 
 The memo keeps resolutions between verifiers.  A resolution resumed past
 the smaller of ``ROUTE_BUDGETS`` makes ``ensure`` raise at once, which can
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ezdlab import classes, propcheck
-from ezdlab.module import direct_sum, free_module
+from ezdlab.module import direct_sum, dual_k, free_module, residue_field_module
 from ezdlab.propcheck import PROP_VERIFIERS, load_corpus, verify_prop_B
 
 GOLDEN = Path(__file__).with_name("verifier_goldens.json")
@@ -44,7 +45,7 @@ def test_replaced_instance_starts_with_an_empty_memo():
     inst = next(i for i in load_corpus(bound=10) if i.name == "sprime_omega")
     first = verify_prop_B(inst)
     assert first.status == "pass" and "over A: True" in first.details[0]
-    assert ("bar", "C", "x") in inst._memo
+    assert ("bar", inst.c, inst.x.coords) in inst._memo
     reg = inst.regular()
     forged = dataclasses.replace(inst, c=direct_sum(reg, reg))
     assert forged._memo == {}
@@ -53,6 +54,35 @@ def test_replaced_instance_starts_with_an_empty_memo():
     assert "over A: False" in second.details[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.c = forged.c
+
+
+def _results(inst):
+    return [(r.status, r.witness, r.details) for r in (v(inst) for v in PROP_VERIFIERS.values())]
+
+
+def test_shared_memo_gives_the_results_of_a_fresh_instance():
+    """Memo keys name the modules and pair coordinates an entry is built
+    from, so an instance that shares a filled memo with another M gives
+    every verifier the result a fresh instance gives.  The algebra and the
+    bound are in no key, so they cannot change under a shared memo."""
+    instances = load_corpus(bound=10)
+    for inst in instances:
+        _results(inst)
+        assert [key for key in inst._memo if isinstance(key, str)] == ["A"], inst.name
+    for inst in instances:
+        reg = inst.regular()
+        others = {
+            "R/xR": propcheck._quotient(inst, reg, inst.x),
+            "k": residue_field_module(inst.algebra),
+            "dual_k(A)": dual_k(reg),
+        }
+        for name, m in others.items():
+            shared = _results(inst.share(m=m))
+            assert shared == _results(dataclasses.replace(inst, m=m)), (inst.name, name)
+        with pytest.raises(ValueError):
+            inst.share(algebra=instances[0].algebra)
+        with pytest.raises(ValueError):
+            inst.share(bound=4)
 
 
 def test_one_pass_builds_each_base_change_once(monkeypatch):

@@ -126,6 +126,24 @@ def test_search_seed7_counts(counted_search):
     assert report["counterexamples"] == []
 
 
+def test_budget_stop_skips_the_rest_of_its_pair_and_c(monkeypatch):
+    """A budget stop is counted once per (pair, C) and skips that pair's
+    remaining M: with every G_C check of the k-dual stopping, each of the
+    170 pairs gates only M = A, once for each C."""
+    real_in_G_C = propcheck.in_G_C
+
+    def stopping(m, c, bound):
+        if m.label == "dual":
+            raise resolution.ResolutionBudgetExceeded("planted")
+        return real_in_G_C(m, c, bound)
+
+    monkeypatch.setattr(propcheck, "in_G_C", stopping)
+    report = search_counterexamples(SearchConfig(seed=7, trials=100))
+    assert report["ring_pairs"] == 170
+    assert report["fully_gated"] == 340
+    assert report["budget_skips"] == 340
+
+
 def _basis_key(pres):
     """The search's algebra key: variable names and reduced Groebner basis."""
     return tuple(pres.ring.names), tuple(pres.ring.format_poly(g) for g in pres.groebner)
