@@ -2,7 +2,10 @@
 G_C / A_C / B_C, proper C-projective resolutions and the relative
 homological dimensions they define.
 
-Every predicate takes and echoes a truncation bound.  A verdict is
+The three class predicates are one test (``_membership``): C passes its
+semidualizing certificate, a natural map (delta for G_C, gamma for A_C,
+xi for B_C) is an isomorphism, and two Ext/Tor tables vanish in positive
+degrees.  Every predicate takes and echoes a truncation bound.  A verdict is
 CertifiedAll only when the underlying Ext/Tor computations carry a
 finiteness certificate (a terminating resolution); otherwise bounded
 vanishing is reported as HoldsUpTo(bound).
@@ -216,6 +219,20 @@ def _verdict(tables: dict, bound: int):
     return HoldsUpTo(min((t.bound for t in tables.values()), default=bound))
 
 
+def _membership(kind: str, x: Module, c: Module, bound: int,
+                natural_map, failure: str, tables) -> ClassMembershipReport:
+    """The one test behind the three classes: C is certified, the natural
+    map ``natural_map(x, c)`` is an isomorphism (else ``Fails(failure)``),
+    and the two tables that ``tables(map)`` names as (name, ext or tor, a,
+    b), built in that order, vanish in positive degrees."""
+    _require_semidualizing(c, bound)
+    f = natural_map(x, c)
+    if not f.is_isomorphism():
+        return ClassMembershipReport(kind, Fails(failure), False, f, {}, bound)
+    built = {name: _table_with_fallback(fn, a, b, bound) for name, fn, a, b in tables(f)}
+    return ClassMembershipReport(kind, _verdict(built, bound), True, f, built, bound)
+
+
 def biduality_map(x: Module, c: Module) -> Morphism:
     """delta: X -> Hom(Hom(X, C), C), evaluation at x."""
     h1 = hom_module(x, c)
@@ -229,21 +246,11 @@ def biduality_map(x: Module, c: Module) -> Morphism:
 
 def in_G_C(x: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Totally C-reflexive: biduality iso, Ext^{>0}(X,C) = 0 = Ext^{>0}(Hom(X,C),C)."""
-    _require_semidualizing(c, bound)
-    delta = biduality_map(x, c)
-    if not delta.is_isomorphism():
-        return ClassMembershipReport(
-            "G_C", Fails("biduality map delta is not an isomorphism"),
-            False, delta, {}, bound,
-        )
-    xdag = delta.target.hom_source  # delta's target is Hom(Hom(X,C),C)
-    tables = {
-        "Ext(X,C)": _table_with_fallback(ext, x, c, bound),
-        "Ext(Hom(X,C),C)": _table_with_fallback(ext, xdag, c, bound),
-    }
-    return ClassMembershipReport(
-        "G_C", _verdict(tables, bound), True, delta, tables, bound
-    )
+    # delta's target is Hom(Hom(X,C),C)
+    return _membership("G_C", x, c, bound, biduality_map,
+                       "biduality map delta is not an isomorphism",
+                       lambda delta: (("Ext(X,C)", ext, x, c),
+                                      ("Ext(Hom(X,C),C)", ext, delta.target.hom_source, c)))
 
 
 def gamma_map(m: Module, c: Module) -> Morphism:
@@ -258,21 +265,11 @@ def gamma_map(m: Module, c: Module) -> Morphism:
 
 def in_A_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Auslander class: gamma iso, Tor_{>0}(C,M) = 0 = Ext^{>0}(C, C(x)M)."""
-    _require_semidualizing(c, bound)
-    gamma = gamma_map(m, c)
-    if not gamma.is_isomorphism():
-        return ClassMembershipReport(
-            "A_C", Fails("natural map gamma is not an isomorphism"),
-            False, gamma, {}, bound,
-        )
-    cm = gamma.target.hom_target  # gamma's target is Hom(C, C(x)M)
-    tables = {
-        "Tor(C,M)": _table_with_fallback(tor, c, m, bound),
-        "Ext(C,C(x)M)": _table_with_fallback(ext, c, cm, bound),
-    }
-    return ClassMembershipReport(
-        "A_C", _verdict(tables, bound), True, gamma, tables, bound
-    )
+    # gamma's target is Hom(C, C(x)M)
+    return _membership("A_C", m, c, bound, gamma_map,
+                       "natural map gamma is not an isomorphism",
+                       lambda gamma: (("Tor(C,M)", tor, c, m),
+                                      ("Ext(C,C(x)M)", ext, c, gamma.target.hom_target)))
 
 
 def xi_map(m: Module, c: Module) -> Morphism:
@@ -290,21 +287,11 @@ def xi_map(m: Module, c: Module) -> Morphism:
 
 def in_B_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Bass class: xi iso, Ext^{>0}(C,M) = 0 = Tor_{>0}(C, Hom(C,M))."""
-    _require_semidualizing(c, bound)
-    xi = xi_map(m, c)
-    if not xi.is_isomorphism():
-        return ClassMembershipReport(
-            "B_C", Fails("natural map xi is not an isomorphism"),
-            False, xi, {}, bound,
-        )
-    h = xi.source.right  # xi's source is C (x) Hom(C, M)
-    tables = {
-        "Ext(C,M)": _table_with_fallback(ext, c, m, bound),
-        "Tor(C,Hom(C,M))": _table_with_fallback(tor, c, h, bound),
-    }
-    return ClassMembershipReport(
-        "B_C", _verdict(tables, bound), True, xi, tables, bound
-    )
+    # xi's source is C (x) Hom(C, M)
+    return _membership("B_C", m, c, bound, xi_map,
+                       "natural map xi is not an isomorphism",
+                       lambda xi: (("Ext(C,M)", ext, c, m),
+                                   ("Tor(C,Hom(C,M))", tor, c, xi.source.right)))
 
 
 # ---------------------------------------------------------------------------

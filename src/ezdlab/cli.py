@@ -26,7 +26,6 @@ from typing import Optional
 from . import dsl
 from .classes import (
     NEG_INF,
-    NotSemidualizingError,
     ic_id,
     in_A_C,
     in_B_C,
@@ -155,16 +154,13 @@ def _module_from_expr(env, flag: str, text: str) -> Module:
 
 
 def _timed(report: Report, id: str, fn):
-    """(fn(), wall millis), or None once a budget stop or a C that is not
-    semidualizing has been reported as ``id``'s entry."""
+    """(fn(), wall millis), or None once a stop in ``dsl.STOPS`` has been
+    reported as ``id``'s entry."""
     t0 = time.monotonic()
     try:
         out = fn()
-    except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
-        report.add(id, "budget", witness=str(exc))
-        return None
-    except NotSemidualizingError as exc:
-        report.add(id, "fail", witness=f"C is not semidualizing: {exc}")
+    except dsl.STOPS as exc:
+        report.add(id, *dsl.stop_status(exc))
         return None
     return out, int((time.monotonic() - t0) * 1000)
 
@@ -271,15 +267,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify_paper(args) -> int:
     report = Report("verify-paper", args.seed, args.bound)
+    if args.prop and args.prop not in PROP_VERIFIERS:
+        raise UsageError(f"unknown property id {args.prop!r}; "
+                         f"known: {', '.join(sorted(PROP_VERIFIERS))}")
     prop_ids = [args.prop] if args.prop else sorted(PROP_VERIFIERS)
-    unknown = [p for p in prop_ids if p not in PROP_VERIFIERS]
-    if unknown:
-        print(
-            f"error: unknown property id {unknown[0]!r}; "
-            f"known: {', '.join(sorted(PROP_VERIFIERS))}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     instances = load_corpus(bound=args.bound)
     for pid in prop_ids:
         verifier = PROP_VERIFIERS[pid]

@@ -65,18 +65,7 @@ __all__ = [
     "run_script",
 ]
 
-CHECK_NAMES = (
-    "ezd",
-    "semidualizing",
-    "in_gc",
-    "in_ac",
-    "in_bc",
-    "isomorphic",
-    "not_isomorphic",
-    "dim",
-)
-
-# arguments each check takes
+# the checks, with the arguments each takes
 CHECK_ARITY = {
     "ezd": 3,
     "semidualizing": 1,
@@ -452,7 +441,7 @@ class _Parser:
     def check_stmt(self) -> CheckStmt:
         self.expect("name", "check")
         tok = self.expect("name")
-        if tok.value not in CHECK_NAMES:
+        if tok.value not in CHECK_ARITY:
             self.error(f"unknown check {tok.value!r}", tok)
         name = tok.value
         self.expect("sym", "(")
@@ -707,6 +696,17 @@ def _table_dict(tables: dict) -> dict:
     }
 
 
+# the exceptions that stop a check short of a verdict
+STOPS = (ResolutionBudgetExceeded, PairBudgetExceeded, NotSemidualizingError)
+
+
+def stop_status(exc: Exception) -> tuple:
+    """(status, witness) of a check stopped by one of ``STOPS``."""
+    if isinstance(exc, NotSemidualizingError):
+        return "fail", f"C is not semidualizing: {exc}"
+    return "budget", str(exc)
+
+
 def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> CheckResult:
     bound = stmt.bound if stmt.bound is not None else default_bound
     label = f"{stmt.name}({', '.join(_format_module_expr(a) for a in stmt.args)})"
@@ -769,10 +769,8 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> Che
                 return done("pass")
             return done("fail", witness=f"dim = {m.dim}, expected {expected}")
         raise ValueError(f"unknown check {stmt.name!r}")
-    except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
-        return done("budget", witness=str(exc))
-    except NotSemidualizingError as exc:
-        return done("fail", witness=f"C is not semidualizing: {exc}")
+    except STOPS as exc:
+        return done(*stop_status(exc))
 
 
 def run_script(

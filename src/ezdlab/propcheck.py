@@ -236,7 +236,6 @@ def _verifier(prefix: str):
     def wrap(body):
         @functools.wraps(body)
         def verify(inst: Instance, *part) -> VerificationResult:
-            part = part or body.__defaults__ or ()
             pid = "-".join((prefix, *part))
             try:
                 status, witness, details = body(inst, *part)
@@ -556,7 +555,7 @@ def _pc_member_rank(m: Module, c: Module, seed: int) -> Optional[int]:
 
 
 @_verifier("prop-E")
-def verify_prop_E(inst: Instance, mode: str = "pc"):
+def verify_prop_E(inst: Instance, mode: str):
     """If M is in P_C (mode pc) or I_C (mode ic) and x acts neither as zero
     nor onto, then (x,y) is ezd on M and M/xM lands in the quotient class."""
     _gate_ring_and_c(inst)
@@ -580,7 +579,7 @@ def verify_prop_E(inst: Instance, mode: str = "pc"):
 
 
 @_verifier("prop-F")
-def verify_prop_F(inst: Instance, mode: str = "pc"):
+def verify_prop_F(inst: Instance, mode: str):
     """Finite P_C-pd (or I_C-id) with x acting neither zero nor onto
     forces (x,y) ezd on M."""
     _gate_ring_and_c(inst)
@@ -594,7 +593,7 @@ def verify_prop_F(inst: Instance, mode: str = "pc"):
 
 
 @_verifier("lemma-H")
-def verify_lemma_H(inst: Instance, part: str = "i"):
+def verify_lemma_H(inst: Instance, part: str):
     """Dimension 0 in the relative class forces Tor (parts i, ii) or Ext
     (part iii) against R/xR to vanish above 0."""
     _gate_ring_and_c(inst)
@@ -615,7 +614,7 @@ def verify_lemma_H(inst: Instance, part: str = "i"):
 
 
 @_verifier("prop-G")
-def verify_prop_G(inst: Instance, part: str = "i"):
+def verify_prop_G(inst: Instance, part: str):
     """Finite relative dimension descends to the quotient with equality in
     the local finite case.  Over these artinian algebras finite values are
     0, so the statement is exercised at 0 (the collapse is asserted)."""
@@ -954,29 +953,28 @@ def search_counterexamples(config: SearchConfig) -> dict:
 # registry for the CLI
 
 
+def _with_part(verifier, part: tuple):
+    """``verifier`` with its part fixed, as a function of the instance."""
+    return lambda inst: verifier(inst, *part)
+
+
 PROP_VERIFIERS: dict = {
-    "fact-a": verify_fact_a,
-    "fact-b": verify_fact_b,
-    "fact-c": verify_fact_c,
-    "A": verify_prop_A,
-    "B": verify_prop_B,
-    "C": verify_prop_C,
-    "dualizing": verify_cor_dualizing,
-    "K-i": lambda inst: verify_cor_K(inst, "i"),
-    "K-ii": lambda inst: verify_cor_K(inst, "ii"),
-    "K-iii": lambda inst: verify_cor_K(inst, "iii"),
-    "D-i": lambda inst: verify_prop_D(inst, "i"),
-    "D-ii": lambda inst: verify_prop_D(inst, "ii"),
-    "D-iii": lambda inst: verify_prop_D(inst, "iii"),
-    "J-i": lambda inst: verify_prop_J(inst, "i"),
-    "J-ii": lambda inst: verify_prop_J(inst, "ii"),
-    "J-iii": lambda inst: verify_prop_J(inst, "iii"),
-    "E-pc": lambda inst: verify_prop_E(inst, "pc"),
-    "E-ic": lambda inst: verify_prop_E(inst, "ic"),
-    "F-pc": lambda inst: verify_prop_F(inst, "pc"),
-    "F-ic": lambda inst: verify_prop_F(inst, "ic"),
-    "H-i": lambda inst: verify_lemma_H(inst, "i"),
-    "H-iii": lambda inst: verify_lemma_H(inst, "iii"),
-    "G-i": lambda inst: verify_prop_G(inst, "i"),
-    "G-iii": lambda inst: verify_prop_G(inst, "iii"),
+    "-".join((key, *part)): _with_part(verifier, part)
+    for key, verifier, parts in (
+        ("fact-a", verify_fact_a, ()),
+        ("fact-b", verify_fact_b, ()),
+        ("fact-c", verify_fact_c, ()),
+        ("A", verify_prop_A, ()),
+        ("B", verify_prop_B, ()),
+        ("C", verify_prop_C, ()),
+        ("dualizing", verify_cor_dualizing, ()),
+        ("K", verify_cor_K, ("i", "ii", "iii")),
+        ("D", verify_prop_D, ("i", "ii", "iii")),
+        ("J", verify_prop_J, ("i", "ii", "iii")),
+        ("E", verify_prop_E, ("pc", "ic")),
+        ("F", verify_prop_F, ("pc", "ic")),
+        ("H", verify_lemma_H, ("i", "iii")),
+        ("G", verify_prop_G, ("i", "iii")),
+    )
+    for part in [(p,) for p in parts] or [()]
 }

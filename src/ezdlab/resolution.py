@@ -19,12 +19,12 @@ step allocates a dense array the size of d_i.  The dimension budget still
 counts free-module dimensions, not stored entries: counting entries would
 change which Ext/Tor route fits its budget.
 
-Ext and Tor each have two routes: through a free resolution of the first
-argument, and through a free resolution of the k-dual of the other side
-(over a finite-dimensional algebra, k-duality turns injective
-coresolutions into projective resolutions).  Routes are tried with an
-escalating size budget, so a module whose Betti numbers explode falls
-back to the dual route instead of stalling.
+Ext and Tor each have two routes.  Ext resolves its first argument or the
+k-dual of its second (over a finite-dimensional algebra, k-duality turns
+injective coresolutions into projective resolutions); Tor resolves either
+argument.  Both run through one escalation (``_escalate``): both routes at
+the smaller size budget, then both at the larger, so a module whose Betti
+numbers explode falls back to the other route instead of stalling.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .linalg import (
     _sparse_lines,
     _sparse_rank,
 )
-from .module import Iso, Module, _restricted_actions, dual_k, free_module, is_isomorphic
+from .module import Iso, Module, _restricted_actions, dual_k, is_isomorphic
 
 __all__ = [
     "ResolutionBudgetExceeded",
@@ -276,12 +276,6 @@ class FreeResolution:
         array; [t, j] holds the staircase coordinates of entry (t, j)."""
         return self._state.diff_alg[i]
 
-    def free_rank(self, i: int) -> int:
-        return self.betti[i] if i < len(self.betti) else 0
-
-    def free_module(self, i: int) -> Module:
-        return free_module(self.module.algebra, self.free_rank(i))
-
 
 def minimal_free_resolution(
     module: Module, bound: int, max_total_dim: int = DEFAULT_RESOLUTION_BUDGET
@@ -352,51 +346,41 @@ def ext(m: Module, n: Module, bound: int, route: Optional[str] = None) -> ExtTab
     Route "projective" resolves M; route "injective" resolves dual_k(N)
     and uses Ext^i(M, N) = Tor_i(dual_k(N), M).  Default: escalate.
     """
-    if m.algebra != n.algebra:
-        raise ValueError("Ext requires modules over the same algebra")
-    attempts = _route_plan(route, ("projective", "injective"))
-    last_err = None
-    dn = None  # built on the first injective attempt; a retry resumes its state
-    for rt, budget in attempts:
-        try:
-            if rt == "projective":
-                res = minimal_free_resolution(m, bound + 1, budget)
-                dims = _complex_dims(res, n, bound, transpose=True)
-            else:
-                if dn is None:
-                    dn = dual_k(n)
-                res = minimal_free_resolution(dn, bound + 1, budget)
-                dims = _complex_dims(res, m, bound, transpose=False)
-            return ExtTable(dims, bound, res.terminated, rt)
-        except ResolutionBudgetExceeded as e:
-            last_err = e
-    raise last_err
+    routes = {"projective": (lambda: m, n, True), "injective": (lambda: dual_k(n), m, False)}
+    return _escalate("Ext", m, n, bound, route, routes)
 
 
 def tor(m: Module, n: Module, bound: int, route: Optional[str] = None) -> TorTable:
     """dim_k Tor_i(M, N) for 0 <= i <= bound; resolves M or N, whichever fits."""
+    routes = {"left": (lambda: m, n, False), "right": (lambda: n, m, False)}
+    return _escalate("Tor", m, n, bound, route, routes)
+
+
+def _escalate(name: str, m: Module, n: Module, bound: int, route, routes: dict) -> ExtTable:
+    """The table of the first route that fits its budget: every route at
+    each of ``ROUTE_BUDGETS`` in turn, or only ``route`` at the largest.
+    ``routes`` maps a route to (the module it resolves, made on its first
+    attempt; the other module; whether the complex is Hom rather than
+    tensor).  A retry resumes the resolution its module keeps."""
     if m.algebra != n.algebra:
-        raise ValueError("Tor requires modules over the same algebra")
-    attempts = _route_plan(route, ("left", "right"))
+        raise ValueError(f"{name} requires modules over the same algebra")
+    names = [route] if route is not None else list(routes)
+    budgets = ROUTE_BUDGETS[-1:] if route is not None else ROUTE_BUDGETS
+    resolved: dict = {}
     last_err = None
-    for rt, budget in attempts:
-        try:
-            if rt == "left":
-                res = minimal_free_resolution(m, bound + 1, budget)
-                dims = _complex_dims(res, n, bound, transpose=False)
-            else:
-                res = minimal_free_resolution(n, bound + 1, budget)
-                dims = _complex_dims(res, m, bound, transpose=False)
-            return TorTable(dims, bound, res.terminated, rt)
-        except ResolutionBudgetExceeded as e:
-            last_err = e
+    for budget in budgets:
+        for rt in names:
+            make, other, transpose = routes[rt]
+            if rt not in resolved:
+                resolved[rt] = make()
+            try:
+                res = minimal_free_resolution(resolved[rt], bound + 1, budget)
+            except ResolutionBudgetExceeded as e:
+                last_err = e
+                continue
+            dims = _complex_dims(res, other, bound, transpose)
+            return ExtTable(dims, bound, res.terminated, rt)
     raise last_err
-
-
-def _route_plan(route, names):
-    if route is not None:
-        return [(route, ROUTE_BUDGETS[-1])]
-    return [(nm, b) for b in ROUTE_BUDGETS for nm in names]
 
 
 # ---------------------------------------------------------------------------

@@ -393,3 +393,40 @@ def test_ext_builds_the_dual_once(ci, monkeypatch):
     monkeypatch.setattr(resolution, "ROUTE_BUDGETS", (100, 1000))
     assert ext(residue_field_module(ci), regular_module(ci), 3).route == "projective"
     assert made == ["k"]
+
+
+def test_tor_escalates_both_routes_per_budget(ci, monkeypatch):
+    """Tor tries left and right at the smaller budget, then left and right
+    at the larger one, and makes each argument's resolution state at most
+    once per call; a given route runs only at the larger budget."""
+    made, attempts = [], []
+    inner_init = resolution._ResolutionState.__init__
+    inner_resolve = resolution.minimal_free_resolution
+
+    def counted(self, module):
+        made.append(module.label)
+        inner_init(self, module)
+
+    def logged(module, bound, max_total_dim):
+        attempts.append((module.label, max_total_dim))
+        return inner_resolve(module, bound, max_total_dim)
+
+    monkeypatch.setattr(resolution._ResolutionState, "__init__", counted)
+    monkeypatch.setattr(resolution, "minimal_free_resolution", logged)
+    monkeypatch.setattr(resolution, "ROUTE_BUDGETS", (2, 100))
+    # k's resolution to degree 11 needs 312 dims over this dim-4 algebra
+    table = tor(residue_field_module(ci), regular_module(ci), 10)
+    assert table.route == "right"
+    assert attempts == [("k", 2), ("A", 2), ("k", 100), ("A", 100)]
+    assert made == ["k", "A"]
+    attempts.clear()
+    made.clear()
+    assert tor(residue_field_module(ci), regular_module(ci), 3, route="left").route == "left"
+    assert attempts == [("k", 100)]
+    assert made == ["k"]
+
+
+def test_ext_tor_reject_modules_over_different_algebras(ci, hyper2):
+    for fn, name in ((ext, "Ext"), (tor, "Tor")):
+        with pytest.raises(ValueError, match=name):
+            fn(residue_field_module(ci), residue_field_module(hyper2), 2)
