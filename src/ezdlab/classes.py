@@ -8,7 +8,10 @@ xi for B_C) is an isomorphism, and two Ext/Tor tables vanish in positive
 degrees.  Every predicate takes and echoes a truncation bound.  A verdict is
 CertifiedAll only when the underlying Ext/Tor computations carry a
 finiteness certificate (a terminating resolution); otherwise bounded
-vanishing is reported as HoldsUpTo(bound).
+vanishing is reported as HoldsUpTo(bound).  Each table is computed at the
+predicate's bound; one that fits no resolution budget raises
+ResolutionBudgetExceeded (a ``budget`` stop) and is not retried at a
+smaller bound.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .resolution import (
     Exactly,
     ExtTable,
     NEG_INF,
-    ResolutionBudgetExceeded,
     _block_matrix,
     ext,
     minimal_free_resolution,
@@ -192,23 +194,6 @@ class ClassMembershipReport:
         return isinstance(self.verdict, (HoldsUpTo, CertifiedAll))
 
 
-_FALLBACK_BOUNDS = (4, 2, 1)
-
-
-def _table_with_fallback(fn, a, b, bound):
-    """Compute an Ext/Tor table, retrying at smaller truncation bounds when
-    the resolution budget is hit.  A nonzero found at a small bound still
-    refutes vanishing; an all-zero small-bound table only supports a
-    HoldsUpTo verdict at that bound."""
-    last_err = None
-    for bd in (bound,) + tuple(f for f in _FALLBACK_BOUNDS if f < bound):
-        try:
-            return fn(a, b, bd)
-        except ResolutionBudgetExceeded as exc:
-            last_err = exc
-    raise last_err
-
-
 def _verdict(tables: dict, bound: int):
     for name, table in tables.items():
         if not table.vanishes_above(0):
@@ -229,7 +214,7 @@ def _membership(kind: str, x: Module, c: Module, bound: int,
     f = natural_map(x, c)
     if not f.is_isomorphism():
         return ClassMembershipReport(kind, Fails(failure), False, f, {}, bound)
-    built = {name: _table_with_fallback(fn, a, b, bound) for name, fn, a, b in tables(f)}
+    built = {name: fn(a, b, bound) for name, fn, a, b in tables(f)}
     return ClassMembershipReport(kind, _verdict(built, bound), True, f, built, bound)
 
 
@@ -384,14 +369,16 @@ def build_proper_PC_resolution(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Undefined:
-    """Relative dimension undefined by this method: membership failed."""
+    """Relative dimension undefined by this method: M is not in the class
+    ``kind``, for the reason ``witness``."""
 
-    membership: ClassMembershipReport
+    kind: str
+    witness: str
 
     def __repr__(self):
-        return f"undefined ({self.membership.kind} fails: {self.membership.verdict.witness})"
+        return f"undefined ({self.kind} fails: {self.witness})"
 
 
 def pc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND):
@@ -400,7 +387,7 @@ def pc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND):
         return Exactly(NEG_INF)
     membership = in_B_C(m, c, bound)
     if not membership.holds:
-        return Undefined(membership)
+        return Undefined(membership.kind, membership.verdict.witness)
     return pd_bounded(membership.witness.source.right, bound)  # xi's Hom(C, M)
 
 
@@ -416,5 +403,5 @@ def ic_id(m: Module, c: Module, bound: int = DEFAULT_BOUND):
         return Exactly(NEG_INF)
     membership = in_A_C(m, c, bound)
     if not membership.holds:
-        return Undefined(membership)
+        return Undefined(membership.kind, membership.verdict.witness)
     return id_bounded(membership.witness.target.hom_target, bound)  # gamma's C (x) M

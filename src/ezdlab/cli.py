@@ -25,7 +25,6 @@ from typing import Optional
 
 from . import dsl
 from .classes import (
-    NEG_INF,
     ic_id,
     in_A_C,
     in_B_C,
@@ -223,7 +222,7 @@ def _cmd_ext_tor(args) -> int:
 def _dim_str(value) -> str:
     kind = type(value).__name__
     if kind == "Exactly":
-        return "-inf" if value.value == NEG_INF else str(value.value)
+        return str(value.value)
     if kind == "AtLeast":
         return f">={value.value}"
     return "undefined (membership failed)"

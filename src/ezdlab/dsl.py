@@ -8,7 +8,9 @@ One `.ezd` file is a sequence of statements:
     check ezd(ex, ey, free(R, 1)) bound 10;
 
 '#' starts a line comment.  Parsing is strict with line/column errors,
-and pretty_print(parse(text)) reparses to an equal Script.
+and pretty_print(parse(text)) reparses to an equal Script.  An element's
+polynomial is parsed against the variables of the ring it names, which a
+statement before it must declare, so a bad element is a parse error.
 """
 
 from __future__ import annotations
@@ -122,9 +124,9 @@ class RingDecl:
 @dataclass(frozen=True)
 class ElemDecl:
     name: str
-    poly: tuple
+    poly: tuple  # term tuple over ``variables``
     ring: str
-    pos: tuple = _pos()  # of the ring name
+    variables: tuple  # of the ring, as declared before the element
 
 
 @dataclass(frozen=True)
@@ -215,9 +217,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list):
+        self.tokens = tokens
         self.pos = 0
+        self.ring_vars: dict = {}  # the variables of each ring read so far
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -272,6 +275,7 @@ class _Parser:
         self.expect("sym", "=")
         decl = self.ring_body(name, start)
         self.expect("sym", ";")
+        self.ring_vars[name] = decl.variables
         return decl
 
     def ring_body(self, name: str, start: Optional[_Token] = None) -> RingDecl:
@@ -372,14 +376,12 @@ class _Parser:
         return tuple(expo), coeff
 
     def elem_decl(self) -> ElemDecl:
+        """``elem NAME = POLY in RING;``: the polynomial ends at the first
+        ``in`` outside parentheses and is read against the variables of
+        RING, which an earlier statement declares."""
         self.expect("name", "elem")
         name = self.expect("name").value
         self.expect("sym", "=")
-        # the ring name comes after "in", so collect tokens lazily: parse the
-        # polynomial once the ring (and its variables) is known.  To keep the
-        # grammar one-pass, require the form  elem NAME = <poly> in RING ;
-        # and parse the poly against the variables of the named ring at
-        # execution time.  Syntactically we capture the raw token span.
         start = self.pos
         depth = 0
         while True:
@@ -393,15 +395,19 @@ class _Parser:
             if tok.kind == "sym" and tok.value == ")":
                 depth -= 1
             self.next()
-        span = self.tokens[start : self.pos]
+        stop = self.pos
         self.expect("name", "in")
         ring = self.expect("name")
         self.expect("sym", ";")
-        poly = _RawPoly(
-            tuple((t.kind, t.value) for t in span),
-            tuple((t.line, t.col) for t in span),
-        )
-        return ElemDecl(name, poly, ring.value, (ring.line, ring.col))
+        variables = self.ring_vars.get(ring.value)
+        if variables is None:
+            self.error(f"undefined ring {ring.value!r} in elem {name!r}", ring)
+        # the polynomial's tokens, ended by an eof where the ring name stands
+        poly = _Parser(self.tokens[start:stop] + [_Token("eof", "", ring.line, ring.col)])
+        terms = poly.polynomial(variables)
+        if poly.peek().kind != "eof":
+            poly.error("trailing tokens in element polynomial")
+        return ElemDecl(name, terms, ring.value, variables)
 
     def module_decl(self) -> ModuleDecl:
         self.expect("name", "module")
@@ -462,31 +468,12 @@ class _Parser:
         return CheckStmt(name, tuple(args), bound, (tok.line, tok.col))
 
 
-@dataclass(frozen=True)
-class _RawPoly:
-    """Token span of an element polynomial, resolved against its ring later.
-
-    Stored as (kind, value) pairs; their positions do not count in equality."""
-
-    tokens: tuple
-    positions: tuple = field(compare=False, repr=False)
-
-    def text(self) -> str:
-        out = []
-        for kind, value in self.tokens:
-            if out and kind in ("name", "int") and out[-1][-1].isalnum():
-                out.append(" " + value)
-            else:
-                out.append(value)
-        return "".join(out)
-
-
 def parse_script(text: str) -> Script:
-    return _Parser(text).script()
+    return _Parser(_tokenize(text)).script()
 
 
 def _parse_whole(text: str, rule):
-    parser = _Parser(text)
+    parser = _Parser(_tokenize(text))
     out = rule(parser)
     parser.expect("eof")
     return out
@@ -512,8 +499,6 @@ def parse_module_expr(text: str) -> ModuleExpr:
 
 
 def _format_poly(terms, variables) -> str:
-    if isinstance(terms, _RawPoly):
-        return terms.text()
     if not terms:
         return "0"
     parts = []
@@ -559,7 +544,8 @@ def pretty_print(script: Script) -> str:
                 f"ring {stmt.name} = {fld}[{','.join(stmt.variables)}]{order} / ({gens});"
             )
         elif isinstance(stmt, ElemDecl):
-            lines.append(f"elem {stmt.name} = {stmt.poly.text()} in {stmt.ring};")
+            poly = _format_poly(stmt.poly, stmt.variables)
+            lines.append(f"elem {stmt.name} = {poly} in {stmt.ring};")
         elif isinstance(stmt, ModuleDecl):
             lines.append(f"module {stmt.name} = {_format_module_expr(stmt.expr)};")
         elif isinstance(stmt, CheckStmt):
@@ -624,20 +610,8 @@ def _ref(table: dict, kind: str, arg, at):
 
 
 def _resolve_elem(env: _Env, decl: ElemDecl) -> Element:
-    algebra = env.rings.get(decl.ring)
-    if algebra is None:
-        message = f"undefined ring {decl.ring!r} in elem {decl.name!r}"
-        raise DslError(message, *decl.pos)
-    parser = _Parser.__new__(_Parser)
-    parser.tokens = [
-        _Token(kind, value, *pos)
-        for (kind, value), pos in zip(decl.poly.tokens, decl.poly.positions)
-    ] + [_Token("eof", "", *decl.pos)]
-    parser.pos = 0
-    terms = parser.polynomial(list(algebra.ring.names))
-    if parser.peek().kind != "eof":
-        parser.error("trailing tokens in element polynomial")
-    return algebra.element_from_poly(_terms_to_polynomial(algebra.ring, terms))
+    algebra = env.rings[decl.ring]
+    return algebra.element_from_poly(_terms_to_polynomial(algebra.ring, decl.poly))
 
 
 def _one_ring(node, algebras):

@@ -320,9 +320,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.data[i, j]
 
-    def col(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.data[:, j : j + 1])
-
     def is_zero(self) -> bool:
         if self.field.p is not None:
             return not self.data.any()
@@ -342,9 +339,6 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._wrap(self.data - other.data)
-
-    def __neg__(self) -> "Matrix":
-        return self._wrap(-self.data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

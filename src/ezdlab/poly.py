@@ -102,14 +102,6 @@ class PolyRing:
         terms.sort(key=lambda t: self.order.key(t[0]), reverse=True)
         return Polynomial(tuple(terms))
 
-    @property
-    def zero(self) -> Polynomial:
-        return Polynomial(())
-
-    @property
-    def one(self) -> Polynomial:
-        return self.poly({(0,) * self.nvars: self.field.one})
-
     def variable(self, i: int) -> Polynomial:
         e = [0] * self.nvars
         e[i] = 1

@@ -81,7 +81,6 @@ from .resolution import (
 from .classes import (
     DEFAULT_BOUND,
     Fails,
-    _table_with_fallback,
     ic_id,
     in_A_C,
     in_B_C,
@@ -282,16 +281,9 @@ def _member(inst: Instance, kind: str, x: Module, c: Module):
 
 
 def _dim(inst: Instance, dim_fn):
-    """``pc_pd`` or ``ic_id`` of (M, C); an undefined one keeps its
-    membership report slim."""
-
-    def build():
-        verdict = dim_fn(inst.m, inst.c, inst.bound)
-        if hasattr(verdict, "membership"):
-            return replace(verdict, membership=_slim(verdict.membership))
-        return verdict
-
-    return inst.once((dim_fn.__name__, inst.m, inst.c), build)
+    """``pc_pd`` or ``ic_id`` of (M, C)."""
+    return inst.once((dim_fn.__name__, inst.m, inst.c),
+                     lambda: dim_fn(inst.m, inst.c, inst.bound))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +332,8 @@ def verify_fact_b(inst: Instance):
     _require(m.dim != 0, "zero module")
     cyc = _quotient(inst, inst.regular(), inst.x)
     i = _ezd(inst, m).holds
-    et = _table_with_fallback(ext, cyc, m, inst.bound)
-    tt = _table_with_fallback(tor, cyc, m, inst.bound)
+    et = ext(cyc, m, inst.bound)
+    tt = tor(cyc, m, inst.bound)
     ii = et.vanishes_above(0)
     iii = tt.vanishes_above(0)
     details = (
@@ -375,12 +367,9 @@ def verify_fact_c(inst: Instance):
     n_up = inst.once(("k of A/eA over A", xc), lambda: transport_from_quotient(n_bar, inst.algebra))
     bound = min(inst.bound, 6)
     pairs = [
-        ("Ext(N,M)", _table_with_fallback(ext, n_up, m, bound),
-         _table_with_fallback(ext, n_bar, m_bar, bound)),
-        ("Ext(M,N)", _table_with_fallback(ext, m, n_up, bound),
-         _table_with_fallback(ext, m_bar, n_bar, bound)),
-        ("Tor(M,N)", _table_with_fallback(tor, m, n_up, bound),
-         _table_with_fallback(tor, m_bar, n_bar, bound)),
+        ("Ext(N,M)", ext(n_up, m, bound), ext(n_bar, m_bar, bound)),
+        ("Ext(M,N)", ext(m, n_up, bound), ext(m_bar, n_bar, bound)),
+        ("Tor(M,N)", tor(m, n_up, bound), tor(m_bar, n_bar, bound)),
     ]
     details = []
     for name, over_a, over_abar in pairs:
@@ -603,10 +592,10 @@ def verify_lemma_H(inst: Instance, part: str):
     _require(verdict == Exactly(0), f"dimension is {verdict!r}, lemma exercised at n = 0")
     cyc = _quotient(inst, inst.regular(), inst.x)
     if part == "iii":
-        table = _table_with_fallback(ext, cyc, m, inst.bound)
+        table = ext(cyc, m, inst.bound)
         name = "Ext(R/xR, M)"
     else:
-        table = _table_with_fallback(tor, cyc, m, inst.bound)
+        table = tor(cyc, m, inst.bound)
         name = "Tor(R/xR, M)"
     if table.vanishes_above(0):
         return _pass(f"{name} vanishes above 0 up to {table.bound}")

@@ -71,32 +71,8 @@ class ResolutionBudgetExceeded(Exception):
     """Total resolution dimension passed the growth cutoff."""
 
 
-class _NegInf:
-    """Sentinel ordered below every number (homological dim of the zero module)."""
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __hash__(self):
-        return hash("-inf")
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInf()
+# the homological dimension of the zero module
+NEG_INF = float("-inf")
 
 
 def _block_triplets(entries: np.ndarray, stack: np.ndarray, p, transpose=False):

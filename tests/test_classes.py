@@ -6,12 +6,14 @@ import weakref
 
 import pytest
 
+from ezdlab import classes
 from ezdlab.classes import (
     CertifiedAll,
     Fails,
     HoldsUpTo,
     NotSemidualizingError,
     Undefined,
+    _verdict,
     build_proper_PC_resolution,
     fc_pd,
     homothety_map,
@@ -35,7 +37,7 @@ from ezdlab.module import (
     tensor_module,
     zero_module,
 )
-from ezdlab.resolution import AtLeast, Exactly, NEG_INF, minimal_free_resolution
+from ezdlab.resolution import AtLeast, Exactly, ExtTable, NEG_INF, minimal_free_resolution
 
 from conftest import var
 
@@ -222,3 +224,36 @@ def test_fc_pd_artinian_collapse(hyper2, square_zero):
     m = scale_quotient(regular_module(hyper2), var(hyper2, 0))[0]
     v = fc_pd(m, regular_module(hyper2), 6)
     assert v == AtLeast(7)
+
+
+def test_undefined_names_the_class_and_its_failure(square_zero):
+    """An undefined dimension keeps the failed class and its witness only."""
+    omega = dual_k(regular_module(square_zero))
+    k = residue_field_module(square_zero)
+    assert pc_pd(k, omega) == Undefined("B_C", "natural map xi is not an isomorphism")
+    undef = ic_id(k, omega)
+    assert undef == Undefined("A_C", "natural map gamma is not an isomorphism")
+    assert repr(undef) == "undefined (A_C fails: natural map gamma is not an isomorphism)"
+
+
+def test_verdict_fails_at_the_last_nonzero_degree():
+    """A table nonzero in a positive degree refutes membership at its last
+    nonzero degree; an all-zero table has no nonzero degree at all."""
+    assert ExtTable((0, 0, 0, 0), 3, False, "left").last_nonzero() is None
+    zero = ExtTable((2, 0, 0, 0), 3, False, "projective")
+    bad = ExtTable((1, 0, 3, 0), 3, False, "injective")
+    assert bad.last_nonzero() == 2
+    verdict = _verdict({"Ext(X,C)": zero, "Ext(Hom(X,C),C)": bad}, 3)
+    assert verdict == Fails("Ext(Hom(X,C),C)^2 has dimension 3")
+    assert _verdict({"Ext(X,C)": zero}, 3) == HoldsUpTo(3)
+
+
+def test_semidualizing_refuted_by_a_nonzero_self_ext(hyper2, monkeypatch):
+    """C whose homothety map is an isomorphism but with Ext^i(C,C) != 0 for
+    some i > 0 fails its certificate, naming that degree and dimension."""
+    table = ExtTable((2, 0, 1, 0), 3, False, "projective")
+    monkeypatch.setattr(classes, "ext", lambda m, n, bound: table)
+    cert = is_semidualizing(regular_module(hyper2), 3)
+    assert not cert.holds and cert.homothety_iso
+    assert cert.ext_table is table
+    assert cert.failure == "Ext^2(C,C) has dimension 1"

@@ -1,13 +1,14 @@
 """Lint checks on the syntax tree of each ``src/ezdlab/*.py``: every
 imported name is used there or re-exported, no module-level cache, and
 every top-level definition and every method of a top-level class is named
-somewhere in the project.
+somewhere in the project.  Every name the benchmark's tracer wraps exists.
 
 No linter ships with the project's test dependencies, so these walk the
 tree with ``ast``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -161,3 +162,31 @@ def test_no_identity_keys(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _id_calls(tree)
     assert not lines, f"{path.name} calls id() on lines {lines}"
+
+
+def _traced_names():
+    """(layer, name) of every entry of ``TRACED`` in ``perfbench/tracer.py``,
+    read from its syntax tree without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    return [(layer, name) for layer, names in traced.items() for name in names]
+
+
+def test_traced_names_resolve():
+    """Every function, class and ``Class.method`` the tracer wraps resolves
+    on its ``ezdlab`` module.  The tracer looks each one up when a traced
+    worker starts, so a renamed or deleted one would fail every worker."""
+    absent = object()
+    missing = []
+    for layer, name in _traced_names():
+        obj = importlib.import_module(f"ezdlab.{layer}")
+        for part in name.split("."):
+            obj = getattr(obj, part, absent)
+        if obj is absent:
+            missing.append(f"{layer}.{name}")
+    assert _traced_names()
+    assert not missing, f"traced names ezdlab lacks: {', '.join(missing)}"
