@@ -1,14 +1,16 @@
 """Finite-dimensional commutative local algebras, their elements, and
-representations given by one action matrix per variable."""
+representations given by one action matrix per variable.
+
+Every action is a sparse ``Matrix``; the table of an algebra is the list
+of its monomial actions, so a d-dimensional algebra stores d sparse
+d x d matrices, not a dense d^3 array."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groebner import NonLocalError, QuotientPresentation
-from .linalg import Field, Matrix, _adopt, _dot, _linear_combination, _sparse_matmul
+from .linalg import Field, Matrix
 from .poly import Polynomial
 
 __all__ = ["Algebra", "Element", "Representation"]
@@ -27,9 +29,6 @@ class Representation:
         self.dim = actions[0].rows if actions else 0
         self._mon_cache = {}
 
-    def _times(self, v: int, m: Matrix) -> Matrix:
-        return self.actions[v] @ m
-
     def monomial_action(self, m) -> Matrix:
         """The action of m, from that of m with one exponent fewer."""
         m = tuple(m)
@@ -42,36 +41,37 @@ class Representation:
                 cached = self.actions[v]
             else:
                 lower = m[:v] + (m[v] - 1,) + m[v + 1 :]
-                cached = self._times(v, self.monomial_action(lower))
+                cached = self.actions[v] @ self.monomial_action(lower)
             self._mon_cache[m] = cached
         return cached
 
-    def action_stack(self) -> np.ndarray:
-        """The (dim A, dim, dim) stack of monomial actions, in staircase order."""
-        return np.stack([self.monomial_action(m).data for m in self.algebra.staircase])
+    def action_stack(self) -> list:
+        """The monomial actions, in staircase order."""
+        return [self.monomial_action(m) for m in self.algebra.staircase]
 
     def _check_representation(self):
         n, field = self.dim, self.algebra.field
         for a in self.actions:
             if a.rows != n or a.cols != n:
                 raise ValueError("action matrices must be square of the module dimension")
-        arrs = [a.data for a in self.actions]
-        for i, a in enumerate(arrs):
-            for b in arrs[i + 1 :]:
-                if not np.array_equal(_dot(a, b, field.p), _dot(b, a, field.p)):
+        for i, a in enumerate(self.actions):
+            for b in self.actions[i + 1 :]:
+                if a @ b != b @ a:
                     raise ValueError("variable actions do not commute")
-        # every ideal generator at once: its coefficients against the
-        # actions of the monomials the generators use
+        # each ideal generator: its coefficients against the actions of the
+        # monomials the generators use
         mats = [self.monomial_action(m) for m in self.algebra.relation_monomials]
-        if np.count_nonzero(_linear_combination(field, self.algebra.relation_coeffs, mats, (n, n))):
-            raise ValueError("an ideal generator does not vanish on the actions")
+        for row in self.algebra.relation_coeffs.nz:
+            terms = ((c, mats[k]) for k, c in row.items())
+            if not Matrix.combination(field, n, n, terms).is_zero():
+                raise ValueError("an ideal generator does not vanish on the actions")
 
 
 class Algebra(Representation):
     """A finite-dimensional commutative local k-algebra on a staircase basis.
 
     A acts on itself through its variable actions X_v = (NF(x_v m_j))_j,
-    and ``mult_stack[i]`` is the action M_i of staircase monomial m_i by
+    and ``mult_stack[i]`` is the sparse action M_i of staircase monomial m_i by
     the recurrence of ``Representation``.  It is the table of A: the X_v
     commute and kill every ideal generator, so a -> M_a represents A;
     M_i e_0 = e_i, so a -> M_a e_0 maps A onto k^d, an isomorphism of
@@ -91,31 +91,28 @@ class Algebra(Representation):
         for name, x in zip(self.ring.names, self.actions):
             power = self.one_element().coords
             for _ in range(self.dim):
+                if power.is_zero():  # and so stays
+                    break
                 power = x @ power
             if not power.is_zero():
                 raise NonLocalError(f"variable {name} is not nilpotent in the quotient")
         self.radical_indices = [i for i, m in enumerate(self.staircase) if sum(m) > 0]
         # the ideal generators as one (generators x monomials) coefficient
-        # array over the monomials they use, so a module evaluates them all
-        # in one contraction
+        # matrix over the monomials they use, which every module evaluates
         gens = [dict(g.terms) for g in presentation.ideal_generators]
         self.relation_monomials = sorted({m for g in gens for m in g})
         self.relation_coeffs = Matrix.from_rows(
             self.field, [[g.get(m, 0) for m in self.relation_monomials] for g in gens]
-        ).data
-        self.mult_stack = self.action_stack()
-        self.mult_stack.setflags(write=False)
+        )
+        self.mult_stack = tuple(self.action_stack())
         # column 0 of M_i is m_i * 1, which must be e_i
-        if not np.array_equal(self.mult_stack[:, :, 0], Matrix.identity(self.field, self.dim).data):
-            raise ValueError("a staircase monomial does not map 1 to itself")
+        for i, mat in enumerate(self.mult_stack):
+            if {r: row[0] for r, row in enumerate(mat.nz) if 0 in row} != {i: 1}:
+                raise ValueError("a staircase monomial does not map 1 to itself")
         self._check_representation()
         self._mon_cache.clear()  # mult_stack holds the actions now
 
     algebra = property(lambda self: self)  # A is a representation of itself
-
-    def _times(self, v: int, m: Matrix) -> Matrix:
-        # each X_v has about one nonzero per column: skip the zeros
-        return _adopt(self.field, _sparse_matmul(self.field, self.actions[v].data, m.data))
 
     @property
     def ring(self):
@@ -151,8 +148,8 @@ class Algebra(Representation):
         if e.parent is not self and e.parent != self:
             raise ValueError("element belongs to a different algebra")
         d = self.dim
-        acc = _dot(e.coords.data.T, self.mult_stack.reshape(d, d * d), self.field.p)
-        return _adopt(self.field, acc.reshape(d, d))
+        terms = ((row[0], self.mult_stack[i]) for i, row in enumerate(e.coords.nz) if row)
+        return Matrix.combination(self.field, d, d, terms)
 
 
 @dataclass(frozen=True)
@@ -176,10 +173,9 @@ class Element:
     def to_polynomial(self) -> Polynomial:
         ring = self.parent.ring
         coeffs = {}
-        for i, m in enumerate(self.parent.staircase):
-            c = self.coords.data[i, 0]
-            if c != 0:
-                coeffs[m] = c
+        for m, row in zip(self.parent.staircase, self.coords.nz):
+            if row:
+                coeffs[m] = row[0]
         return ring.poly(coeffs)
 
     def __repr__(self):

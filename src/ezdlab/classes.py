@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .algebra import Element
-from .linalg import Matrix, _dot, rank
+from .linalg import Matrix, rank
 from .module import (
     Module,
     Morphism,
@@ -124,9 +122,8 @@ def homothety_map(c: Module) -> Morphism:
     """chi: A -> Hom(C, C), r |-> multiplication by r on C."""
     algebra = c.algebra
     hcc = hom_module(c, c)
-    # column i is vec of the action of staircase monomial i
-    vecs = c.action_stack().reshape(algebra.dim, c.dim * c.dim).T
-    return Morphism(regular_module(algebra), hcc, hcc._coords(vecs))
+    # column i holds the coordinates of the action of staircase monomial i
+    return Morphism(regular_module(algebra), hcc, hcc._coords(c.action_stack()))
 
 
 def is_semidualizing(c: Module, bound: int = DEFAULT_BOUND) -> SemidualizingCertificate:
@@ -224,9 +221,10 @@ def biduality_map(x: Module, c: Module) -> Morphism:
     h2 = hom_module(h1, c)
     # delta(e_i): H1 -> C sends phi to phi(e_i); row r, column a of it is
     # entry (r, i) of basis element a, row r * dim X + i of H1's basis matrix
-    h = h1.dim
-    vecs = h1._bmat.data.reshape(c.dim, x.dim, h).transpose(0, 2, 1).reshape(c.dim * h, x.dim)
-    return Morphism(x, h2, h2._coords(vecs))
+    rows = h1._bmat.nz
+    deltas = [Matrix(c.algebra.field, h1.dim, [rows[r * x.dim + i] for r in range(c.dim)])
+              for i in range(x.dim)]
+    return Morphism(x, h2, h2._coords(deltas))
 
 
 def in_G_C(x: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
@@ -244,8 +242,12 @@ def gamma_map(m: Module, c: Module) -> Morphism:
     h = hom_module(c, t)
     # gamma(e_i): C -> C(x)M, e_c |-> class of e_c (x) e_i, whose column c is
     # column c * dim M + i of the projection
-    vecs = t.projection.data.reshape(t.dim * c.dim, m.dim)
-    return Morphism(m, h, h._coords(vecs))
+    rows = [[{} for _ in range(t.dim)] for _ in range(m.dim)]
+    for r, line in enumerate(t.projection.nz):
+        for k, x in line.items():
+            rows[k % m.dim][r][k // m.dim] = x
+    gammas = [Matrix(m.algebra.field, c.dim, g) for g in rows]
+    return Morphism(m, h, h._coords(gammas))
 
 
 def in_A_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
@@ -263,7 +265,10 @@ def xi_map(m: Module, c: Module) -> Morphism:
     t2 = tensor_module(c, h)
     # evaluation on the full tensor space: (e_c, phi_a) |-> phi_a(e_c), the
     # column c * dim H + a; entry r of it is row r * dim C + c of H's basis
-    full = Matrix(m.algebra.field, h._bmat.data.reshape(m.dim, c.dim * h.dim))
+    rows = h._bmat.nz
+    full = Matrix(m.algebra.field, c.dim * h.dim, [
+        {k * h.dim + a: x for k in range(c.dim) for a, x in rows[r * c.dim + k].items()}
+        for r in range(m.dim)])
     induced = full @ t2.section
     if induced @ t2.projection != full:
         raise AssertionError("evaluation does not factor through the tensor relations")
@@ -332,9 +337,9 @@ def build_proper_PC_resolution(
 
     # the complex itself: X_i = C^{b_i}; the augmentation C^{b_0} -> M is
     # the row of the homs phi_j that the generators of P_0 name
-    b0 = res.betti[0]
-    phis = (h._bmat @ res._state.gens[0]).data.reshape(m.dim, c.dim, b0).transpose(2, 0, 1)
-    aug = Matrix(field, phis.transpose(1, 0, 2).reshape(m.dim, b0 * c.dim))
+    g0 = res._state.gens[0]
+    phis = [h.element_matrix(g0.select_columns([j])) for j in range(g0.cols)]
+    aug = Matrix.hstack(phis) if phis else Matrix.zeros(field, m.dim, 0)
     maps = [aug]
     c_stack = c.action_stack()
     for i in range(1, res.length + 1):
@@ -345,9 +350,7 @@ def build_proper_PC_resolution(
     # properness: Hom(C, X+) with Hom(C, C^{b}) ≅ Hom(C,C)^b; column
     # (j, a) of the augmentation is phi_j composed with basis element a
     hcc = hom_module(c, c)
-    psis = np.stack([psi.data for psi in hcc.basis])
-    comps = _dot(phis[:, None], psis, field.p).reshape(b0 * hcc.dim, m.dim * c.dim)
-    aug_hom = h._coords(comps.T)
+    aug_hom = h._coords([phi @ psi for phi in phis for psi in hcc.basis])
     hom_maps = [aug_hom]
     hcc_stack = hcc.action_stack()
     for i in range(1, res.length + 1):

@@ -24,11 +24,10 @@ __all__ = [
 ]
 
 DEFAULT_PAIR_BUDGET = 10_000
-# The largest quotient dimension d accepted.  An Algebra holds a dense
-# (d, d, d) multiplication stack, 128 MiB of int64 at d = 256, and builds it
-# with about d^2 nnz(X_v) field operations: 0.65 s at d = 256 over GF(p) on a
-# 2-core Xeon VM (x^256, or x^16 and y^16).  Over QQ each is a Fraction
-# operation, so d = 128 already takes about 10 s.
+# The largest quotient dimension d accepted.  An Algebra holds d sparse
+# d x d monomial actions, each one sparse product from the one before: at
+# d = 256 (x^256, or x^16 and y^16) it builds in 0.22-0.31 s over GF(101) and
+# 0.54-0.66 s over QQ on a 2-core Xeon VM.
 MAX_QUOTIENT_DIM = 256
 
 

@@ -1,25 +1,22 @@
-"""Exact linear algebra over GF(p) and the rationals: dense ``Matrix``
+"""Exact linear algebra over GF(p) and the rationals: sparse ``Matrix``
 values, one sparse elimination.
 
-Matrices over GF(p) are stored as int64 numpy arrays with entries in
-[0, p); rational matrices use object arrays of Fraction.  Everything is
-immutable after construction and all operations are pure.
+A ``Matrix`` is an immutable shape plus sparse rows, dicts {column:
+nonzero} of Python ints in [0, p) over GF(p) or Fractions over QQ, with
+one code path for both fields.  A product runs over the nonzeros of its
+left factor, so no zero is multiplied; sums, transposes, stacks and
+block diagonals work on the rows directly.  The package never reads
+``Matrix.data``, the dense numpy copy kept for tests and tools, so no
+ezdlab process imports numpy.
 
-``Matrix`` takes a read-only array of the field's dtype (int64 over GF(p),
-object over QQ) as it is, without reducing or copying it.  Such an array
-must therefore be canonical (every entry in [0, p), or a Fraction) and
-owned by no one else: nothing may still hold a writable view of it.
-``_adopt`` freezes an array its caller has just allocated for that path.
-
-Every row reduction runs on sparse lines (rows or columns), dicts
-{index: nonzero coefficient} of Python ints in [0, p) or Fractions, with
-one code path for both fields.  ``_echelon_insert`` adds a line to a
-semi-echelon basis; ``_sparse_rank`` counts the lines it accepts, and
-``_sparse_rref`` back-substitutes the basis to the unique reduced row
-echelon form, from which ``_sparse_kernel`` reads the kernel.  The
-``Matrix`` entry points (``rref``, ``rank``, ``kernel_basis``,
-``solve_matrix``, ``inverse``, ``image_basis``) convert with
-``_sparse_columns`` and back with ``_dense``.
+Every row reduction runs on sparse lines (rows or columns) of the same
+form.  ``_echelon_insert`` adds a line to a semi-echelon basis;
+``_sparse_rank`` counts the lines it accepts, and ``_sparse_rref``
+back-substitutes the basis to the unique reduced row echelon form, from
+which ``_sparse_kernel`` reads the kernel.  The ``Matrix`` entry points
+(``rref``, ``rank``, ``kernel_basis``, ``solve_matrix``, ``inverse``,
+``image_basis``) hand it fresh lines from ``Matrix.sparse_rows`` or
+``Matrix.sparse_columns`` and adopt the lines it returns.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import numpy as np
 
 __all__ = [
     "Field",
@@ -45,9 +41,8 @@ __all__ = [
 # Miller-Rabin with these bases is exact for every n below 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# int64 products of two residues stay exact only while p < 2^31
+# the primes GF(p) accepts, as when products of two residues had to fit int64
 _PRIME_CAP = 2**31
-_INT64_MAX = 2**63 - 1
 
 
 def _is_prime(n: int) -> bool:
@@ -102,7 +97,7 @@ class Field:
     def rationals() -> "Field":
         return Field(None)
 
-    # scalar helpers (used by the polynomial layer, which is not numpy-backed)
+    # scalar helpers
     def canon(self, a):
         if self.p is not None:
             return int(a) % self.p
@@ -148,209 +143,195 @@ class Field:
 GF101 = Field.prime(101)
 
 
-def _canon_array(field: Field, arr) -> np.ndarray:
-    if field.p is not None:
-        a = np.asarray(arr, dtype=np.int64) % field.p
-    else:
-        src = np.asarray(arr, dtype=object)
-        a = np.empty(src.shape, dtype=object)
-        flat_src = src.reshape(-1)
-        flat = a.reshape(-1)
-        for i in range(flat_src.size):
-            flat[i] = Fraction(flat_src[i])
-    a.setflags(write=False)
-    return a
-
-
-def _dot(a: np.ndarray, b: np.ndarray, p: Optional[int]) -> np.ndarray:
-    """``a @ b``, reduced mod p over GF(p), exact for every p < 2^31.
-
-    At most k products are summed before a reduction, with
-    k (p - 1)^2 < 2^63 (delayed reduction, as in FFLAS-FFPACK), so no int64
-    sum wraps.  With p = None (QQ) it is plain object arithmetic.
-    """
-    # for a 2-D b, dot is matmul with less call overhead on small matrices
-    mul = np.dot if b.ndim == 2 else np.matmul
+def _reduce(lines: list, p: Optional[int]) -> list:
+    """The sparse lines with every entry reduced mod p (over GF(p)) and the
+    zeros dropped: the canonical form a ``Matrix`` stores."""
     if p is None:
-        return mul(a, b)
-    n = a.shape[-1]
-    k = _INT64_MAX // (p - 1) ** 2
-    if n <= k:
-        return mul(a, b) % p
-    out = mul(a[..., :k], b[..., :k, :]) % p
-    for s in range(k, n, k):
-        out += mul(a[..., s : s + k], b[..., s : s + k, :]) % p
-        out %= p
-    return out
-
-
-def _linear_combination(field, coeffs: np.ndarray, mats: list, shape: tuple) -> np.ndarray:
-    """The sums of coeffs[i, k] * mats[k] over k, one per row i of
-    ``coeffs``, as an array of matrices of the given shape: one ``_dot`` of
-    the coefficients against the stacked matrices, so exact for every p."""
-    size = shape[0] * shape[1]
-    if mats:
-        stack = np.array([m.data for m in mats]).reshape(len(mats), size)
-    else:
-        stack = Matrix.zeros(field, 0, size).data
-    return _dot(coeffs, stack, field.p).reshape(len(coeffs), *shape)
-
-
-def _sparse_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` from the nonzeros of ``a`` alone: each adds one scaled row
-    of b, so the cost is nnz(a) row operations and no zero is multiplied."""
-    rows, cols = a.nonzero()
-    terms = a[rows, cols][:, None] * b[cols]
-    out = Matrix.zeros(field, len(a), b.shape[1]).data.copy()
-    if field.p is not None:
-        terms %= field.p  # so each entry of out sums residues, at most len(b) of them
-    np.add.at(out, rows, terms)
-    if field.p is not None:
-        out %= field.p
-    return out
-
-
-def _adopt(field: Field, arr: np.ndarray) -> "Matrix":
-    """Wrap ``arr`` without reducing it again.
-
-    Only for an array the caller has just allocated and knows is canonical:
-    a GF(p) int64 array already reduced mod p, or a fresh array of
-    Fractions.  ``arr`` is frozen in place, so it must not be a view of
-    anyone else's writable array.
-    """
-    arr.setflags(write=False)
-    return Matrix(field, arr)
+        return [{j: x for j, x in line.items() if x} for line in lines]
+    return [{j: y for j, x in line.items() if (y := x % p)} for line in lines]
 
 
 class Matrix:
-    """An immutable exact matrix over a :class:`Field`."""
+    """An immutable exact matrix over a :class:`Field`: its shape and its
+    sparse rows.  ``nz[i]`` is row i as a dict {column: nonzero entry}, of
+    Python ints in [0, p) over GF(p) or Fractions over QQ.  No row is
+    changed after construction, so matrices may share rows; a caller that
+    consumes lines takes fresh ones from ``sparse_rows``/``sparse_columns``.
+    ``from_rows`` builds one from dense rows of any integers or rationals.
+    """
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "rows", "cols", "nz")
 
-    def __init__(self, field: Field, data):
+    def __init__(self, field: Field, cols: int, nz):
+        """The matrix with ``cols`` columns and the sparse rows ``nz``,
+        adopted as they are: each must be canonical (no zero, every entry
+        reduced) and no one else's to change."""
         self.field = field
-        if isinstance(data, np.ndarray) and data.flags.writeable is False and (
-            (field.p is not None and data.dtype == np.int64)
-            or (field.p is None and data.dtype == object)
-        ):
-            self.data = data
-        else:
-            self.data = _canon_array(field, data)
-        if self.data.ndim != 2:
-            raise ValueError("matrix data must be 2-dimensional")
+        self.nz = tuple(nz)
+        self.rows = len(self.nz)
+        self.cols = cols
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Iterable]) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
+        """The matrix with these dense rows, reduced."""
+        dense = [list(r) for r in rows]
+        ncols = len(dense[0]) if dense else 0
+        if any(len(r) != ncols for r in dense):
             raise ValueError("ragged rows")
-        if field.p is not None:
-            return Matrix(field, np.array(rows, dtype=np.int64).reshape(len(rows), ncols))
-        arr = np.empty((len(rows), ncols), dtype=object)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                arr[i, j] = Fraction(v)
-        return Matrix(field, arr)
+        canon = field.canon
+        return Matrix(field, ncols,
+                      [{j: y for j, x in enumerate(r) if (y := canon(x))} for r in dense])
+
+    @staticmethod
+    def from_sparse_columns(field: Field, rows: int, lines) -> "Matrix":
+        """The matrix with these sparse, canonical columns (read, not kept)."""
+        out = [{} for _ in range(rows)]
+        lines = list(lines)
+        for j, col in enumerate(lines):
+            for i, x in col.items():
+                out[i][j] = x
+        return Matrix(field, len(lines), out)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        if field.p is not None:
-            return _adopt(field, np.zeros((rows, cols), dtype=np.int64))
-        return _adopt(field, np.full((rows, cols), Fraction(0), dtype=object))
+        return Matrix(field, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        m = Matrix.zeros(field, n, n).data.copy()
-        for i in range(n):
-            m[i, i] = field.one
-        return _adopt(field, m)
+        return Matrix(field, n, [{i: field.one} for i in range(n)])
 
     @staticmethod
     def column(field: Field, entries: Iterable) -> "Matrix":
         return Matrix.from_rows(field, [[e] for e in entries])
 
     @staticmethod
+    def combination(field: Field, rows: int, cols: int, terms) -> "Matrix":
+        """sum c * m over the (c, m) in ``terms``, each m rows x cols."""
+        acc = [{} for _ in range(rows)]
+        for c, m in terms:
+            for out, line in zip(acc, m.nz):
+                for j, x in line.items():
+                    out[j] = out.get(j, 0) + c * x
+        return Matrix(field, cols, _reduce(acc, field.p))
+
+    @staticmethod
     def hstack(mats: list["Matrix"]) -> "Matrix":
-        return _adopt(mats[0].field, np.hstack([m.data for m in mats]))
+        out = [{} for _ in range(mats[0].rows)]
+        s = 0
+        for m in mats:
+            for line, row in zip(out, m.nz):
+                for j, x in row.items():
+                    line[s + j] = x
+            s += m.cols
+        return Matrix(mats[0].field, s, out)
 
     @staticmethod
     def vstack(mats: list["Matrix"]) -> "Matrix":
-        return _adopt(mats[0].field, np.vstack([m.data for m in mats]))
+        return Matrix(mats[0].field, mats[0].cols, [row for m in mats for row in m.nz])
 
     @staticmethod
     def block_diag(mats: list["Matrix"]) -> "Matrix":
-        field = mats[0].field
-        r = sum(m.rows for m in mats)
-        c = sum(m.cols for m in mats)
-        out = Matrix.zeros(field, r, c).data.copy()
-        i = j = 0
+        out = []
+        s = 0
         for m in mats:
-            out[i : i + m.rows, j : j + m.cols] = m.data
-            i += m.rows
-            j += m.cols
-        return _adopt(field, out)
+            out += [{s + j: x for j, x in row.items()} for row in m.nz]
+            s += m.cols
+        return Matrix(mats[0].field, s, out)
 
     # -- basics -------------------------------------------------------
     @property
-    def rows(self) -> int:
-        return self.data.shape[0]
+    def data(self):
+        """A fresh read-only numpy copy: int64 over GF(p), object Fractions
+        over QQ.  For tests and tools; the package itself never reads it."""
+        import numpy as np
 
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+        dtype = np.int64 if self.field.p is not None else object
+        arr = np.empty((self.rows, self.cols), dtype=dtype)
+        arr[...] = self.field.zero
+        for i, row in enumerate(self.nz):
+            for j, x in row.items():
+                arr[i, j] = x
+        arr.setflags(write=False)
+        return arr
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.nz == other.nz
         )
 
     def __hash__(self):
-        if self.field.p is not None:
-            return hash((self.field, self.data.shape, self.data.tobytes()))
-        return hash((self.field, self.data.shape, tuple(self.data.reshape(-1))))
+        return hash((self.field, self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.nz)))
 
     def __repr__(self):
-        return f"Matrix({self.field}, {self.data.tolist()!r})"
+        return f"Matrix({self.field}, {self.to_lists()!r})"
 
     def entry(self, i: int, j: int):
-        return self.data[i, j]
+        return self.nz[i].get(j, self.field.zero)
 
     def is_zero(self) -> bool:
-        if self.field.p is not None:
-            return not self.data.any()
-        return all(v == 0 for v in self.data.reshape(-1))
+        return not any(self.nz)
 
     def to_lists(self):
-        return [list(r) for r in self.data.tolist()]
+        zero = self.field.zero
+        return [[row.get(j, zero) for j in range(self.cols)] for row in self.nz]
+
+    def sparse_rows(self) -> list:
+        """Fresh copies of the sparse rows, for a caller to consume."""
+        return [dict(row) for row in self.nz]
+
+    def sparse_columns(self) -> list:
+        """The sparse columns, fresh."""
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nz):
+            for j, x in row.items():
+                out[j][i] = x
+        return out
+
+    def select_columns(self, keep) -> "Matrix":
+        """The columns ``keep`` (distinct indices), in that order."""
+        pos = {j: k for k, j in enumerate(keep)}
+        return Matrix(
+            self.field, len(pos),
+            [{pos[j]: x for j, x in row.items() if j in pos} for row in self.nz])
 
     # -- arithmetic ---------------------------------------------------
-    def _wrap(self, arr) -> "Matrix":
-        if self.field.p is not None:
-            arr %= self.field.p
-        return _adopt(self.field, arr)
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch ({self.rows}, {self.cols}) and "
+                             f"({other.rows}, {other.cols})")
+        return Matrix.combination(self.field, self.rows, self.cols, ((1, self), (sign, other)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._wrap(self.data + other.data)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._wrap(self.data - other.data)
+        return self._plus(other, -1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Over the nonzeros of ``self`` alone: each adds one scaled row of
+        ``other``, so no zero is multiplied."""
         if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.data.shape} @ {other.data.shape}")
-        if self.field.p is not None:
-            return _adopt(self.field, _dot(self.data, other.data, self.field.p))
-        # a Fraction product costs a gcd even by zero, so skip the zeros
-        return _adopt(self.field, _sparse_matmul(self.field, self.data, other.data))
+            raise ValueError(f"shape mismatch ({self.rows}, {self.cols}) @ "
+                             f"({other.rows}, {other.cols})")
+        b = other.nz
+        out = []
+        for line in self.nz:
+            acc: dict = {}
+            for k, x in line.items():
+                for j, y in b[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(acc)
+        return Matrix(self.field, other.cols, _reduce(out, self.field.p))
 
     @property
     def T(self) -> "Matrix":
-        return _adopt(self.field, np.ascontiguousarray(self.data.T))
+        return Matrix(self.field, self.rows, self.sparse_columns())
 
 
 @dataclass(frozen=True)
@@ -358,28 +339,6 @@ class RrefResult:
     reduced: Matrix
     pivot_columns: tuple
     rank: int
-
-
-def _sparse_lines(count: int, major, minor, vals) -> list:
-    """``count`` sparse lines; entry e goes to line major[e] at minor[e]."""
-    out = [{} for _ in range(count)]
-    for i, j, x in zip(major.tolist(), minor.tolist(), vals.tolist()):
-        out[i][j] = x
-    return out
-
-
-def _sparse_columns(a: np.ndarray) -> list:
-    """The columns of a 2-D array, sparse; ``a.T`` gives its rows."""
-    i, j = a.nonzero()
-    return _sparse_lines(a.shape[1], j, i, a[i, j])
-
-
-def _dense(field: Field, rows: int, cols) -> Matrix:
-    """The Matrix with these sparse columns; ``.T`` of it for sparse rows."""
-    out = Matrix.zeros(field, rows, len(cols)).data.copy()
-    for j, col in enumerate(cols):
-        out[list(col), j] = list(col.values())
-    return _adopt(field, out)
 
 
 def _sub_scaled(v: dict, c, b: dict, p: Optional[int]) -> list:
@@ -472,14 +431,14 @@ def _sparse_kernel(rows: Iterable[dict], ncols: int, p: Optional[int]) -> dict:
 
 
 def rref(m: Matrix) -> RrefResult:
-    basis = _sparse_rref(_sparse_columns(m.data.T), m.field.p)
+    basis = _sparse_rref(m.sparse_rows(), m.field.p)
     pivots = tuple(sorted(basis))
-    rows = [basis[c] for c in pivots] + [{}] * (m.rows - len(pivots))
-    return RrefResult(_dense(m.field, m.cols, rows).T, pivots, len(pivots))
+    rows = [basis[c] for c in pivots] + [{} for _ in range(m.rows - len(pivots))]
+    return RrefResult(Matrix(m.field, m.cols, rows), pivots, len(pivots))
 
 
 def rank(m: Matrix) -> int:
-    return _sparse_rank(_sparse_columns(m.data), m.field.p)
+    return _sparse_rank(m.sparse_rows(), m.field.p)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -488,8 +447,8 @@ def kernel_basis(m: Matrix) -> Matrix:
     Column k is the solution whose k-th free variable (in column order) is
     one and whose other free variables are zero.
     """
-    kernel = _sparse_kernel(_sparse_columns(m.data.T), m.cols, m.field.p)
-    return _dense(m.field, m.cols, kernel.values())
+    kernel = _sparse_kernel(m.sparse_rows(), m.cols, m.field.p)
+    return Matrix.from_sparse_columns(m.field, m.cols, kernel.values())
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -497,13 +456,14 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if b.rows != a.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
     n = a.cols
-    basis = _sparse_rref(_sparse_columns(np.hstack([a.data, b.data]).T), a.field.p)
+    joined = [{**ra, **{n + k: x for k, x in rb.items()}} for ra, rb in zip(a.nz, b.nz)]
+    basis = _sparse_rref(joined, a.field.p)
     if any(c >= n for c in basis):
         return None  # a pivot fell in the b block: inconsistent system
     # row c of X is the b block of the reduced row with pivot c, if any
     rows = [{k - n: x for k, x in basis[c].items() if k >= n} if c in basis else {}
             for c in range(n)]
-    return _dense(a.field, b.cols, rows).T
+    return Matrix(a.field, b.cols, rows)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
@@ -521,6 +481,6 @@ def image_basis(m: Matrix) -> Matrix:
     """A basis of the column space, as columns of the original matrix: each
     column outside the span of the columns before it."""
     basis: dict = {}
-    keep = [j for j, v in enumerate(_sparse_columns(m.data))
+    keep = [j for j, v in enumerate(m.sparse_columns())
             if _echelon_insert(basis, v, m.field.p)]
-    return _adopt(m.field, m.data[:, keep])
+    return m.select_columns(keep)

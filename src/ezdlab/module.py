@@ -19,17 +19,10 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Algebra, Element, Representation
 from .groebner import QuotientPresentation
 from .linalg import (
     Matrix,
-    _adopt,
-    _dense,
-    _dot,
-    _linear_combination,
-    _sparse_columns,
     _sparse_kernel,
     _sparse_rref,
     image_basis,
@@ -82,12 +75,9 @@ class Module(Representation):
         """Action matrix of an algebra element (staircase coordinates)."""
         if r.parent != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        coords = r.coords.data[:, 0]
-        used = [(m, c) for m, c in zip(self.algebra.staircase, coords.tolist()) if c]
-        mats = [self.monomial_action(m) for m, _ in used]
-        row = np.array([[c for _, c in used]], dtype=coords.dtype)
-        out = _linear_combination(self.algebra.field, row, mats, (self.dim,) * 2)
-        return Matrix(self.algebra.field, out[0])
+        terms = [(row[0], self.monomial_action(m))
+                 for m, row in zip(self.algebra.staircase, r.coords.nz) if row]
+        return Matrix.combination(self.algebra.field, self.dim, self.dim, terms)
 
     def socle_dim(self) -> int:
         """dim of the simultaneous kernel of all variable actions."""
@@ -164,7 +154,8 @@ def _restricted_actions(basis: Matrix, images: list) -> list:
     coords = solve_matrix(basis, Matrix.hstack(images))
     if coords is None:
         raise ValueError("subspace is not invariant under the actions")
-    return [Matrix(basis.field, c) for c in np.hsplit(coords.data, len(images))]
+    w = basis.cols
+    return [coords.select_columns(range(v * w, (v + 1) * w)) for v in range(len(images))]
 
 
 def annihilator_submodule(module: Module, x: Element):
@@ -182,8 +173,8 @@ def scale_quotient(module: Module, x: Element, with_section: bool = False):
     reduction picked."""
     ax = module.element_action(x)
     proj, section, acts = _quotient_space(
-        module.algebra.field, _sparse_columns(ax.data.T), module.dim,
-        lambda proj: [(proj @ a).data for a in module.actions],
+        module.algebra.field, ax.sparse_rows(), module.dim,
+        lambda proj: [proj @ a for a in module.actions],
     )
     quot = Module(module.algebra, acts, label=f"{module.label or 'M'}/x")
     if with_section:
@@ -217,68 +208,75 @@ class HomModule(Module):
         rows = []
         for sa, ta in zip(source.actions, target.actions):
             block = [{} for _ in range(nt * ns)]
-            _kron_difference(block, ta.data, sa.data.T, field.p)
+            _kron_difference(block, ta, sa.T, field.p)
             rows += block
         # columns are vec(phi); its rows at ``_free`` form an identity block
         kernel = _sparse_kernel(rows, ns * nt, field.p)
-        self._bmat = _dense(field, ns * nt, kernel.values())
+        self._bmat = Matrix.from_sparse_columns(field, ns * nt, kernel.values())
         self._free = list(kernel)
-        h = self._bmat.cols
         self.hom_source = source
         self.hom_target = target
-        phis = np.ascontiguousarray(self._bmat.data.T).reshape(h, nt, ns)
-        phis.setflags(write=False)
-        self.basis = [Matrix(field, phi) for phi in phis]
-        acts = []
-        for ta in target.actions:
-            imgs = _dot(ta.data, phis, field.p)
-            acts.append(self._coords(imgs.reshape(h, nt * ns).T))
+        self.basis = [self._unvec(v) for v in kernel.values()]
+        acts = [self._coords([ta @ phi for phi in self.basis]) for ta in target.actions]
         super().__init__(
             source.algebra,
             acts,
             label=f"Hom({source.label or 'M'},{target.label or 'N'})",
         )
 
-    def _coords(self, vecs: np.ndarray) -> Matrix:
-        """Coordinates of the canonical vec(phi) columns of ``vecs``."""
-        coords = _adopt(self._bmat.field, vecs[self._free])
-        if not np.array_equal((self._bmat @ coords).data, vecs):
+    def _unvec(self, vec: dict) -> Matrix:
+        """The target-dim x source-dim matrix whose row-major vec is the
+        sparse column ``vec``."""
+        ns = self.hom_source.dim
+        rows = [{} for _ in range(self.hom_target.dim)]
+        for k, x in vec.items():
+            rows[k // ns][k % ns] = x
+        return Matrix(self._bmat.field, ns, rows)
+
+    def _coords(self, mats: list) -> Matrix:
+        """Coordinates of the homs ``mats``, one column each."""
+        ns, free = self.hom_source.dim, {f: a for a, f in enumerate(self._free)}
+        vecs = [{b * ns + c: x for b, row in enumerate(m.nz) for c, x in row.items()}
+                for m in mats]
+        field = self._bmat.field
+        coords = Matrix.from_sparse_columns(
+            field, len(free), [{free[k]: x for k, x in v.items() if k in free} for v in vecs])
+        if self._bmat @ coords != Matrix.from_sparse_columns(field, self._bmat.rows, vecs):
             raise ValueError("matrix is not in the Hom space")
         return coords
 
     def element_matrix(self, coords: Matrix) -> Matrix:
         """The hom as a target-dim x source-dim matrix, from coordinates."""
-        vec = (self._bmat @ coords).data
-        shape = (self.hom_target.dim, self.hom_source.dim)
-        return Matrix(self.algebra.field, vec.reshape(shape))
+        vec = self._bmat @ coords
+        return self._unvec({k: row[0] for k, row in enumerate(vec.nz) if row})
 
     def coordinates_of(self, mat: Matrix) -> Matrix:
         """Inverse of element_matrix; the hom must lie in the span."""
-        if mat.data.shape != (self.hom_target.dim, self.hom_source.dim):
+        if (mat.rows, mat.cols) != (self.hom_target.dim, self.hom_source.dim):
             raise ValueError("matrix has the wrong shape for the Hom space")
-        return self._coords(mat.data.reshape(-1, 1))
+        return self._coords([mat])
 
 
-def _kron_difference(rows: list, a: np.ndarray, b: np.ndarray, p, shift: int = 0):
+def _kron_difference(rows: list, a: Matrix, b: Matrix, p, shift: int = 0):
     """Write the rows of a (x) 1 - 1 (x) b into the sparse ``rows``, at
-    columns ``shift`` on, from the nonzero entries of the square arrays a
-    and b alone.  Row and column indices are row-major: i * len(b) + j."""
-    na, nb = len(a), len(b)
-    ai, ak = a.nonzero()
-    for i, k, x in zip(ai.tolist(), ak.tolist(), a[ai, ak].tolist()):
-        for j in range(nb):
-            rows[i * nb + j][shift + k * nb + j] = x
-    bj, bl = b.nonzero()
-    for j, l, x in zip(bj.tolist(), bl.tolist(), b[bj, bl].tolist()):
-        for i in range(na):
-            row, c = rows[i * nb + j], shift + i * nb + l
-            y = row.get(c, 0) - x
-            if p is not None:
-                y %= p
-            if y:
-                row[c] = y
-            else:
-                del row[c]
+    columns ``shift`` on, from the nonzero entries of the square matrices a
+    and b alone.  Row and column indices are row-major: i * b.rows + j."""
+    na, nb = a.rows, b.rows
+    for i, line in enumerate(a.nz):
+        for k, x in line.items():
+            for j in range(nb):
+                rows[i * nb + j][shift + k * nb + j] = x
+    for j, line in enumerate(b.nz):
+        for l, x in line.items():
+            for i in range(na):
+                row, c = rows[i * nb + j], shift + i * nb + l
+                y = row.get(c, 0) - x
+                if p is not None:
+                    y %= p
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
 
 
 def hom_module(source: Module, target: Module) -> HomModule:
@@ -300,16 +298,14 @@ class TensorModule(Module):
         # the columns of L (x) 1 - 1 (x) R side by side, one block per variable
         rows = [{} for _ in range(n)]
         for v, (la, ra) in enumerate(zip(left.actions, right.actions)):
-            _kron_difference(rows, la.data, ra.data, field.p, v * n)
+            _kron_difference(rows, la, ra, field.p, v * n)
 
         def acted(proj):
-            # proj @ (L (x) 1): contract L with the left index of proj
-            q = proj.rows
-            flipped = proj.data.reshape(q, nl, nr).transpose(0, 2, 1)
-            return [
-                _dot(flipped, la.data, field.p).transpose(0, 2, 1).reshape(q, n)
-                for la in left.actions
-            ]
+            # proj @ (L (x) 1), with L (x) 1 sparse: row i * nr + j of it is
+            # row i of L, spread to the columns k * nr + j
+            return [proj @ Matrix(field, n, [
+                {k * nr + j: x for k, x in row.items()} for row in la.nz for j in range(nr)
+            ]) for la in left.actions]
 
         proj, section, acts = _quotient_space(field, rows, n * len(left.actions), acted)
         self.left = left
@@ -326,7 +322,7 @@ class TensorModule(Module):
 def _quotient_space(field, rows: list, s: int, acted):
     """Quotient of k^n by the span of the columns of an n x s block, given
     by its n sparse ``rows``, with its projection, its section and the
-    induced actions; ``acted(proj)`` gives the arrays proj @ a, one per
+    induced actions; ``acted(proj)`` gives the matrices proj @ a, one per
     action a on k^n.
 
     One reduction of the rows of [block | I_n]: its pivots in the I block
@@ -336,9 +332,10 @@ def _quotient_space(field, rows: list, s: int, acted):
     n = len(rows)
     basis = _sparse_rref([{**row, s + r: field.one} for r, row in enumerate(rows)], field.p)
     comp = [c - s for c in sorted(basis) if c >= s]
-    section = _dense(field, n, [{c: field.one} for c in comp])
-    proj = _dense(field, n, [{k - s: x for k, x in basis[s + c].items()} for c in comp]).T
-    acts = [_adopt(field, x[:, comp]) for x in acted(proj)]
+    section = Matrix.from_sparse_columns(field, n, [{c: field.one} for c in comp])
+    proj = Matrix(
+        field, n, [{k - s: x for k, x in basis[s + c].items()} for c in comp])
+    acts = [x.select_columns(comp) for x in acted(proj)]
     return proj, section, acts
 
 
@@ -361,7 +358,7 @@ def quotient_algebra(algebra: Algebra, x: Element) -> Algebra:
     if x.is_zero():
         raise ValueError("cannot quotient by zero")
     coords = x.coords
-    if coords.data[0, 0] != 0:
+    if coords.entry(0, 0) != 0:
         raise ValueError("cannot quotient by a unit (nonzero constant term)")
     f = x.to_polynomial()
     pres = algebra.presentation
@@ -453,5 +450,5 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0):
 
 
 def _combine(field, basis, coeffs):
-    row = Matrix.from_rows(field, [[field.canon(c) for c in coeffs]]).data
-    return Matrix(field, _linear_combination(field, row, basis, basis[0].data.shape)[0])
+    terms = zip((field.canon(c) for c in coeffs), basis)
+    return Matrix.combination(field, basis[0].rows, basis[0].cols, terms)

@@ -927,7 +927,7 @@ def search_counterexamples(config: SearchConfig) -> dict:
             continue
         report["algebras_built"] += 1
         elems = _radical_elements(algebra, rng)
-        key = (basis, tuple(e.coords.data.tobytes() for e in elems))
+        key = (basis, tuple(e.coords for e in elems))
         if key not in outcomes:
             outcomes[key] = _search_trial(algebra, elems, config.bound)
         pairs, gated, skips, found = outcomes[key]

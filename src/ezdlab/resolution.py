@@ -4,20 +4,21 @@ Resolutions are built incrementally.  The state of a module's resolution
 lives in the module's ``_resolution`` slot: it is made on the first call,
 holds no reference back to the module and is freed with it.  Step i builds
 the kernel of d_{i-1} when it starts, so a resolution to bound b never
-reduces d_b.  Differentials are stored in algebra-entry form: d_i is one
-(b_{i-1}, b_i, dim A) array whose entry [t, j] holds the staircase
+reduces d_b.  Differentials are stored in algebra-entry form: d_i is the
+sparse (b_{i-1} dim A) x b_i matrix of the generators step i picked, whose
+rows t * dim A .. (t + 1) dim A - 1 of column j hold the staircase
 coordinates of the algebra element in row t, column j.  Every block matrix
 built from it (the k-linear d_i, and the maps of the Hom(F_., N) and
-F_. (x) N complexes) comes from one contraction of its nonzero entries with
-the (dim A, n, n) stack of monomial actions on the target.
+F_. (x) N complexes) contracts its nonzero entries, each against the
+nonzeros of one monomial action on the target.
 
 Deep in a resolution these block matrices are almost all zeros, so each
-step and each Ext/Tor rank runs on sparse columns (``linalg._echelon_insert``
+step and each Ext/Tor rank runs on sparse lines (``linalg._echelon_insert``
 and ``linalg._sparse_kernel``): d_i as sparse rows, its kernel as sparse
 columns, the radical images from one sparse column map per variable.  No
-step allocates a dense array the size of d_i.  The dimension budget still
-counts free-module dimensions, not stored entries: counting entries would
-change which Ext/Tor route fits its budget.
+step stores a zero.  The dimension budget still counts free-module
+dimensions, not stored entries: counting entries would change which
+Ext/Tor route fits its budget.
 
 Ext and Tor each have two routes.  Ext resolves its first argument or the
 k-dual of its second (over a finite-dimensional algebra, k-duality turns
@@ -32,19 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .linalg import (
-    Matrix,
-    _adopt,
-    _dense,
-    _dot,
-    _echelon_insert,
-    _sparse_columns,
-    _sparse_kernel,
-    _sparse_lines,
-    _sparse_rank,
-)
+from .linalg import Matrix, _echelon_insert, _reduce, _sparse_kernel, _sparse_rank
 from .module import Iso, Module, _restricted_actions, dual_k, is_isomorphic
 
 __all__ = [
@@ -75,43 +64,36 @@ class ResolutionBudgetExceeded(Exception):
 NEG_INF = float("-inf")
 
 
-def _block_triplets(entries: np.ndarray, stack: np.ndarray, p, transpose=False):
-    """(rows, columns, values) of the nonzero entries of the block matrix
-    whose block (t, j), or (j, t) when transposed, is
-    sum_k entries[t, j, k] * stack[k].  Transposing moves the block but
-    leaves the block itself as it is.
+def _block_rows(entries: Matrix, stack: list, p, transpose=False) -> list:
+    """The sparse rows of the block matrix whose block (t, j), or (j, t)
+    when transposed, is sum_k e_tjk stack[k], with e_tjk the entry at row
+    t * len(stack) + k, column j of ``entries`` (algebra-entry form).
+    Transposing moves the block but leaves the block itself as it is.
 
-    Only the nonzero blocks, and only the algebra coordinates they use, are
-    contracted; differentials deep in a resolution are mostly zero blocks.
+    Each nonzero e_tjk adds its multiple of the nonzeros of stack[k] alone;
+    differentials deep in a resolution are mostly zero.
     """
-    nonzero = entries != 0
-    t_idx, j_idx = nonzero.any(axis=2).nonzero()
-    used = nonzero.any(axis=(0, 1)).nonzero()[0]
-    n = stack.shape[1]
-    coeffs = entries[t_idx[:, None], j_idx[:, None], used]
-    blocks = _dot(coeffs, stack[used].reshape(used.size, n * n), p)
-    blocks = blocks.reshape(t_idx.size, n, n)
-    if transpose:
-        t_idx, j_idx = j_idx, t_idx
-    e, a, b = blocks.nonzero()
-    return t_idx[e] * n + a, j_idx[e] * n + b, blocks[e, a, b]
+    d, n = len(stack), stack[0].rows
+    # the nonzero rows of each monomial action, as (row, its entries)
+    acts = [[(a, row.items()) for a, row in enumerate(s.nz) if row] for s in stack]
+    out = [{} for _ in range((entries.cols if transpose else entries.rows // d) * n)]
+    for r, line in enumerate(entries.nz):
+        t, k = divmod(r, d)
+        act = acts[k]
+        for j, x in line.items():
+            rb, cb = (j * n, t * n) if transpose else (t * n, j * n)
+            for a, items in act:
+                row = out[rb + a]
+                for b, y in items:
+                    row[cb + b] = row.get(cb + b, 0) + x * y
+    return _reduce(out, p)
 
 
-def _block_matrix(entries: np.ndarray, stack: np.ndarray, field, transpose=False) -> Matrix:
-    """The block matrix of ``_block_triplets``."""
-    r, c, _ = entries.shape
-    n = stack.shape[1]
-    shape = (c * n, r * n) if transpose else (r * n, c * n)
-    out = Matrix.zeros(field, *shape).data.copy()
-    i, j, vals = _block_triplets(entries, stack, field.p, transpose)
-    out[i, j] = vals
-    return _adopt(field, out)
-
-
-def _block_rows(entries: np.ndarray, stack: np.ndarray, p, transpose=False) -> list:
-    """The rows of ``_block_matrix``, sparse."""
-    count = entries.shape[1 if transpose else 0] * stack.shape[1]
-    return _sparse_lines(count, *_block_triplets(entries, stack, p, transpose))
+def _block_matrix(entries: Matrix, stack: list, field, transpose=False) -> Matrix:
+    """The block matrix of ``_block_rows``."""
+    n = stack[0].rows
+    cols = (entries.rows // len(stack) if transpose else entries.cols) * n
+    return Matrix(field, cols, _block_rows(entries, stack, field.p, transpose))
 
 
 def _sparse_var_apply(var_cols: list, v: dict, d: int, p) -> dict:
@@ -146,8 +128,9 @@ class _ResolutionState:
         self.algebra = module.algebra
         self.field = module.algebra.field
         self.betti: list[int] = []
+        # gens[0] generates the module; gens[i], i >= 1, is d_i in
+        # algebra-entry form
         self.gens: list[Matrix] = []
-        self.diff_alg: list = [None]  # diff_alg[i]: (b_{i-1}, b_i, dim A), i >= 1
         # kernels[i] = ker d_{i-1} in F_{i-1}, as sparse columns
         self.kernels: list[Optional[list]] = [None]
         self.terminated = False
@@ -157,9 +140,10 @@ class _ResolutionState:
     # -- construction --------------------------------------------------
     def _step0(self, m: Module):
         # the unit vectors outside the span of the action images generate M
-        spanning = (v for a in m.actions for v in _sparse_columns(a.data))
+        spanning = (v for a in m.actions for v in a.sparse_columns())
         units = [{j: self.field.one} for j in range(m.dim)]
-        g0 = _dense(self.field, m.dim, _pick_independent(spanning, units, self.field.p))
+        g0 = Matrix.from_sparse_columns(
+            self.field, m.dim, _pick_independent(spanning, units, self.field.p))
         b0 = g0.cols
         self.betti.append(b0)
         self.gens.append(g0)
@@ -168,8 +152,13 @@ class _ResolutionState:
             self.terminated = True
             return
         # column j*d + k of d0 is monomial k acting on generator j
-        d0 = _dot(m.action_stack(), g0.data, self.field.p).transpose(1, 2, 0)
-        self._d0 = _adopt(self.field, d0.reshape(m.dim, b0 * self.algebra.dim))
+        d = self.algebra.dim
+        rows = [{} for _ in range(m.dim)]
+        for k, act in enumerate(m.action_stack()):
+            for row, line in zip(rows, (act @ g0).nz):
+                for j, x in line.items():
+                    row[j * d + k] = x
+        self._d0 = Matrix(self.field, b0 * d, rows)
 
     @property
     def length(self) -> int:
@@ -197,15 +186,15 @@ class _ResolutionState:
             # ker d_{i-1} is built only now that step i needs it; a budget
             # stop below keeps it for the retry
             i = self.length
-            rows = (_sparse_columns(self._d0.data.T) if i == 0
-                    else _block_rows(self.diff_alg[i], self.algebra.mult_stack, p))
+            rows = (self._d0.sparse_rows() if i == 0
+                    else _block_rows(self.gens[i], self.algebra.mult_stack, p))
             self.kernels.append(list(_sparse_kernel(rows, prev_rank * d, p).values()))
         kernel = self.kernels[-1]
         if not kernel:
             self.terminated = True
             return
         # the kernel columns outside rad·kernel complete a basis of kernel/rad·kernel
-        var_maps = [_sparse_columns(va.data) for va in self.algebra.actions]
+        var_maps = [va.sparse_columns() for va in self.algebra.actions]
         rad = (_sparse_var_apply(vm, v, d, p) for vm in var_maps for v in kernel)
         picks = _pick_independent(rad, kernel, p)
         b = len(picks)
@@ -214,19 +203,17 @@ class _ResolutionState:
             raise self._over_budget(name, self.length + 1, total, max_total_dim)
         self.cum_dim = total
         # algebra-entry form of the new differential + minimality check
-        gens = _dense(self.field, prev_rank * d, picks)
-        entries = gens.data.reshape(prev_rank, d, b).transpose(0, 2, 1)
-        if (entries[:, :, 0] != 0).any():
+        gens = Matrix.from_sparse_columns(self.field, prev_rank * d, picks)
+        if any(gens.nz[t * d] for t in range(prev_rank)):
             raise AssertionError("non-minimal differential entry (unit constant term)")
         self.betti.append(b)
         self.gens.append(gens)
-        self.diff_alg.append(entries)
 
     def differential_matrix(self, i: int) -> Matrix:
         """k-linear d_i; i = 0 maps F_0 onto the module."""
         if i == 0:
             return self._d0
-        return _block_matrix(self.diff_alg[i], self.algebra.mult_stack, self.field)
+        return _block_matrix(self.gens[i], self.algebra.mult_stack, self.field)
 
 
 @dataclass
@@ -247,10 +234,11 @@ class FreeResolution:
     def differential_matrix(self, i: int) -> Matrix:
         return self._state.differential_matrix(i)
 
-    def diff_alg(self, i: int) -> np.ndarray:
-        """d_i (i >= 1) in algebra-entry form: a read-only (b_{i-1}, b_i, dim A)
-        array; [t, j] holds the staircase coordinates of entry (t, j)."""
-        return self._state.diff_alg[i]
+    def diff_alg(self, i: int) -> Matrix:
+        """d_i (i >= 1) in algebra-entry form: a (b_{i-1} dim A) x b_i matrix
+        whose rows t * dim A .. (t + 1) dim A - 1 of column j hold the
+        staircase coordinates of entry (t, j)."""
+        return self._state.gens[i]
 
 
 def minimal_free_resolution(
@@ -411,10 +399,11 @@ def syzygy_module(module: Module, i: int) -> Module:
     # the syzygy is ker d_{i-1} inside F_{i-1}; its sparse basis is kept
     kernel, rows = res._state.kernels[i], res.betti[i - 1] * d
     images = [
-        _dense(field, rows, [_sparse_var_apply(vm, v, d, field.p) for v in kernel])
-        for vm in (_sparse_columns(va.data) for va in algebra.actions)
+        Matrix.from_sparse_columns(field, rows, [_sparse_var_apply(vm, v, d, field.p)
+                                                 for v in kernel])
+        for vm in (va.sparse_columns() for va in algebra.actions)
     ]
-    acts = _restricted_actions(_dense(field, rows, kernel), images)
+    acts = _restricted_actions(Matrix.from_sparse_columns(field, rows, kernel), images)
     return Module(algebra, acts, label=f"syz{i}({module.label or 'M'})")
 
 

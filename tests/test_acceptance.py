@@ -200,7 +200,7 @@ def test_criterion_08_periodicity_goldens(hyper2, hyper4):
     m = scale_quotient(regular_module(hyper4), var(hyper4, 0))[0]
     res4 = minimal_free_resolution(m, 6)
     for i in range(1, 7):
-        coords = list(res4.diff_alg(i)[0][0])
+        coords = [res4.diff_alg(i).entry(k, 0) for k in range(hyper4.dim)]
         assert coords == ([0, 1, 0, 0] if i % 2 == 1 else [0, 0, 0, 1])
     _line(8, "betti (1,1,...) with (1,2) certificate; alternating x/x^3 differentials")
 

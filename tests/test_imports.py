@@ -1,7 +1,8 @@
 """Lint checks on the syntax tree of each ``src/ezdlab/*.py``: every
-imported name is used there or re-exported, no module-level cache, and
-every top-level definition and every method of a top-level class is named
-somewhere in the project.  Every name the benchmark's tracer wraps exists.
+imported name is used there or re-exported, no module-level cache, no
+numpy import outside ``Matrix.data``, and every top-level definition and
+every method of a top-level class is named somewhere in the project.  Every
+name the benchmark's tracer wraps exists.
 
 No linter ships with the project's test dependencies, so these walk the
 tree with ``ast``.
@@ -64,6 +65,37 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _numpy_imports(node, scope=()):
+    """(enclosing class and function names, line) of every import of numpy
+    or of a numpy submodule under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            yield scope, child.lineno
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        yield from _numpy_imports(child, inner)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_only_inside_matrix_data(path):
+    """The engine is pure Python: only the ``Matrix.data`` property, the
+    dense copy that tests and tools read, imports numpy, and only when it
+    is called."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {("Matrix", "data")} if path.name == "linalg.py" else set()
+    found = [(scope, line) for scope, line in _numpy_imports(tree) if scope not in allowed]
+    assert not found, f"{path.name} imports numpy at {found}"
+    if allowed:
+        assert [scope for scope, _ in _numpy_imports(tree)] == list(allowed)
 
 
 def _is_empty_container(node):

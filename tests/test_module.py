@@ -24,7 +24,7 @@ from ezdlab.module import (
     tensor_module,
     transport_to_quotient,
 )
-from ezdlab.module import _combine, _linear_combination
+from ezdlab.module import _combine
 
 from conftest import GF2, GF101, QQ, make_algebra, var
 
@@ -190,10 +190,9 @@ def test_sums_exact_at_large_p():
     expected = _int_combination(monos, coeffs, P_MAX)
     assert m.element_action(alg.element(coeffs)).data.tolist() == expected
     # the contraction that evaluates the ideal generators on every module
-    row = Matrix.from_rows(field, [coeffs]).data
     mats = [m.monomial_action(s) for s in alg.staircase]
-    assert _linear_combination(field, row, mats, (8, 8))[0].tolist() == expected
-    basis = [Matrix(field, mono) for mono in monos]
+    assert Matrix.combination(field, 8, 8, zip(coeffs, mats)).to_lists() == expected
+    basis = [Matrix.from_rows(field, mono) for mono in monos]
     assert _combine(field, basis, coeffs).data.tolist() == expected
 
     # structure constants near p: v_i v_j = a_ij z^2, so one entry of an
@@ -207,6 +206,6 @@ def test_sums_exact_at_large_p():
             gens.append({mono: 1, (0, 0, 0, 0, 2): -rng.randrange(P_MAX // 2, P_MAX)})
     alg = make_algebra(field, names, gens)
     coeffs = [rng.randrange(P_MAX // 2, P_MAX) for _ in alg.staircase]
-    mults = alg.mult_stack.tolist()
+    mults = [mat.to_lists() for mat in alg.mult_stack]
     expected = _int_combination(mults, coeffs, P_MAX)
     assert alg.element_action(alg.element(coeffs)).data.tolist() == expected

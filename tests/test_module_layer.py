@@ -178,7 +178,7 @@ def _column_by_column(h, mats):
     """The coordinates of each matrix in the Hom space, one call each."""
     cols = [h.coordinates_of(mat).data for mat in mats]
     field = h.algebra.field
-    return Matrix(field, np.hstack(cols)) if cols else Matrix.zeros(field, h.dim, 0)
+    return Matrix.from_rows(field, np.hstack(cols)) if cols else Matrix.zeros(field, h.dim, 0)
 
 
 def _homothety_reference(c):
@@ -191,7 +191,7 @@ def _biduality_reference(x, c):
     h1 = hom_module(x, c)
     h2 = hom_module(h1, c)
     mats = [
-        Matrix(field, np.hstack([phi.data[:, [i]] for phi in h1.basis]))
+        Matrix.from_rows(field, np.hstack([phi.data[:, [i]] for phi in h1.basis]))
         if h1.basis else Matrix.zeros(field, c.dim, 0)
         for i in range(x.dim)
     ]
@@ -203,7 +203,8 @@ def _gamma_reference(m, c):
     t = tensor_module(c, m)
     h = hom_module(c, t)
     mats = [
-        Matrix(field, np.hstack([t.projection.data[:, [j * m.dim + i]] for j in range(c.dim)]))
+        Matrix.from_rows(field, np.hstack([t.projection.data[:, [j * m.dim + i]]
+                                           for j in range(c.dim)]))
         for i in range(m.dim)
     ]
     return _column_by_column(h, mats)

@@ -13,8 +13,6 @@ import ezdlab.module as module_mod
 import ezdlab.resolution as resolution
 from ezdlab.linalg import (
     Matrix,
-    _dense,
-    _sparse_columns,
     image_basis,
     kernel_basis,
     rref,
@@ -57,27 +55,27 @@ def _quotient_reference(field, n, sub, action_mats):
         field, [[int(j == i) for i in comp] for j in range(n)]
     ) if n else Matrix.zeros(field, 0, 0)
     sol = solve_matrix(Matrix.hstack([w, section]), Matrix.identity(field, n))
-    proj = Matrix(field, sol.data[w.cols :, :])
+    proj = Matrix(field, n, sol.sparse_rows()[w.cols :])
     return proj, section, [proj @ a @ section for a in action_mats]
 
 
 def _quotient(field, subs, acts):
     """``_quotient_space`` on the sparse rows of the joined ``subs`` blocks."""
     joined = Matrix.hstack(subs)
-    return _quotient_space(field, _sparse_columns(joined.data.T), joined.cols,
-                           lambda proj: [(proj @ a).data for a in acts])
+    return _quotient_space(field, joined.sparse_rows(), joined.cols,
+                           lambda proj: [proj @ a for a in acts])
 
 
 def _kron(field, a, b):
     """The Kronecker product of two matrices, by numpy."""
-    return Matrix(field, np.kron(a.data, b.data))
+    return Matrix.from_rows(field, np.kron(a.data, b.data))
 
 
 def _min_gens_reference(kernel, rad_images):
     rad = image_basis(Matrix.hstack(rad_images))
     res = rref(Matrix.hstack([rad, kernel]))
     picks = [c - rad.cols for c in res.pivot_columns if c >= rad.cols]
-    return Matrix(kernel.field, kernel.data[:, picks])
+    return Matrix.from_rows(kernel.field, kernel.data[:, picks])
 
 
 def _restricted_reference(basis, images):
@@ -128,9 +126,9 @@ def test_min_gens_match_two_rrefs(field):
     for n in (0, 1, 6):
         kernel = _random(field, rng, n, 4)
         for name, rads in _subs(field, rng, n).items():
-            spanning = [v for r in rads for v in _sparse_columns(r.data)]
-            picks = _pick_independent(spanning, _sparse_columns(kernel.data), field.p)
-            got = _dense(field, n, picks)
+            spanning = [v for r in rads for v in r.sparse_columns()]
+            picks = _pick_independent(spanning, kernel.sparse_columns(), field.p)
+            got = Matrix.from_sparse_columns(field, n, picks)
             assert got == _min_gens_reference(kernel, rads), (n, name)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ezdlab import linalg, resolution
+from ezdlab.linalg import Matrix
 from ezdlab import module as module_mod
 from ezdlab.module import (
     dual_k,
@@ -47,10 +48,12 @@ def test_minimality(square_zero):
     """Every differential entry lies in the radical: constant coordinate 0."""
     k = residue_field_module(square_zero)
     res = minimal_free_resolution(k, 5)
+    d = square_zero.dim
     for i in range(1, res.length + 1):
-        for row in res.diff_alg(i):
-            for coords in row:
-                assert coords[0] == 0
+        entries = res.diff_alg(i)
+        for t in range(res.betti[i - 1]):
+            for j in range(res.betti[i]):
+                assert entries.entry(t * d, j) == 0
 
 
 def test_betti_ones_hypersurface(hyper2):
@@ -78,7 +81,7 @@ def test_alternating_differentials(hyper4):
     x_coords = [0, 1, 0, 0]
     x3_coords = [0, 0, 0, 1]
     for i in range(1, 7):
-        coords = list(res.diff_alg(i)[0][0])
+        coords = [res.diff_alg(i).entry(k, 0) for k in range(hyper4.dim)]
         expected = x_coords if i % 2 == 1 else x3_coords
         assert coords == expected
 
@@ -219,9 +222,12 @@ def test_budget_message_names_module_step_betti_and_budget(hyper4):
 
 def _block_reference(entries, stack, field, transpose):
     """Block by block in Python scalars: block (t, j), or (j, t) when
-    transposed, is sum_k entries[t, j, k] * stack[k]."""
-    r, c, d = entries.shape
-    n = stack.shape[1]
+    transposed, is sum_k e_tjk * stack[k], e_tjk at row t * d + k, column j
+    of ``entries``."""
+    d, n = len(stack), stack[0].rows
+    r, c = entries.rows // d, entries.cols
+    entries = entries.to_lists()
+    stack = [s.to_lists() for s in stack]
     rows, cols = (c, r) if transpose else (r, c)
     out = [[field.zero] * (cols * n) for _ in range(rows * n)]
     for t in range(r):
@@ -230,7 +236,7 @@ def _block_reference(entries, stack, field, transpose):
             for a in range(n):
                 for b in range(n):
                     terms = (
-                        field.canon(entries[t, j, k]) * field.canon(stack[k, a, b])
+                        field.canon(entries[t * d + k][j]) * field.canon(stack[k][a][b])
                         for k in range(d)
                     )
                     out[bi * n + a][bj * n + b] = field.canon(sum(terms, field.zero))
@@ -239,6 +245,7 @@ def _block_reference(entries, stack, field, transpose):
 
 def _check_blocks(m, entries, stack, field, transpose=False):
     assert m.to_lists() == _block_reference(entries, stack, field, transpose)
+    assert all(all(v != 0 for v in row.values()) for row in m.nz)
     assert not m.data.flags.writeable
     if field.p is not None:
         assert m.data.dtype == np.int64
@@ -257,13 +264,16 @@ def test_block_builders_match_loop_reference(field):
     mult = alg.mult_stack
     others = (dual_k(regular_module(alg)), residue_field_module(alg))
     zero_blocks = 0
+    d = alg.dim
     for i in range(1, res.length + 1):
         entries = res.diff_alg(i)
-        assert entries.shape == (res.betti[i - 1], res.betti[i], alg.dim)
-        zero_blocks += int((~(entries != 0).any(axis=2)).sum())
+        assert (entries.rows, entries.cols) == (res.betti[i - 1] * d, res.betti[i])
+        zero_blocks += sum(
+            all(entries.entry(t * d + k, j) == 0 for k in range(d))
+            for t in range(res.betti[i - 1]) for j in range(res.betti[i]))
         _check_blocks(res.differential_matrix(i), entries, mult, field)
         for other in others:
-            stack = np.stack([other.monomial_action(m).data for m in alg.staircase])
+            stack = [other.monomial_action(m) for m in alg.staircase]
             for transpose in (False, True):
                 got = _block_matrix(entries, other.action_stack(), field, transpose)
                 _check_blocks(got, entries, stack, field, transpose)
@@ -282,9 +292,12 @@ def test_block_matrix_edge_shapes(field, shape):
     if shape == (2, 3):
         raw[0, 1] = 0
         raw[1, 2] = [0, 0, 1]
-    entries = raw if field.p is not None else np.frompyfunc(Fraction, 1, 1)(raw)
     r, c = shape
     n = alg.dim
+    # algebra-entry form: coordinate k of entry (t, j) at row t * n + k, column j
+    entries = Matrix(field, c, [
+        {j: field.canon(raw[t, j, k]) for j in range(c) if raw[t, j, k]}
+        for t in range(r) for k in range(n)])
     for transpose in (False, True):
         got = _block_matrix(entries, mult, field, transpose)
         assert got.data.shape == ((c * n, r * n) if transpose else (r * n, c * n))
@@ -298,9 +311,9 @@ def test_block_matrix_zero_dim_target(field):
     alg = make_algebra(field, ["x"], [{(2,): 1}])
     res = minimal_free_resolution(residue_field_module(alg), 2)
     stack = zero_module(alg).action_stack()
-    assert stack.shape == (alg.dim, 0, 0)
+    assert [(s.rows, s.cols) for s in stack] == [(0, 0)] * alg.dim
     entries = res.diff_alg(1)
-    assert (entries != 0).any()
+    assert not entries.is_zero()
     for transpose in (False, True):
         got = _block_matrix(entries, stack, field, transpose)
         assert got.data.shape == (0, 0)

@@ -13,9 +13,7 @@ import pytest
 from ezdlab.linalg import (
     Field,
     Matrix,
-    _dense,
     _echelon_insert,
-    _sparse_columns,
     _sparse_kernel,
     image_basis,
     kernel_basis,
@@ -78,7 +76,8 @@ def test_sparse_kernel_matches_kernel_basis(field, density):
         got = _sparse_kernel(_rows(m), m.cols, field.p)
         assert all(all(x != 0 for x in col.values()) for col in got.values())
         want = _int_kernel(m.to_lists(), m.cols, field.p)
-        assert _dense(field, m.cols, got.values()).to_lists() == want, (rows, cols)
+        assert Matrix.from_sparse_columns(field, m.cols, got.values()).to_lists() == want, (
+            rows, cols)
         assert kernel_basis(m).to_lists() == want, (rows, cols)
         pivots = _int_rref(m.to_lists(), field.p)[1]
         assert list(got) == [j for j in range(m.cols) if j not in pivots]
@@ -93,7 +92,7 @@ def test_insertion_rank_matches_rank(field, density):
         by_rows, by_cols = {}, {}
         row_rank = sum(_echelon_insert(by_rows, row, field.p) for row in _rows(m))
         col_rank = sum(_echelon_insert(by_cols, col, field.p)
-                       for col in _sparse_columns(m.data))
+                       for col in m.sparse_columns())
         want = len(_int_rref(m.to_lists(), field.p)[1])
         assert row_rank == col_rank == rank(m) == want, (rows, cols)
 
@@ -109,14 +108,14 @@ def test_generator_picks_match_rref_pivots(field, density):
         spanning = _random_sparse(field, rng, n, s, density)
         cols = _random_sparse(field, rng, n, c, density)
         s, c = spanning.cols, cols.cols  # the helper adds columns
-        sparse_cols = _sparse_columns(cols.data)
+        sparse_cols = cols.sparse_columns()
         picks = {id(v) for v in _pick_independent(
-            _sparse_columns(spanning.data), sparse_cols, field.p)}
+            spanning.sparse_columns(), sparse_cols, field.p)}
         got = [j for j, v in enumerate(sparse_cols) if id(v) in picks]
         joined = Matrix.hstack([spanning, cols]).to_lists()
         want = [j - s for j in _int_rref(joined, field.p)[1] if j >= s]
         assert got == want, (n, s, c)
-        assert _sparse_columns(cols.data) == sparse_cols  # cols are not consumed
+        assert cols.sparse_columns() == sparse_cols  # cols are not consumed
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -131,7 +130,8 @@ def test_rref_solve_and_image_match_reference(field, density):
         red, pivots = _int_rref(m.to_lists(), field.p)
         res = rref(m)
         assert (res.reduced.to_lists(), res.pivot_columns) == (red, pivots), (rows, cols)
-        assert image_basis(m) == Matrix(field, m.data[:, list(pivots)]), (rows, cols)
+        assert image_basis(m) == Matrix.from_rows(field, m.data[:, list(pivots)]), (
+            rows, cols)
         # solve_matrix's solution is the b block of the reference reduction
         # of [m | b] on the pivot rows, zero on the free rows
         x = Matrix.from_rows(field, [[rng.randint(0, 3) for _ in range(2)]
