@@ -49,6 +49,14 @@ class Representation:
         """The monomial actions, in staircase order."""
         return [self.monomial_action(m) for m in self.algebra.staircase]
 
+    def element_action(self, r: "Element") -> Matrix:
+        """Action matrix of an algebra element (staircase coordinates)."""
+        if r.parent != self.algebra:
+            raise ValueError("element belongs to a different algebra")
+        terms = [(row[0], self.monomial_action(m))
+                 for m, row in zip(self.algebra.staircase, r.coords.nz) if row]
+        return Matrix.combination(self.algebra.field, self.dim, self.dim, terms)
+
     def _check_representation(self):
         n, field = self.dim, self.algebra.field
         for a in self.actions:
@@ -110,7 +118,6 @@ class Algebra(Representation):
             if {r: row[0] for r, row in enumerate(mat.nz) if 0 in row} != {i: 1}:
                 raise ValueError("a staircase monomial does not map 1 to itself")
         self._check_representation()
-        self._mon_cache.clear()  # mult_stack holds the actions now
 
     algebra = property(lambda self: self)  # A is a representation of itself
 
@@ -142,14 +149,6 @@ class Algebra(Representation):
 
     def element_from_poly(self, f: Polynomial) -> "Element":
         return self.element(self.presentation.normal_form_coords(f))
-
-    def element_action(self, e: "Element") -> Matrix:
-        """Multiplication-by-e matrix on the algebra itself."""
-        if e.parent is not self and e.parent != self:
-            raise ValueError("element belongs to a different algebra")
-        d = self.dim
-        terms = ((row[0], self.mult_stack[i]) for i, row in enumerate(e.coords.nz) if row)
-        return Matrix.combination(self.field, d, d, terms)
 
 
 @dataclass(frozen=True)

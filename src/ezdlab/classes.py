@@ -357,15 +357,13 @@ def build_proper_PC_resolution(
         hom_maps.append(_block_matrix(res.diff_alg(i), hcc_stack, field))
     fail_hom = _complex_is_exact(hom_maps)
 
-    # rank-2 test object: everything doubles blockwise
-    hom_maps2 = [Matrix.block_diag([mm, mm]) for mm in hom_maps]
-    fail_hom2 = _complex_is_exact(hom_maps2)
-
+    # Hom(C^2, X+) is Hom(C, X+) twice over (each map mm becomes
+    # block_diag([mm, mm])), so it is exact just when Hom(C, X+) is
     return ProperResolutionReport(
         betti=list(res.betti),
         terminated=res.terminated,
         proper=fail_hom is None,
-        proper_rank2=fail_hom2 is None,
+        proper_rank2=fail_hom is None,
         augmented_exact=fail_plain is None,
         failing_degree=fail_hom,
         complex_maps=maps,

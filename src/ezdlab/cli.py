@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -37,7 +36,7 @@ from .groebner import (
     NonLocalError,
     PairBudgetExceeded,
 )
-from .module import Module, regular_module, residue_field_module
+from .module import Module, residue_field_module
 from .propcheck import (
     PROP_VERIFIERS,
     SearchConfig,
@@ -69,12 +68,12 @@ class Report:
     bound: int
     results: list = dc_field(default_factory=list)
 
-    def add(self, id: str, status: str, witness=None, tables=None, millis=0):
-        entry = {"id": id, "status": status, "millis": millis}
-        if witness is not None:
-            entry["witness"] = witness
-        if tables is not None:
-            entry["tables"] = tables
+    def add(self, r: dsl.CheckResult):
+        entry = {"id": r.id, "status": r.status, "millis": r.millis}
+        if r.witness is not None:
+            entry["witness"] = r.witness
+        if r.tables is not None:
+            entry["tables"] = r.tables
         self.results.append(entry)
 
     def exit_code(self) -> int:
@@ -127,20 +126,18 @@ def _flag_error(flag: str, text: str, exc: dsl.DslError) -> UsageError:
 
 
 def _build_env(ring_text: str):
-    """Environment with a single ring named A built from e.g.
-    ``GF(101)[x,y]/(x*y, x^2-y^2)``."""
+    """Environment with a ring named A built from e.g.
+    ``GF(101)[x,y]/(x*y, x^2-y^2)`` and its residue field, the module k."""
     try:
         decl = dsl.parse_ring(ring_text)
         env, _ = dsl.run_script(dsl.Script((decl,)))
     except dsl.DslError as exc:
         raise _flag_error("--ring", ring_text, exc) from None
+    env.modules["k"] = residue_field_module(env.rings["A"])
     return env
 
 
 def _module_from_expr(env, flag: str, text: str) -> Module:
-    algebra = env.rings["A"]
-    if text.strip() == "k":
-        return residue_field_module(algebra)
     try:
         expr = dsl.parse_module_expr(text)
         return dsl._eval_module(env, expr, expr)
@@ -152,25 +149,13 @@ def _module_from_expr(env, flag: str, text: str) -> Module:
 # subcommands
 
 
-def _timed(report: Report, id: str, fn):
-    """(fn(), wall millis), or None once a stop in ``dsl.STOPS`` has been
-    reported as ``id``'s entry."""
-    t0 = time.monotonic()
-    try:
-        out = fn()
-    except dsl.STOPS as exc:
-        report.add(id, *dsl.stop_status(exc))
-        return None
-    return out, int((time.monotonic() - t0) * 1000)
-
-
 def _cmd_check(args) -> int:
     report = Report("check", args.seed, args.bound)
     with open(args.script) as fh:
         script = dsl.parse_script(fh.read())
     _env, results = dsl.run_script(script, default_bound=args.bound, seed=args.seed)
     for r in results:
-        report.add(r.id, r.status, r.witness, r.tables, r.millis)
+        report.add(r)
     return _emit(report, args)
 
 
@@ -178,18 +163,13 @@ def _cmd_resolve(args) -> int:
     report = Report("resolve", args.seed, args.bound)
     env = _build_env(args.ring)
     m = _module_from_expr(env, "--module", args.module)
-    rid = f"resolve({args.module})"
-    got = _timed(report, rid, lambda: minimal_free_resolution(m, args.bound))
-    if got is None:
-        return _emit(report, args)
-    res, millis = got
-    report.add(
-        rid,
-        "pass",
-        witness=f"betti={list(res.betti)} terminated={res.terminated}",
-        tables={"betti": list(res.betti), "terminated": res.terminated},
-        millis=millis,
-    )
+
+    def betti():
+        res = minimal_free_resolution(m, args.bound)
+        witness = f"betti={list(res.betti)} terminated={res.terminated}"
+        return "pass", witness, {"betti": list(res.betti), "terminated": res.terminated}
+
+    report.add(dsl.result(f"resolve({args.module})", betti))
     return _emit(report, args)
 
 
@@ -200,67 +180,51 @@ def _cmd_ext_tor(args) -> int:
     src = _module_from_expr(env, "--from", getattr(args, "from"))
     dst = _module_from_expr(env, "--to", args.to)
     fn = ext if which == "ext" else tor
-    rid = f"{which}({getattr(args, 'from')},{args.to})"
-    got = _timed(report, rid, lambda: fn(src, dst, args.bound))
-    if got is None:
-        return _emit(report, args)
-    table, millis = got
-    report.add(
-        rid,
-        "pass",
-        witness=f"dims={list(table.dims)}",
-        tables={
-            "dims": list(table.dims),
-            "bound": table.bound,
-            "certified": table.certified_all_beyond,
-        },
-        millis=millis,
-    )
+
+    def dims():
+        table = fn(src, dst, args.bound)
+        return "pass", f"dims={list(table.dims)}", dsl.table_json(table)
+
+    report.add(dsl.result(f"{which}({getattr(args, 'from')},{args.to})", dims))
     return _emit(report, args)
 
 
-def _dim_str(value) -> str:
+def _membership(rep) -> tuple:
+    if rep.holds:
+        return "pass", type(rep.verdict).__name__, None
+    return "fail", rep.verdict.witness, None
+
+
+def _dimension(value) -> tuple:
     kind = type(value).__name__
     if kind == "Exactly":
-        return str(value.value)
+        return "pass", str(value.value), None
     if kind == "AtLeast":
-        return f">={value.value}"
-    return "undefined (membership failed)"
+        return "pass", f">={value.value}", None
+    return "inconclusive", "undefined (membership failed)", None
 
 
 def _cmd_classify(args) -> int:
     report = Report("classify", args.seed, args.bound)
     env = _build_env(args.ring)
     m = _module_from_expr(env, "--module", args.module)
-    c = (
-        _module_from_expr(env, "--c", args.c)
-        if args.c
-        else regular_module(env.rings["A"], label="A")
-    )
     c_name = args.c or "A"
-    rid = f"semidualizing({c_name})"
-    got = _timed(report, rid, lambda: is_semidualizing(c, args.bound))
-    if got is not None:
-        cert, ms = got
-        report.add(rid, "pass" if cert.holds else "fail",
-                   witness=None if cert.holds else cert.failure, millis=ms)
-    for label, fn in (("in_G_C", in_G_C), ("in_A_C", in_A_C), ("in_B_C", in_B_C)):
+    c = _module_from_expr(env, "--c", c_name)
+
+    def semidualizing():
+        cert = is_semidualizing(c, args.bound)
+        return ("pass", None, None) if cert.holds else ("fail", cert.failure, None)
+
+    report.add(dsl.result(f"semidualizing({c_name})", semidualizing))
+    for label, fn, outcome in (
+        ("in_G_C", in_G_C, _membership),
+        ("in_A_C", in_A_C, _membership),
+        ("in_B_C", in_B_C, _membership),
+        ("pc_pd", pc_pd, _dimension),
+        ("ic_id", ic_id, _dimension),
+    ):
         rid = f"{label}({args.module};{c_name})"
-        got = _timed(report, rid, lambda fn=fn: fn(m, c, args.bound))
-        if got is None:
-            continue
-        rep, ms = got
-        verdict = type(rep.verdict).__name__
-        report.add(rid, "pass" if rep.holds else "fail",
-                   witness=verdict if rep.holds else rep.verdict.witness, millis=ms)
-    for label, fn in (("pc_pd", pc_pd), ("ic_id", ic_id)):
-        rid = f"{label}({args.module};{c_name})"
-        got = _timed(report, rid, lambda fn=fn: fn(m, c, args.bound))
-        if got is None:
-            continue
-        dim, ms = got
-        status = "inconclusive" if type(dim).__name__ == "Undefined" else "pass"
-        report.add(rid, status, witness=_dim_str(dim), millis=ms)
+        report.add(dsl.result(rid, lambda: outcome(fn(m, c, args.bound))))
     return _emit(report, args)
 
 
@@ -274,11 +238,12 @@ def _cmd_verify_paper(args) -> int:
     for pid in prop_ids:
         verifier = PROP_VERIFIERS[pid]
         for inst in instances:
-            rid = f"{pid}:{inst.name}"
-            got = _timed(report, rid, lambda: verifier(inst))
-            if got is not None:
-                result, millis = got
-                report.add(rid, result.status, result.witness, millis=millis)
+
+            def verdict():
+                result = verifier(inst)
+                return result.status, result.witness, None
+
+            report.add(dsl.result(f"{pid}:{inst.name}", verdict))
     code = _emit(report, args)
     if not args.quiet:
         _print_tally(report.results)
@@ -307,7 +272,7 @@ def _cmd_search(args) -> int:
     search_report = search_counterexamples(config)
     status = "fail" if search_report["counterexamples"] else "pass"
     # millis pinned to zero so that the report is bytewise reproducible
-    report.add("search", status, tables=search_report, millis=0)
+    report.add(dsl.CheckResult("search", status, None, search_report, 0))
     return _emit(report, args)
 
 

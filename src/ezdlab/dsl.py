@@ -564,7 +564,7 @@ def pretty_print(script: Script) -> str:
 @dataclass
 class CheckResult:
     id: str
-    status: str  # "pass" | "fail" | "inconclusive"
+    status: str  # "pass" | "fail" | "inconclusive" | "budget"
     witness: Optional[str]
     tables: Optional[dict]
     millis: int
@@ -663,11 +663,9 @@ def _eval_module(env: _Env, expr, at) -> Module:
     raise ValueError(f"unknown module constructor {op!r}")
 
 
-def _table_dict(tables: dict) -> dict:
-    return {
-        name: {"dims": list(t.dims), "bound": t.bound, "certified": t.certified_all_beyond}
-        for name, t in tables.items()
-    }
+def table_json(t) -> dict:
+    """The report form of an Ext/Tor table."""
+    return {"dims": list(t.dims), "bound": t.bound, "certified": t.certified_all_beyond}
 
 
 # the exceptions that stop a check short of a verdict
@@ -681,70 +679,68 @@ def stop_status(exc: Exception) -> tuple:
     return "budget", str(exc)
 
 
-def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> CheckResult:
-    bound = stmt.bound if stmt.bound is not None else default_bound
-    label = f"{stmt.name}({', '.join(_format_module_expr(a) for a in stmt.args)})"
+def result(label: str, compute) -> CheckResult:
+    """The report entry ``label`` of ``compute()``, which returns (status,
+    witness, tables); a stop in ``STOPS`` becomes its ``stop_status``, and
+    ``millis`` is the wall time either way."""
     start = time.monotonic()
-
-    def done(status, witness=None, tables=None):
-        millis = int((time.monotonic() - start) * 1000)
-        return CheckResult(label, status, witness, tables, millis)
-
     try:
-        if stmt.name == "ezd":
-            x = _ref(env.elems, "element", stmt.args[0], stmt)
-            y = _ref(env.elems, "element", stmt.args[1], stmt)
-            m = _eval_module(env, stmt.args[2], stmt)
-            _one_ring(stmt, [m.algebra, x.parent, y.parent])
-            rep = is_ezd_pair(x, y, m)
-            if rep.holds:
-                return done("pass")
-            return done("fail", witness=", ".join(rep.failing_checks()))
-        if stmt.name == "semidualizing":
-            c = _eval_module(env, stmt.args[0], stmt)
-            cert = is_semidualizing(c, bound)
-            if cert.holds:
-                status = "pass"
-                witness = "certified" if cert.certified_all else f"up to bound {bound}"
-                tables = _table_dict({"Ext(C,C)": cert.ext_table})
-                return done(status, witness, tables)
-            return done("fail", witness=cert.failure)
-        if stmt.name in ("in_gc", "in_ac", "in_bc"):
-            m = _eval_module(env, stmt.args[0], stmt)
-            c = _eval_module(env, stmt.args[1], stmt)
-            _one_ring(stmt, [m.algebra, c.algebra])
-            fn = {"in_gc": in_G_C, "in_ac": in_A_C, "in_bc": in_B_C}[stmt.name]
-            rep = fn(m, c, bound)
-            tables = _table_dict(rep.tables)
-            if isinstance(rep.verdict, CertifiedAll):
-                return done("pass", "certified", tables)
-            if isinstance(rep.verdict, HoldsUpTo):
-                return done("pass", f"up to bound {rep.verdict.bound}", tables)
-            return done("fail", rep.verdict.witness, tables)
-        if stmt.name in ("isomorphic", "not_isomorphic"):
-            m = _eval_module(env, stmt.args[0], stmt)
-            n = _eval_module(env, stmt.args[1], stmt)
-            _one_ring(stmt, [m.algebra, n.algebra])
-            verdict = is_isomorphic(m, n, seed=seed)
-            if isinstance(verdict, Iso):
-                return done("pass" if stmt.name == "isomorphic" else "fail")
-            if isinstance(verdict, NotIso):
-                return done(
-                    "fail" if stmt.name == "isomorphic" else "pass",
-                    witness=verdict.reason,
-                )
-            return done("inconclusive", witness="isomorphism search exhausted")
-        if stmt.name == "dim":
-            m = _eval_module(env, stmt.args[0], stmt)
-            expected = stmt.args[1]
-            if not isinstance(expected, int):
-                raise DslError("dim expects an integer dimension", *stmt.pos)
-            if m.dim == expected:
-                return done("pass")
-            return done("fail", witness=f"dim = {m.dim}, expected {expected}")
-        raise ValueError(f"unknown check {stmt.name!r}")
+        status, witness, tables = compute()
     except STOPS as exc:
-        return done(*stop_status(exc))
+        (status, witness), tables = stop_status(exc), None
+    return CheckResult(label, status, witness, tables, int((time.monotonic() - start) * 1000))
+
+
+def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> tuple:
+    """(status, witness, tables) of one check."""
+    bound = stmt.bound if stmt.bound is not None else default_bound
+    if stmt.name == "ezd":
+        x = _ref(env.elems, "element", stmt.args[0], stmt)
+        y = _ref(env.elems, "element", stmt.args[1], stmt)
+        m = _eval_module(env, stmt.args[2], stmt)
+        _one_ring(stmt, [m.algebra, x.parent, y.parent])
+        rep = is_ezd_pair(x, y, m)
+        if rep.holds:
+            return "pass", None, None
+        return "fail", ", ".join(rep.failing_checks()), None
+    if stmt.name == "semidualizing":
+        c = _eval_module(env, stmt.args[0], stmt)
+        cert = is_semidualizing(c, bound)
+        if cert.holds:
+            witness = "certified" if cert.certified_all else f"up to bound {bound}"
+            return "pass", witness, {"Ext(C,C)": table_json(cert.ext_table)}
+        return "fail", cert.failure, None
+    if stmt.name in ("in_gc", "in_ac", "in_bc"):
+        m = _eval_module(env, stmt.args[0], stmt)
+        c = _eval_module(env, stmt.args[1], stmt)
+        _one_ring(stmt, [m.algebra, c.algebra])
+        fn = {"in_gc": in_G_C, "in_ac": in_A_C, "in_bc": in_B_C}[stmt.name]
+        rep = fn(m, c, bound)
+        tables = {name: table_json(t) for name, t in rep.tables.items()}
+        if isinstance(rep.verdict, CertifiedAll):
+            return "pass", "certified", tables
+        if isinstance(rep.verdict, HoldsUpTo):
+            return "pass", f"up to bound {rep.verdict.bound}", tables
+        return "fail", rep.verdict.witness, tables
+    if stmt.name in ("isomorphic", "not_isomorphic"):
+        m = _eval_module(env, stmt.args[0], stmt)
+        n = _eval_module(env, stmt.args[1], stmt)
+        _one_ring(stmt, [m.algebra, n.algebra])
+        verdict = is_isomorphic(m, n, seed=seed)
+        if isinstance(verdict, Iso):
+            return ("pass" if stmt.name == "isomorphic" else "fail"), None, None
+        if isinstance(verdict, NotIso):
+            return ("fail" if stmt.name == "isomorphic" else "pass"), verdict.reason, None
+        return "inconclusive", "isomorphism search exhausted", None
+    if stmt.name == "dim":
+        m = _eval_module(env, stmt.args[0], stmt)
+        expected = stmt.args[1]
+        if not isinstance(expected, int):
+            raise DslError("dim expects an integer dimension", *stmt.pos)
+        if m.dim == expected:
+            return "pass", None, None
+        return "fail", f"dim = {m.dim}, expected {expected}", None
+    raise ValueError(f"unknown check {stmt.name!r}")
 
 
 def run_script(
@@ -765,5 +761,6 @@ def run_script(
                 m.label = stmt.name
             env.modules[stmt.name] = m
         elif isinstance(stmt, CheckStmt):
-            results.append(_run_check(env, stmt, default_bound, seed))
+            label = f"{stmt.name}({', '.join(_format_module_expr(a) for a in stmt.args)})"
+            results.append(result(label, lambda: _run_check(env, stmt, default_bound, seed)))
     return env, results

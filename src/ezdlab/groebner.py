@@ -159,16 +159,12 @@ class QuotientPresentation:
 
     ring: PolyRing
     ideal_generators: list
-    groebner: list = dc_field(default=None)
-    staircase: list = dc_field(default=None)
+    groebner: list = dc_field(init=False)
+    staircase: list = dc_field(init=False)
 
     def __post_init__(self):
-        if self.groebner is None:
-            self.groebner = groebner_basis(self.ring, self.ideal_generators)
-        if self.staircase is None:
-            self.staircase = quotient_basis(self.ring, self.groebner)
-        if not self.staircase or self.staircase[0] != (0,) * self.ring.nvars:
-            raise ValueError("staircase must contain 1")
+        self.groebner = groebner_basis(self.ring, self.ideal_generators)
+        self.staircase = quotient_basis(self.ring, self.groebner)
 
     @property
     def field(self) -> Field:

@@ -41,7 +41,7 @@ __all__ = [
 # Miller-Rabin with these bases is exact for every n below 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# the primes GF(p) accepts, as when products of two residues had to fit int64
+# every prime GF(p) accepts is below this cap
 _PRIME_CAP = 2**31
 
 
@@ -71,7 +71,7 @@ def _is_prime(n: int) -> bool:
 def prime_field_error(p: int) -> Optional[str]:
     """Why GF(p) cannot be computed with exactly, or None if it can."""
     if p >= _PRIME_CAP:
-        return f"GF({p}) is too large: exact int64 arithmetic needs p < 2^31"
+        return f"GF({p}) is too large: the supported fields have p < 2^31"
     if not _is_prime(p):
         return f"{p} is not prime"
     return None

@@ -71,14 +71,6 @@ class Module(Representation):
             raise ValueError("need one action matrix per variable")
         self._check_representation()
 
-    def element_action(self, r: Element) -> Matrix:
-        """Action matrix of an algebra element (staircase coordinates)."""
-        if r.parent != self.algebra:
-            raise ValueError("element belongs to a different algebra")
-        terms = [(row[0], self.monomial_action(m))
-                 for m, row in zip(self.algebra.staircase, r.coords.nz) if row]
-        return Matrix.combination(self.algebra.field, self.dim, self.dim, terms)
-
     def socle_dim(self) -> int:
         """dim of the simultaneous kernel of all variable actions."""
         if not self.actions:

@@ -112,6 +112,32 @@ def test_resolve(capsys):
     assert "betti=[1, 1, 1, 1, 1, 1]" in out
 
 
+def test_resolve_budget_entry_records_its_time(tmp_path, capsys):
+    """A resolution stopped by its budget is an entry like any other: status
+    ``budget``, the budget message as witness and its wall time."""
+    out_path = tmp_path / "resolve.json"
+    code, _, _ = run(["resolve", "--ring", "GF(101)[x,y,z]/(x^3,y^3,z^3,x*y*z)",
+                      "--module", "k", "--bound", "7", "--json", str(out_path)], capsys)
+    assert code == 3
+    [entry] = json.loads(out_path.read_text())["results"]
+    assert entry["status"] == "budget"
+    assert entry["witness"].startswith(
+        "resolution of k needs 15485 total dims at step 7, over the budget of 10000")
+    assert isinstance(entry["millis"], int) and entry["millis"] >= 0
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["resolve", "--module", "dualk(k)"], "betti=[1, 1, 1, 1, 1, 1]"),
+    (["ext", "--from", "hom(k,A)", "--to", "k"], "dims=[1, 1, 1, 1, 1, 1]"),
+], ids=["dualk", "hom"])
+def test_k_inside_an_expression(argv, text, capsys):
+    """The residue field k is a module of the flag environment, so it may
+    stand inside a module expression."""
+    code, out, err = run([*argv, "--ring", "GF(101)[x]/(x^4)", "--bound", "5"], capsys)
+    assert code == 0, err
+    assert text in out
+
+
 def test_classify(capsys):
     code, out, _ = run(
         [
