@@ -234,7 +234,7 @@ def _cmd_verify_paper(args) -> int:
         raise UsageError(f"unknown property id {args.prop!r}; "
                          f"known: {', '.join(sorted(PROP_VERIFIERS))}")
     prop_ids = [args.prop] if args.prop else sorted(PROP_VERIFIERS)
-    instances = load_corpus(bound=args.bound)
+    instances = load_corpus(bound=args.bound, seed=args.seed)
     for pid in prop_ids:
         verifier = PROP_VERIFIERS[pid]
         for inst in instances:

@@ -11,7 +11,8 @@ of the pair on a module, ``_gate_ring_and_c`` for the ring and C,
 ``_Inconclusive`` with the reason.  The ``_verifier`` decorator catches it
 once and builds every ``VerificationResult``; bodies only return
 ``_pass(...)`` or ``_fail(witness, ...)``.  All randomness is driven by
-explicit seeds.
+explicit seeds.  The corpus instances are built from the declarations of
+the `.ezd` files alone: a file's checks run only under ``ezdlab check``.
 
 The verifiers state facts about a few objects of one instance: A, R/xR,
 A/xA and A/yA, C and M reduced over them, the class verdicts of M, R/xR
@@ -640,17 +641,18 @@ def _default_corpus_dir() -> Path:
     raise FileNotFoundError("no corpus directory found above the package")
 
 
-def load_corpus(directory: Optional[Path] = None, bound: int = DEFAULT_BOUND):
-    """Instances from `.ezd` files.  Convention: the first ring is the
-    algebra, elements named ex/ey are the pair, a module named C is the
-    semidualizing candidate (default: the ring), a module named M the test
-    module (default: the ring)."""
+def load_corpus(directory: Optional[Path] = None, bound: int = DEFAULT_BOUND, seed: int = 0):
+    """Instances from the declarations of `.ezd` files; their checks are not
+    run.  Convention: the first ring is the algebra, elements named ex/ey
+    are the pair, a module named C is the semidualizing candidate (default:
+    the ring), a module named M the test module (default: the ring)."""
     directory = Path(directory) if directory is not None else _default_corpus_dir()
     instances = []
     for path in sorted(directory.glob("*.ezd")):
-        script = dsl.parse_script(path.read_text())
+        decls = tuple(s for s in dsl.parse_script(path.read_text()).statements
+                      if not isinstance(s, dsl.CheckStmt))
         try:
-            env, _results = dsl.run_script(script, default_bound=bound)
+            env, _ = dsl.run_script(dsl.Script(decls))
         except (InfiniteDimensionalError, NonLocalError):
             continue  # parse-only exhibits (e.g. the infinite staircase)
         if not env.rings or "ex" not in env.elems or "ey" not in env.elems:
@@ -659,7 +661,7 @@ def load_corpus(directory: Optional[Path] = None, bound: int = DEFAULT_BOUND):
         reg = regular_module(algebra, label="A")
         c = env.modules.get("C", reg)
         m = env.modules.get("M", reg)
-        inst = Instance(path.stem, algebra, env.elems["ex"], env.elems["ey"], c, m, bound)
+        inst = Instance(path.stem, algebra, env.elems["ex"], env.elems["ey"], c, m, bound, seed)
         inst.once("A", lambda: reg)  # a C or M that defaults to the ring is the ring
         instances.append(inst)
     return instances

@@ -16,9 +16,10 @@ Deep in a resolution these block matrices are almost all zeros, so each
 step and each Ext/Tor rank runs on sparse lines (``linalg._echelon_insert``
 and ``linalg._sparse_kernel``): d_i as sparse rows, its kernel as sparse
 columns, the radical images from one sparse column map per variable.  No
-step stores a zero.  The dimension budget still counts free-module
-dimensions, not stored entries: counting entries would change which
-Ext/Tor route fits its budget.
+step stores a zero.  The dimension budget counts the free-module
+dimensions of the degrees a call asks for, F_0 .. F_bound, not stored
+entries and not the deeper steps an earlier call left in the state, so
+which Ext/Tor route fits its budget depends on the call alone.
 
 Ext and Tor each have two routes.  Ext resolves its first argument or the
 k-dual of its second (over a finite-dimensional algebra, k-duality turns
@@ -134,7 +135,6 @@ class _ResolutionState:
         # kernels[i] = ker d_{i-1} in F_{i-1}, as sparse columns
         self.kernels: list[Optional[list]] = [None]
         self.terminated = False
-        self.cum_dim = 0
         self._step0(module)
 
     # -- construction --------------------------------------------------
@@ -147,7 +147,6 @@ class _ResolutionState:
         b0 = g0.cols
         self.betti.append(b0)
         self.gens.append(g0)
-        self.cum_dim = b0 * self.algebra.dim
         if b0 == 0:
             self.terminated = True
             return
@@ -164,32 +163,35 @@ class _ResolutionState:
     def length(self) -> int:
         return len(self.betti) - 1
 
-    def _over_budget(self, name: str, step: int, total: int, max_total_dim: int):
-        return ResolutionBudgetExceeded(
-            f"resolution of {name} needs {total} total "
-            f"dims at step {step}, over the budget of {max_total_dim}; "
-            f"betti so far {self.betti}"
-        )
-
     def ensure(self, target_len: int, max_total_dim: int, name: str):
-        """Resolve through F_target_len; ``name`` labels a budget stop."""
-        if self.cum_dim > max_total_dim:
-            raise self._over_budget(name, self.length, self.cum_dim, max_total_dim)
-        while not self.terminated and self.length < target_len:
-            self._step(max_total_dim, name)
+        """Resolve through F_target_len.  The budget counts the free-module
+        dimensions of F_0 .. F_target_len alone, however deep the state is;
+        ``name`` labels a budget stop.  A step that overruns is kept, so a
+        retry at a larger budget resumes from it."""
+        d = self.algebra.dim
+        while True:
+            upto = min(target_len, self.length)
+            total = sum(self.betti[: upto + 1]) * d
+            if total > max_total_dim:
+                raise ResolutionBudgetExceeded(
+                    f"resolution of {name} needs {total} total "
+                    f"dims at step {upto}, over the budget of {max_total_dim}; "
+                    f"betti so far {self.betti[:upto]}"
+                )
+            if self.terminated or self.length >= target_len:
+                return
+            self._step()
 
-    def _step(self, max_total_dim: int, name: str):
+    def _step(self):
         d = self.algebra.dim
         p = self.field.p
         prev_rank = self.betti[-1]
-        if len(self.kernels) == len(self.betti):
-            # ker d_{i-1} is built only now that step i needs it; a budget
-            # stop below keeps it for the retry
-            i = self.length
-            rows = (self._d0.sparse_rows() if i == 0
-                    else _block_rows(self.gens[i], self.algebra.mult_stack, p))
-            self.kernels.append(list(_sparse_kernel(rows, prev_rank * d, p).values()))
-        kernel = self.kernels[-1]
+        # ker d_{i-1} is built only now that step i needs it
+        i = self.length
+        rows = (self._d0.sparse_rows() if i == 0
+                else _block_rows(self.gens[i], self.algebra.mult_stack, p))
+        kernel = list(_sparse_kernel(rows, prev_rank * d, p).values())
+        self.kernels.append(kernel)
         if not kernel:
             self.terminated = True
             return
@@ -197,16 +199,11 @@ class _ResolutionState:
         var_maps = [va.sparse_columns() for va in self.algebra.actions]
         rad = (_sparse_var_apply(vm, v, d, p) for vm in var_maps for v in kernel)
         picks = _pick_independent(rad, kernel, p)
-        b = len(picks)
-        total = self.cum_dim + b * d
-        if total > max_total_dim:
-            raise self._over_budget(name, self.length + 1, total, max_total_dim)
-        self.cum_dim = total
         # algebra-entry form of the new differential + minimality check
         gens = Matrix.from_sparse_columns(self.field, prev_rank * d, picks)
         if any(gens.nz[t * d] for t in range(prev_rank)):
             raise AssertionError("non-minimal differential entry (unit constant term)")
-        self.betti.append(b)
+        self.betti.append(len(picks))
         self.gens.append(gens)
 
     def differential_matrix(self, i: int) -> Matrix:

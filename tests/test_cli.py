@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ezdlab import cli
+from ezdlab import cli, propcheck
 from ezdlab.cli import main
 from ezdlab.groebner import MAX_QUOTIENT_DIM
 
@@ -160,6 +160,22 @@ def test_verify_paper_single_prop(capsys):
     code, out, _ = run(["verify-paper", "--prop", "fact-a", "--bound", "8"], capsys)
     assert code == 0
     assert "fact-a:ci_xy" in out
+
+
+def test_verify_paper_seed_reaches_the_isomorphism_search(monkeypatch, capsys):
+    seeds = []
+    inner = propcheck.is_isomorphic
+
+    def recorded(m, n, seed=0):
+        seeds.append(seed)
+        return inner(m, n, seed=seed)
+
+    monkeypatch.setattr(propcheck, "is_isomorphic", recorded)
+    for prop in ("fact-a", "E-pc"):
+        seeds.clear()
+        code, _, _ = run(["verify-paper", "--prop", prop, "--seed", "5", "--quiet"], capsys)
+        assert code == 0
+        assert seeds and set(seeds) == {5}, prop
 
 
 def test_verify_paper_unknown_prop(capsys):

@@ -3,9 +3,7 @@ the order the verifiers run in, a replaced instance starts empty, a shared
 one gives the results of a fresh one, and one pass builds each base change
 once.
 
-The memo keeps resolutions between verifiers.  A resolution resumed past
-the smaller of ``ROUTE_BUDGETS`` makes ``ensure`` raise at once, which can
-change the Ext route a later call takes, so the order test checks every
+The memo keeps resolutions between verifiers; the order test checks every
 result against ``verifier_goldens.json`` with the verifiers run backwards.
 """
 

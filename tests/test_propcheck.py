@@ -34,6 +34,16 @@ def test_corpus_loads_gated_instances(corpus):
     assert {"hypersurface_x2", "hypersurface_x4", "ci_xy", "sprime_omega"} <= names
 
 
+def test_corpus_is_built_from_declarations_alone(corpus, monkeypatch):
+    """No corpus ``check`` runs while the corpus loads."""
+    def refused(*args):
+        raise AssertionError("a corpus check ran while loading")
+
+    monkeypatch.setattr(propcheck.dsl, "_run_check", refused)
+    assert [inst.name for inst in load_corpus(bound=10)] == [inst.name for inst in corpus]
+    assert len(corpus) == 6
+
+
 def test_fact22_witness_explicit(hyper4):
     m = regular_module(hyper4)
     x, y = var(hyper4, 0), var(hyper4, 0, 3)

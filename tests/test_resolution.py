@@ -173,6 +173,19 @@ def test_betti_numbers_of_k_deep():
     assert res.betti == [1, 3, 7, 16, 37, 86, 200]
 
 
+def test_a_deeper_resolution_changes_no_shallow_answer():
+    """The budget counts only the degrees a call asks for, so the state an
+    earlier, deeper call left on k changes neither Tor(k, A) nor Ext(k, A)
+    to degree 2, nor a degree-3 resolution within 600 dims (degrees 0-3
+    take 513 dims; degrees 0-6 take 6650)."""
+    algebra = _cubes_and_xyz()
+    k, a = residue_field_module(algebra), regular_module(algebra)
+    before = tor(k, a, 2), ext(k, a, 2)
+    minimal_free_resolution(k, 6)
+    assert (tor(k, a, 2), ext(k, a, 2)) == before
+    assert minimal_free_resolution(k, 3, max_total_dim=600).betti == [1, 3, 7, 16]
+
+
 def test_resolution_steps_do_no_dense_elimination(monkeypatch):
     """Every step runs on sparse columns: with every dense-Matrix entry
     point of the elimination refused, wherever it is bound, k still
