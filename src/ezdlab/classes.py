@@ -12,6 +12,16 @@ vanishing is reported as HoldsUpTo(bound).  Each table is computed at the
 predicate's bound; one that fits no resolution budget raises
 ResolutionBudgetExceeded (a ``budget`` stop) and is not retried at a
 smaller bound.
+
+The relative dimensions are decided by one exact rule, with no Ext/Tor
+table and no class verdict.  Over a local artinian algebra, a finite
+P_C-projective dimension puts M in B_C, where P_C-pd M = pd Hom(C, M)
+(Takahashi and White, Math. Scand. 106 (2010)), and pd is 0 or inf
+(Auslander-Buchsbaum, depth A = 0).  So P_C-pd M is -inf, 0 or inf, and it
+is 0 exactly when M is isomorphic to C^r: Hom(C, M) is free and the
+evaluation xi: C (x) Hom(C, M) -> M is an isomorphism (``c_rank``).
+Matlis duality turns I_C = add Hom(C, E) into P_C, so I_C-id M = P_C-pd
+dual_k(M); flat modules here are free, so F_C-pd is P_C-pd.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from .linalg import Matrix, rank
 from .module import (
     Module,
     Morphism,
+    dual_k,
     hom_module,
     regular_module,
     tensor_module,
@@ -31,12 +42,12 @@ from .module import (
 from .resolution import (
     Exactly,
     ExtTable,
+    INF,
     NEG_INF,
     _block_matrix,
     ext,
+    is_free,
     minimal_free_resolution,
-    pd_bounded,
-    id_bounded,
     tor,
 )
 
@@ -58,7 +69,7 @@ __all__ = [
     "in_B_C",
     "ProperResolutionReport",
     "build_proper_PC_resolution",
-    "Undefined",
+    "c_rank",
     "pc_pd",
     "fc_pd",
     "ic_id",
@@ -198,7 +209,7 @@ def _verdict(tables: dict, bound: int):
             return Fails(f"{name}^{bad} has dimension {table.entry(bad)}")
     if all(t.certified_all_beyond for t in tables.values()):
         return CertifiedAll()
-    return HoldsUpTo(min((t.bound for t in tables.values()), default=bound))
+    return HoldsUpTo(bound)
 
 
 def _membership(kind: str, x: Module, c: Module, bound: int,
@@ -370,39 +381,35 @@ def build_proper_PC_resolution(
     )
 
 
-@dataclass(frozen=True)
-class Undefined:
-    """Relative dimension undefined by this method: M is not in the class
-    ``kind``, for the reason ``witness``."""
+def c_rank(m: Module, c: Module) -> Optional[int]:
+    """r with M isomorphic to C^r, or None: r when Hom(C, M) is free of rank
+    r and xi: C (x) Hom(C, M) -> M is an isomorphism, for then xi is an
+    isomorphism C^r -> M.  Conversely C^r passes both tests once Hom(C, C)
+    = A, so the answer is exact for a semidualizing C; for any other C a
+    rank it gives is still right."""
+    xi = xi_map(m, c)
+    h = xi.source.right  # Hom(C, M)
+    if is_free(h) and xi.is_isomorphism():
+        return h.dim // m.algebra.dim
+    return None
 
-    kind: str
-    witness: str
 
-    def __repr__(self):
-        return f"undefined ({self.kind} fails: {self.witness})"
-
-
-def pc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND):
-    """P_C-projective dimension: pd(Hom(C,M)) once M ∈ B_C is verified."""
+def pc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> Exactly:
+    """P_C-projective dimension: -inf for M = 0, 0 when M is C^r, else inf.
+    C must pass its semidualizing certificate at ``bound``."""
     if m.dim == 0:
         return Exactly(NEG_INF)
-    membership = in_B_C(m, c, bound)
-    if not membership.holds:
-        return Undefined(membership.kind, membership.verdict.witness)
-    return pd_bounded(membership.witness.source.right, bound)  # xi's Hom(C, M)
+    _require_semidualizing(c, bound)
+    return Exactly(INF if c_rank(m, c) is None else 0)
 
 
-def fc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND):
+def fc_pd(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> Exactly:
     """F_C-pd: over a finite-dimensional local algebra finitely generated
     flats are free, so this collapses to pc_pd (reported as such)."""
     return pc_pd(m, c, bound)
 
 
-def ic_id(m: Module, c: Module, bound: int = DEFAULT_BOUND):
-    """I_C-injective dimension: id(C (x) M) once M ∈ A_C is verified."""
-    if m.dim == 0:
-        return Exactly(NEG_INF)
-    membership = in_A_C(m, c, bound)
-    if not membership.holds:
-        return Undefined(membership.kind, membership.verdict.witness)
-    return id_bounded(membership.witness.target.hom_target, bound)  # gamma's C (x) M
+def ic_id(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> Exactly:
+    """I_C-injective dimension: P_C-pd of dual_k(M), since dual_k takes
+    I_C = add Hom(C, E) onto P_C = add C."""
+    return pc_pd(dual_k(m), c, bound)

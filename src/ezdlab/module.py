@@ -159,19 +159,16 @@ def annihilator_submodule(module: Module, x: Element):
     return sub, Morphism(sub, module, basis)
 
 
-def scale_quotient(module: Module, x: Element, with_section: bool = False):
-    """M/xM with the projection from M; with `with_section`, also the
-    section of the projection (a k-linear map M/xM -> M) that the same
-    reduction picked."""
+def scale_quotient(module: Module, x: Element):
+    """(M/xM, the projection from M, the section of the projection that
+    the same reduction picked, a k-linear map M/xM -> M)."""
     ax = module.element_action(x)
     proj, section, acts = _quotient_space(
         module.algebra.field, ax.sparse_rows(), module.dim,
         lambda proj: [proj @ a for a in module.actions],
     )
     quot = Module(module.algebra, acts, label=f"{module.label or 'M'}/x")
-    if with_section:
-        return quot, Morphism(module, quot, proj), section
-    return quot, Morphism(module, quot, proj)
+    return quot, Morphism(module, quot, proj), section
 
 
 def direct_sum(m: Module, n: Module, label: str = "") -> Module:

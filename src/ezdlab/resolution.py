@@ -1,4 +1,4 @@
-"""Minimal free resolutions, truncated Ext/Tor, pd/id bounds, periodicity.
+"""Minimal free resolutions, truncated Ext/Tor, exact pd/id, periodicity.
 
 Resolutions are built incrementally.  The state of a module's resolution
 lives in the module's ``_resolution`` slot: it is made on the first call,
@@ -27,6 +27,12 @@ injective coresolutions into projective resolutions); Tor resolves either
 argument.  Both run through one escalation (``_escalate``): both routes at
 the smaller size budget, then both at the larger, so a module whose Betti
 numbers explode falls back to the other route instead of stalling.
+
+Projective and injective dimensions need no resolution.  Every algebra
+here is local and artinian, so depth A = 0, and by the Auslander-Buchsbaum
+formula a module of finite projective dimension is free: pd M is -inf (M =
+0), 0 (M free) or inf.  M is free just when nu(M) dim A = dim M, with nu(M)
+= dim M/mM its number of generators, and id M = pd dual_k(M).
 """
 
 from __future__ import annotations
@@ -46,10 +52,11 @@ __all__ = [
     "ext",
     "tor",
     "Exactly",
-    "AtLeast",
     "NEG_INF",
-    "pd_bounded",
-    "id_bounded",
+    "INF",
+    "is_free",
+    "projective_dimension",
+    "injective_dimension",
     "syzygy_periodicity",
 ]
 
@@ -61,8 +68,10 @@ class ResolutionBudgetExceeded(Exception):
     """Total resolution dimension passed the growth cutoff."""
 
 
-# the homological dimension of the zero module
+# the homological dimensions of the zero module and of a module with no
+# finite resolution
 NEG_INF = float("-inf")
+INF = float("inf")
 
 
 def _block_rows(entries: Matrix, stack: list, p, transpose=False) -> list:
@@ -132,8 +141,6 @@ class _ResolutionState:
         # gens[0] generates the module; gens[i], i >= 1, is d_i in
         # algebra-entry form
         self.gens: list[Matrix] = []
-        # kernels[i] = ker d_{i-1} in F_{i-1}, as sparse columns
-        self.kernels: list[Optional[list]] = [None]
         self.terminated = False
         self._step0(module)
 
@@ -182,16 +189,20 @@ class _ResolutionState:
                 return
             self._step()
 
+    def _kernel(self, i: int) -> list:
+        """ker d_{i-1} inside F_{i-1} (i >= 1), as sparse columns.  It is
+        built when asked for and not kept."""
+        p = self.field.p
+        rows = (self._d0.sparse_rows() if i == 1
+                else _block_rows(self.gens[i - 1], self.algebra.mult_stack, p))
+        return list(_sparse_kernel(rows, self.betti[i - 1] * self.algebra.dim, p).values())
+
     def _step(self):
         d = self.algebra.dim
         p = self.field.p
         prev_rank = self.betti[-1]
         # ker d_{i-1} is built only now that step i needs it
-        i = self.length
-        rows = (self._d0.sparse_rows() if i == 0
-                else _block_rows(self.gens[i], self.algebra.mult_stack, p))
-        kernel = list(_sparse_kernel(rows, prev_rank * d, p).values())
-        self.kernels.append(kernel)
+        kernel = self._kernel(self.length + 1)
         if not kernel:
             self.terminated = True
             return
@@ -350,35 +361,31 @@ def _escalate(name: str, m: Module, n: Module, bound: int, route, routes: dict) 
 
 @dataclass(frozen=True)
 class Exactly:
-    value: object  # int or NEG_INF
+    value: object  # NEG_INF, 0 or INF
 
     def __repr__(self):
         return f"Exactly({self.value})"
 
 
-@dataclass(frozen=True)
-class AtLeast:
-    value: int
+def is_free(module: Module) -> bool:
+    """nu(M) dim A = dim M, with nu(M) = dim M - rank [X_1 ... X_n] the
+    number of generators: then A^nu(M) -> M is onto between spaces of one
+    dimension.  No resolution is built, so no budget can stop it."""
+    p = module.algebra.field.p
+    rad = _sparse_rank([v for a in module.actions for v in a.sparse_columns()], p)
+    return (module.dim - rad) * module.algebra.dim == module.dim
 
-    def __repr__(self):
-        return f"AtLeast({self.value})"
 
-
-def pd_bounded(module: Module, bound: int):
-    """Exactly(n) iff the minimal resolution terminates at n within bound."""
+def projective_dimension(module: Module) -> Exactly:
+    """pd M over a local artinian algebra: -inf, 0 (M free) or inf."""
     if module.dim == 0:
         return Exactly(NEG_INF)
-    res = minimal_free_resolution(module, bound)
-    if res.terminated:
-        return Exactly(res.length)
-    return AtLeast(bound + 1)
+    return Exactly(0 if is_free(module) else INF)
 
 
-def id_bounded(module: Module, bound: int):
-    """Injective dimension via exact k-duality: id(M) = pd(dual_k(M))."""
-    if module.dim == 0:
-        return Exactly(NEG_INF)
-    return pd_bounded(dual_k(module), bound)
+def injective_dimension(module: Module) -> Exactly:
+    """id M = pd dual_k(M), by exact k-duality."""
+    return projective_dimension(dual_k(module))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +400,8 @@ def syzygy_module(module: Module, i: int) -> Module:
         return Module(module.algebra, acts, label=f"syz{i}")
     algebra = module.algebra
     field, d = algebra.field, algebra.dim
-    # the syzygy is ker d_{i-1} inside F_{i-1}; its sparse basis is kept
-    kernel, rows = res._state.kernels[i], res.betti[i - 1] * d
+    # the syzygy is ker d_{i-1} inside F_{i-1}
+    kernel, rows = res._state._kernel(i), res.betti[i - 1] * d
     images = [
         Matrix.from_sparse_columns(field, rows, [_sparse_var_apply(vm, v, d, field.p)
                                                  for v in kernel])

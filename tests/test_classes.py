@@ -6,13 +6,13 @@ import weakref
 
 import pytest
 
-from ezdlab import classes
+from ezdlab import classes, propcheck, resolution
+from ezdlab import module as module_mod
 from ezdlab.classes import (
     CertifiedAll,
     Fails,
     HoldsUpTo,
     NotSemidualizingError,
-    Undefined,
     _verdict,
     build_proper_PC_resolution,
     fc_pd,
@@ -37,7 +37,7 @@ from ezdlab.module import (
     tensor_module,
     zero_module,
 )
-from ezdlab.resolution import AtLeast, Exactly, ExtTable, NEG_INF, minimal_free_resolution
+from ezdlab.resolution import INF, Exactly, ExtTable, NEG_INF, minimal_free_resolution
 
 from conftest import var
 
@@ -204,8 +204,9 @@ def test_pc_pd_values(square_zero):
     omega = dual_k(r)
     assert pc_pd(omega, omega) == Exactly(0)
     assert pc_pd(zero_module(square_zero), omega) == Exactly(NEG_INF)
-    undef = pc_pd(residue_field_module(square_zero), omega)
-    assert isinstance(undef, Undefined)
+    assert pc_pd(residue_field_module(square_zero), omega) == Exactly(INF)
+    # A is not omega^r over this non-Gorenstein ring
+    assert pc_pd(r, omega) == Exactly(INF)
 
 
 def test_ic_id_values(square_zero):
@@ -213,27 +214,45 @@ def test_ic_id_values(square_zero):
     omega = dual_k(r)
     assert ic_id(r, omega) == Exactly(0)
     assert ic_id(zero_module(square_zero), omega) == Exactly(NEG_INF)
+    # I_omega = add A, and omega is not free here
+    assert ic_id(omega, omega) == Exactly(INF)
 
 
 def test_fc_pd_artinian_collapse(hyper2, square_zero):
     """Over an artinian algebra, flat = projective, so F_C-pd and P_C-pd
-    agree; values land in {-inf, 0, >= bound+1}."""
+    agree; values land in {-inf, 0, inf}."""
     for algebra in (hyper2, square_zero):
         a = regular_module(algebra)
         assert fc_pd(a, a) == pc_pd(a, a) == Exactly(0)
     m = scale_quotient(regular_module(hyper2), var(hyper2, 0))[0]
     v = fc_pd(m, regular_module(hyper2), 6)
-    assert v == AtLeast(7)
+    assert v == Exactly(INF)
 
 
-def test_undefined_names_the_class_and_its_failure(square_zero):
-    """An undefined dimension keeps the failed class and its witness only."""
+def test_relative_dimensions_make_no_class_check(square_zero, monkeypatch):
+    """k lies in neither B_omega nor A_omega, and its relative dimensions
+    are inf all the same: the exact rule runs no class predicate and no
+    isomorphism search."""
     omega = dual_k(regular_module(square_zero))
     k = residue_field_module(square_zero)
-    assert pc_pd(k, omega) == Undefined("B_C", "natural map xi is not an isomorphism")
-    undef = ic_id(k, omega)
-    assert undef == Undefined("A_C", "natural map gamma is not an isomorphism")
-    assert repr(undef) == "undefined (A_C fails: natural map gamma is not an isomorphism)"
+    calls = []
+
+    def refused(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return wrapper
+
+    # every binding of is_isomorphic; classes itself imports none
+    assert not hasattr(classes, "is_isomorphic")
+    targets = [(classes, "in_B_C"), (classes, "in_A_C")] + [
+        (mod, "is_isomorphic") for mod in (module_mod, resolution, propcheck)]
+    for mod, name in targets:
+        monkeypatch.setattr(mod, name, refused(name))
+    for fn in (pc_pd, ic_id, fc_pd):
+        assert fn(k, omega) == Exactly(INF)
+        assert fn(omega, omega) == (Exactly(INF) if fn is ic_id else Exactly(0))
+    assert calls == []
 
 
 def test_verdict_fails_at_the_last_nonzero_degree():

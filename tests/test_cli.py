@@ -156,6 +156,20 @@ def test_classify(capsys):
     assert "pc_pd(omega(A);omega(A))  [0]" in out
 
 
+@pytest.mark.parametrize("ring, c, exit_code", [
+    ("GF(101)[x,y,z]/(x^3,y^3,z^3,x*y*z)", "A", 1),  # k is not in G_A there
+    ("GF(101)[x,y]/(x^2,y^2)", "omega(A)", 0),
+], ids=["resolve-ring", "ci-omega"])
+def test_classify_dimensions_are_exact(ring, c, exit_code, capsys):
+    """The relative dimensions of k are decided without a resolution, as
+    inf: no budget stop over the ring whose k resolves past the budget, and
+    no lower bound."""
+    code, out, _ = run(["classify", "--ring", ring, "--module", "k", "--c", c], capsys)
+    assert code == exit_code
+    for fn in ("pc_pd", "ic_id"):
+        assert f"pass          {fn}(k;{c})  [inf]" in out
+
+
 def test_verify_paper_single_prop(capsys):
     code, out, _ = run(["verify-paper", "--prop", "fact-a", "--bound", "8"], capsys)
     assert code == 0
@@ -171,11 +185,9 @@ def test_verify_paper_seed_reaches_the_isomorphism_search(monkeypatch, capsys):
         return inner(m, n, seed=seed)
 
     monkeypatch.setattr(propcheck, "is_isomorphic", recorded)
-    for prop in ("fact-a", "E-pc"):
-        seeds.clear()
-        code, _, _ = run(["verify-paper", "--prop", prop, "--seed", "5", "--quiet"], capsys)
-        assert code == 0
-        assert seeds and set(seeds) == {5}, prop
+    code, _, _ = run(["verify-paper", "--prop", "fact-a", "--seed", "5", "--quiet"], capsys)
+    assert code == 0
+    assert seeds and set(seeds) == {5}
 
 
 def test_verify_paper_unknown_prop(capsys):
@@ -389,8 +401,8 @@ def test_internal_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_verify_paper_reasons_are_one_line(tmp_path, capsys):
-    """An inconclusive relative dimension names the class and the failed
-    check instead of printing the whole membership report."""
+    """An inconclusive relative dimension names its exact value instead of
+    printing a whole report."""
     out = tmp_path / "verify.json"
     code, _, _ = run(["verify-paper", "--json", str(out)], capsys)
     assert code == 0
@@ -398,8 +410,8 @@ def test_verify_paper_reasons_are_one_line(tmp_path, capsys):
     assert len(results) == 144
     for r in results.values():
         witness = r.get("witness", "")
-        assert "Undefined(" not in witness and "ClassMembershipReport(" not in witness
-    reason = "undefined (B_C fails: natural map xi is not an isomorphism)"
+        assert "ClassMembershipReport(" not in witness
+    reason = "Exactly(inf)"
     for rid in ("F-pc:sprime_omega", "G-i:sprime_omega", "H-i:sprime_omega"):
         assert results[rid]["status"] == "inconclusive"
         assert reason in results[rid]["witness"], rid

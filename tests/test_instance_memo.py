@@ -95,8 +95,23 @@ def test_one_pass_builds_each_base_change_once(monkeypatch):
 
     monkeypatch.setattr(propcheck, "quotient_algebra",
                         counted(quotients, propcheck.quotient_algebra))
-    monkeypatch.setattr(propcheck, "scale_quotient",
-                        counted(reductions, propcheck.scale_quotient))
+    # each reduction is logged with whether fact-a's witness made it
+    in_witness = []
+    inner_witness, inner_reduce = propcheck.fact22_witness, propcheck.scale_quotient
+
+    def witness(*args):
+        in_witness.append(True)
+        try:
+            return inner_witness(*args)
+        finally:
+            in_witness.pop()
+
+    def reduce(*args):
+        reductions.append((args, bool(in_witness)))
+        return inner_reduce(*args)
+
+    monkeypatch.setattr(propcheck, "fact22_witness", witness)
+    monkeypatch.setattr(propcheck, "scale_quotient", reduce)
     monkeypatch.setattr(classes, "_is_semidualizing",
                         counted(certificates, classes._is_semidualizing))
     for pid in sorted(PROP_VERIFIERS):
@@ -108,8 +123,8 @@ def test_one_pass_builds_each_base_change_once(monkeypatch):
         assert sum(args[0] is inst.algebra for args, _ in quotients) <= 2, inst.name
         # fact-a's witness reduces M with a section of its own; the R/xR
         # that the other verifiers share is made by one call
-        cyclic = [args for args, kwargs in reductions
+        cyclic = [args for args, by_witness in reductions
                   if args[0] is inst.regular() and args[1] is inst.x
-                  and not kwargs.get("with_section")]
+                  and not by_witness]
         assert len(cyclic) <= 1, inst.name
     assert len(certificates) <= 20

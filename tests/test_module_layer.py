@@ -2,7 +2,7 @@
 checks that reject bad actions over every field, Hom spaces against the
 Python-int kernel of the Kronecker-product system, the natural maps
 against their column-by-column coordinates, and the relative dimensions
-reusing the module their natural map built."""
+building only the modules of their natural map."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ezdlab.classes as classes
+import ezdlab.resolution as resolution
 from ezdlab.classes import biduality_map, gamma_map, homothety_map, ic_id, pc_pd
 from ezdlab.linalg import Field, Matrix, inverse
 from ezdlab.module import (
@@ -26,6 +27,7 @@ from ezdlab.module import (
     zero_module,
 )
 from ezdlab.propcheck import load_corpus
+from ezdlab.resolution import INF, Exactly
 
 from conftest import GF2, GF101, QQ, _int_kernel, _int_rref, make_algebra, var
 
@@ -225,21 +227,31 @@ def test_natural_maps_match_their_columns():
 
 
 def test_relative_dimensions_build_each_module_once(ci, monkeypatch):
-    """pc_pd resolves the Hom(C, M) that xi built, and ic_id the C (x) M
-    that gamma built, instead of building them again."""
+    """pc_pd builds Hom(C, M) and C (x) Hom(C, M) once each, for xi, and
+    ic_id the same for dual_k(M); once C is certified, neither resolves
+    anything."""
     calls = []
 
     def counted(name, fn):
         def wrapper(a, b):
-            calls.append((name, a, b))
-            return fn(a, b)
+            out = fn(a, b)
+            calls.append((name, a, b, out))
+            return out
         return wrapper
 
-    for name in ("hom_module", "tensor_module"):
-        monkeypatch.setattr(classes, name, counted(name, getattr(classes, name)))
+    def refused(self):
+        raise AssertionError("a resolution step")
+
     c = regular_module(ci)
     m = scale_quotient(c, var(ci, 0))[0]
-    for fn, name in ((pc_pd, "hom_module"), (ic_id, "tensor_module")):
+    assert classes.is_semidualizing(c, 3).holds
+    for name in ("hom_module", "tensor_module"):
+        monkeypatch.setattr(classes, name, counted(name, getattr(classes, name)))
+    monkeypatch.setattr(resolution._ResolutionState, "_step", refused)
+    for fn in (pc_pd, ic_id):
         calls.clear()
-        fn(m, c, 3)
-        assert sum(1 for n, a, b in calls if (n, a, b) == (name, c, m)) == 1, name
+        assert fn(m, c, 3) == Exactly(INF)
+        (hom, c1, target, h), (tensor, c2, right, _) = calls
+        assert (hom, tensor) == ("hom_module", "tensor_module")
+        assert c1 is c2 is c and right is h
+        assert (target is m) == (fn is pc_pd), fn.__name__

@@ -50,7 +50,8 @@ def test_cli_process_never_imports_numpy(argv, code):
 @pytest.mark.parametrize("spec", [
     {"kind": "resolve", "bounds": [3]},
     {"kind": "search", "seed": 7, "trials": 3},
-    {"kind": "verify", "verifiers": 8, "instances": 1},
+    # fact-a, the 22nd verifier, is the first to reach kernel_basis
+    {"kind": "verify", "verifiers": 22, "instances": 1},
 ], ids=lambda spec: spec["kind"])
 def test_traced_worker_runs_every_op(tmp_path, spec):
     """``perfbench/worker.py`` with ``"trace": true``, one workload per
