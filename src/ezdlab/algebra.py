@@ -7,11 +7,10 @@ d x d matrices, not a dense d^3 array."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groebner import NonLocalError, QuotientPresentation
 from .linalg import Field, Matrix
 from .poly import Polynomial
+from .record import Frozen, _set
 
 __all__ = ["Algebra", "Element", "Representation"]
 
@@ -151,14 +150,15 @@ class Algebra(Representation):
         return self.element(self.presentation.normal_form_coords(f))
 
 
-@dataclass(frozen=True)
-class Element:
-    parent: Algebra
-    coords: Matrix  # dim x 1 column
+class Element(Frozen):
+    __slots__ = ("parent", "coords")
 
-    def __post_init__(self):
-        if self.coords.rows != self.parent.dim or self.coords.cols != 1:
+    def __init__(self, parent: Algebra, coords: Matrix):
+        """``coords``: a dim x 1 column."""
+        if coords.rows != parent.dim or coords.cols != 1:
             raise ValueError("coordinate length must equal the algebra dimension")
+        _set(self, "parent", parent)
+        _set(self, "coords", coords)
 
     def is_zero(self) -> bool:
         return self.coords.is_zero()

@@ -26,7 +26,6 @@ dual_k(M); flat modules here are free, so F_C-pd is P_C-pd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Element
@@ -39,9 +38,9 @@ from .module import (
     regular_module,
     tensor_module,
 )
+from .record import Frozen, Record
 from .resolution import (
     Exactly,
-    ExtTable,
     INF,
     NEG_INF,
     _block_matrix,
@@ -87,12 +86,8 @@ class NotSemidualizingError(Exception):
 # exact zero-divisor pairs
 
 
-@dataclass(frozen=True)
-class EzdReport:
-    holds: bool
-    x: Element
-    y: Element
-    checks: dict
+class EzdReport(Frozen):
+    __slots__ = ("holds", "x", "y", "checks")
 
     def failing_checks(self):
         return [k for k, v in self.checks.items() if not v]
@@ -119,14 +114,9 @@ def is_ezd_pair(x: Element, y: Element, module: Module) -> EzdReport:
 # semidualizing certificates
 
 
-@dataclass
-class SemidualizingCertificate:
-    holds: bool
-    homothety_iso: bool
-    ext_table: Optional[ExtTable]
-    bound: int
-    certified_all: bool
-    failure: Optional[str] = None
+class SemidualizingCertificate(Record):
+    __slots__ = ("holds", "homothety_iso", "ext_table", "bound", "certified_all", "failure")
+    _defaults = {"failure": None}
 
 
 def homothety_map(c: Module) -> Morphism:
@@ -173,29 +163,21 @@ def _require_semidualizing(c: Module, bound: int) -> SemidualizingCertificate:
 # membership reports
 
 
-@dataclass(frozen=True)
-class HoldsUpTo:
-    bound: int
+class HoldsUpTo(Frozen):
+    __slots__ = ("bound",)
 
 
-@dataclass(frozen=True)
-class CertifiedAll:
-    pass
+class CertifiedAll(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fails:
-    witness: str
+class Fails(Frozen):
+    __slots__ = ("witness",)
 
 
-@dataclass
-class ClassMembershipReport:
-    kind: str  # "G_C" | "A_C" | "B_C"
-    verdict: object
-    natural_map_iso: bool
-    witness: Optional[Morphism]
-    tables: dict
-    bound: int
+class ClassMembershipReport(Record):
+    # kind: "G_C" | "A_C" | "B_C"
+    __slots__ = ("kind", "verdict", "natural_map_iso", "witness", "tables", "bound")
 
     @property
     def holds(self) -> bool:
@@ -299,15 +281,11 @@ def in_B_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipR
 # proper C-projective resolutions and relative dimensions
 
 
-@dataclass
-class ProperResolutionReport:
-    betti: list  # ranks b_i of the C^{b_i} terms
-    terminated: bool
-    proper: bool
-    proper_rank2: bool
-    augmented_exact: bool
-    failing_degree: Optional[int]
-    complex_maps: list  # k-matrices, [aug, d1, d2, ...]
+class ProperResolutionReport(Record):
+    # betti: ranks b_i of the C^{b_i} terms; complex_maps: k-matrices,
+    # [aug, d1, d2, ...]
+    __slots__ = ("betti", "terminated", "proper", "proper_rank2", "augmented_exact",
+                 "failing_degree", "complex_maps")
 
 
 def _complex_is_exact(maps: list) -> Optional[int]:

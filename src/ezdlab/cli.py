@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from . import dsl
@@ -43,6 +42,7 @@ from .propcheck import (
     load_corpus,
     search_counterexamples,
 )
+from .record import Record
 from .resolution import ResolutionBudgetExceeded, ext, minimal_free_resolution, tor
 
 __all__ = ["main", "build_parser", "report_to_json", "UsageError"]
@@ -59,14 +59,16 @@ class UsageError(Exception):
     """A command-line value the tool cannot use."""
 
 
-@dataclass
-class Report:
+class Report(Record):
     """The JSON report accumulated by every subcommand."""
 
-    command: str
-    seed: int
-    bound: int
-    results: list = dc_field(default_factory=list)
+    __slots__ = ("command", "seed", "bound", "results")
+
+    def __init__(self, command: str, seed: int, bound: int, results: Optional[list] = None):
+        self.command = command
+        self.seed = seed
+        self.bound = bound
+        self.results = [] if results is None else results
 
     def add(self, r: dsl.CheckResult):
         entry = {"id": r.id, "status": r.status, "millis": r.millis}

@@ -16,7 +16,6 @@ statement before it must declare, so a bad element is a parse error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .module import (
     tensor_module,
 )
 from .poly import DEGREVLEX, LEX, PolyRing, Polynomial
+from .record import Frozen, Record, _set
 from .resolution import ResolutionBudgetExceeded
 from .classes import (
     DEFAULT_BOUND,
@@ -103,56 +103,45 @@ class DslError(Exception):
 # syntax tree
 #
 # ``pos`` fields hold the (line, column) that errors found while running a
-# script point at; they take no part in equality, so a pretty-printed script
-# still reparses to an equal tree.
+# script point at; they take no part in equality or the repr, so a
+# pretty-printed script still reparses to an equal tree.
 
 
-def _pos():
-    return field(default=(0, 0), compare=False, repr=False)
+class RingDecl(Frozen):
+    # p: None means QQ; order: "degrevlex" | "lex"; generators: poly
+    # term-tuples; pos: of the declaration's first token
+    __slots__ = ("name", "p", "variables", "order", "generators", "pos")
+    _fields = __slots__[:-1]
+    _defaults = {"pos": (0, 0)}
 
 
-@dataclass(frozen=True)
-class RingDecl:
-    name: str
-    p: Optional[int]  # None means QQ
-    variables: tuple
-    order: str  # "degrevlex" | "lex"
-    generators: tuple  # of poly term-tuples
-    pos: tuple = _pos()  # of the declaration's first token
+class ElemDecl(Frozen):
+    # poly: a term tuple over ``variables``, those of the ring as declared
+    # before the element
+    __slots__ = ("name", "poly", "ring", "variables")
 
 
-@dataclass(frozen=True)
-class ElemDecl:
-    name: str
-    poly: tuple  # term tuple over ``variables``
-    ring: str
-    variables: tuple  # of the ring, as declared before the element
+class ModuleExpr(Frozen):
+    # op: one of MODULE_OPS or "name"; args: nested ModuleExpr, str names,
+    # or ints
+    __slots__ = ("op", "args", "pos")
+    _fields = __slots__[:-1]
+    _defaults = {"pos": (0, 0)}
 
 
-@dataclass(frozen=True)
-class ModuleExpr:
-    op: str  # one of MODULE_OPS or "name"
-    args: tuple  # nested ModuleExpr, str names, or ints
-    pos: tuple = _pos()
+class ModuleDecl(Frozen):
+    __slots__ = ("name", "expr")
 
 
-@dataclass(frozen=True)
-class ModuleDecl:
-    name: str
-    expr: ModuleExpr
+class CheckStmt(Frozen):
+    # args: ModuleExpr / str / int per check
+    __slots__ = ("name", "args", "bound", "pos")
+    _fields = __slots__[:-1]
+    _defaults = {"pos": (0, 0)}
 
 
-@dataclass(frozen=True)
-class CheckStmt:
-    name: str
-    args: tuple  # ModuleExpr / str / int per check
-    bound: Optional[int]
-    pos: tuple = _pos()
-
-
-@dataclass(frozen=True)
-class Script:
-    statements: tuple
+class Script(Frozen):
+    __slots__ = ("statements",)
 
 
 # polynomials are stored as sorted tuples of (monomial, coefficient) with
@@ -165,12 +154,15 @@ class Script:
 _SYMBOLS = ("(", ")", "[", "]", ",", ";", "=", "/", "^", "*", "+", "-")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "int" | "sym" | "eof"
-    value: str
-    line: int
-    col: int
+class _Token(Frozen):
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        """``kind``: "name" | "int" | "sym" | "eof"."""
+        _set(self, "kind", kind)
+        _set(self, "value", value)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def _tokenize(text: str):
@@ -561,13 +553,9 @@ def pretty_print(script: Script) -> str:
 # interpreter
 
 
-@dataclass
-class CheckResult:
-    id: str
-    status: str  # "pass" | "fail" | "inconclusive" | "budget"
-    witness: Optional[str]
-    tables: Optional[dict]
-    millis: int
+class CheckResult(Record):
+    # status: "pass" | "fail" | "inconclusive" | "budget"
+    __slots__ = ("id", "status", "witness", "tables", "millis")
 
 
 class _Env:

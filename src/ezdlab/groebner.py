@@ -8,10 +8,9 @@ forms give the variable actions, from which ``algebra`` builds the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .linalg import Field, Matrix
 from .poly import PolyRing, Polynomial, mono_divides, mono_lcm, mono_mul
+from .record import Record
 
 __all__ = [
     "PairBudgetExceeded",
@@ -153,18 +152,16 @@ def quotient_basis(ring: PolyRing, groebner: list[Polynomial]) -> list:
     return staircase
 
 
-@dataclass
-class QuotientPresentation:
+class QuotientPresentation(Record):
     """A finite-dimensional local quotient k[x1..xn]/I with its staircase."""
 
-    ring: PolyRing
-    ideal_generators: list
-    groebner: list = dc_field(init=False)
-    staircase: list = dc_field(init=False)
+    __slots__ = ("ring", "ideal_generators", "groebner", "staircase")
 
-    def __post_init__(self):
-        self.groebner = groebner_basis(self.ring, self.ideal_generators)
-        self.staircase = quotient_basis(self.ring, self.groebner)
+    def __init__(self, ring: PolyRing, ideal_generators: list):
+        self.ring = ring
+        self.ideal_generators = ideal_generators
+        self.groebner = groebner_basis(ring, ideal_generators)
+        self.staircase = quotient_basis(ring, self.groebner)
 
     @property
     def field(self) -> Field:

@@ -22,9 +22,10 @@ which ``_sparse_kernel`` reads the kernel.  The ``Matrix`` entry points
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
+
+from .record import Frozen, _set
 
 
 __all__ = [
@@ -77,17 +78,17 @@ def prime_field_error(p: int) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Frozen):
     """GF(p) for a prime p, or the rationals when p is None."""
 
-    p: Optional[int] = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            err = prime_field_error(self.p)
+    def __init__(self, p: Optional[int] = None):
+        if p is not None:
+            err = prime_field_error(p)
             if err:
                 raise ValueError(err)
+        _set(self, "p", p)
 
     @staticmethod
     def prime(p: int) -> "Field":
@@ -158,9 +159,11 @@ class Matrix:
     changed after construction, so matrices may share rows; a caller that
     consumes lines takes fresh ones from ``sparse_rows``/``sparse_columns``.
     ``from_rows`` builds one from dense rows of any integers or rationals.
+    The hash is computed on first use and kept in ``_hash``, which no
+    constructor sets.
     """
 
-    __slots__ = ("field", "rows", "cols", "nz")
+    __slots__ = ("field", "rows", "cols", "nz", "_hash")
 
     def __init__(self, field: Field, cols: int, nz):
         """The matrix with ``cols`` columns and the sparse rows ``nz``,
@@ -265,8 +268,12 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols,
-                     tuple(frozenset(row.items()) for row in self.nz)))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.field, self.rows, self.cols,
+                               tuple(frozenset(row.items()) for row in self.nz)))
+            return self._hash
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.to_lists()!r})"
@@ -334,11 +341,8 @@ class Matrix:
         return Matrix(self.field, self.rows, self.sparse_columns())
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    reduced: Matrix
-    pivot_columns: tuple
-    rank: int
+class RrefResult(Frozen):
+    __slots__ = ("reduced", "pivot_columns", "rank")
 
 
 def _sub_scaled(v: dict, c, b: dict, p: Optional[int]) -> list:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .algebra import Algebra, Element, Representation
 from .groebner import QuotientPresentation
@@ -30,6 +29,7 @@ from .linalg import (
     kernel_basis,
     solve_matrix,
 )
+from .record import Frozen, _set
 
 __all__ = [
     "Module",
@@ -93,18 +93,18 @@ class Module(Representation):
         return f"Module(dim={self.dim}{tag} over {self.algebra!r})"
 
 
-@dataclass(frozen=True)
-class Morphism:
-    source: Module
-    target: Module
-    matrix: Matrix
+class Morphism(Frozen):
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
+    def __init__(self, source: Module, target: Module, matrix: Matrix):
+        if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ValueError("morphism matrix has the wrong shape")
-        for sa, ta in zip(self.source.actions, self.target.actions):
-            if self.matrix @ sa != ta @ self.matrix:
+        for sa, ta in zip(source.actions, target.actions):
+            if matrix @ sa != ta @ matrix:
                 raise ValueError("matrix does not commute with the actions")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "matrix", matrix)
 
     def is_isomorphism(self) -> bool:
         return is_invertible(self.matrix)
@@ -371,19 +371,16 @@ def transport_from_quotient(module: Module, algebra: Algebra) -> Module:
 # isomorphism testing
 
 
-@dataclass(frozen=True)
-class Iso:
-    witness: Morphism
+class Iso(Frozen):
+    __slots__ = ("witness",)
 
 
-@dataclass(frozen=True)
-class NotIso:
-    reason: str
+class NotIso(Frozen):
+    __slots__ = ("reason",)
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(Frozen):
+    __slots__ = ("reason",)
 
 
 ISO_TRIALS = 32

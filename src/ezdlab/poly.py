@@ -7,17 +7,16 @@ no need for anything cleverer than sorted term tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .linalg import Field
+from .record import Frozen, _set
 
 Monomial = tuple  # tuple of non-negative ints, one per variable
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    name: str
+class MonomialOrder(Frozen):
+    __slots__ = ("name",)
 
     def key(self, e: Monomial):
         if self.name == "degrevlex":
@@ -31,11 +30,14 @@ DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Terms sorted descending in the ambient order; no zero coefficients."""
 
-    terms: tuple  # tuple of (monomial, coefficient)
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        """``terms``: a tuple of (monomial, coefficient)."""
+        _set(self, "terms", terms)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -91,6 +90,7 @@ from .classes import (
     pc_pd,
 )
 from . import dsl
+from .record import Frozen, Record, _set
 
 __all__ = [
     "Instance",
@@ -119,28 +119,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Frozen):
     """One test configuration: a local algebra with a zero-divisor pair, a
     semidualizing candidate C and a test module M.
 
     ``_memo`` holds what the verifiers derive from these fields (the ring
     as a module, R/xR, the quotients and base changes, exactness reports,
     slim class verdicts and the P_C/I_C dimensions of M), keyed by what
-    each is built from, for as long as the instance lives.  The instance
-    is frozen so that no field changes under a filled memo, and
-    ``dataclasses.replace`` starts a new instance with an empty one;
-    ``share`` keeps the memo, as a search trial does for its configurations."""
+    each is built from, for as long as the instance lives.  It takes no
+    part in equality or the repr.  The instance is frozen so that no field
+    changes under a filled memo, and ``replace`` starts a new instance with
+    an empty one; ``share`` keeps the memo, as a search trial does for its
+    configurations."""
 
-    name: str
-    algebra: Algebra
-    x: Element
-    y: Element
-    c: Module
-    m: Module
-    bound: int = DEFAULT_BOUND
-    seed: int = 0
-    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    __slots__ = ("name", "algebra", "x", "y", "c", "m", "bound", "seed", "_memo")
+    _fields = __slots__[:-1]
+
+    def __init__(self, name: str, algebra: Algebra, x: Element, y: Element, c: Module,
+                 m: Module, bound: int = DEFAULT_BOUND, seed: int = 0):
+        for f, v in zip(self._fields, (name, algebra, x, y, c, m, bound, seed)):
+            _set(self, f, v)
+        _set(self, "_memo", {})
 
     def once(self, key, build):
         """The memo entry ``key``, made by ``build()`` the first time.  Only
@@ -156,21 +155,18 @@ class Instance:
         fixed = set(changes) - {"x", "y", "c", "m"}
         if fixed:
             raise ValueError(f"a shared instance keeps its {', '.join(sorted(fixed))}")
-        twin = replace(self, **changes)
-        object.__setattr__(twin, "_memo", self._memo)
+        twin = self.replace(**changes)
+        _set(twin, "_memo", self._memo)
         return twin
 
     def regular(self) -> Module:
         return self.once("A", lambda: regular_module(self.algebra, label="A"))
 
 
-@dataclass
-class VerificationResult:
-    prop_id: str
-    instance: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    witness: Optional[str] = None
-    details: tuple = ()
+class VerificationResult(Record):
+    # status: "pass" | "fail" | "inconclusive"
+    __slots__ = ("prop_id", "instance", "status", "witness", "details")
+    _defaults = {"witness": None, "details": ()}
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +252,15 @@ def _verifier(prefix: str):
 # base-change helpers
 
 
+def _reduction(inst: Instance, module: Module, e: Element) -> tuple:
+    """``scale_quotient(module, e)``: N/eN as an A-module with its
+    projection and section, for N = ``module`` and e a pair element."""
+    return inst.once(("N/eN", module, e.coords), lambda: scale_quotient(module, e))
+
+
 def _quotient(inst: Instance, module: Module, e: Element) -> Module:
-    """N/eN as an A-module, for N = ``module`` and e a pair element;
-    ``_quotient(inst, inst.regular(), inst.x)`` is R/xR."""
-    return inst.once(("N/eN", module, e.coords), lambda: scale_quotient(module, e)[0])
+    """N/eN; ``_quotient(inst, inst.regular(), inst.x)`` is R/xR."""
+    return _reduction(inst, module, e)[0]
 
 
 def _mod(inst: Instance, e: Element, *modules: Module) -> tuple:
@@ -275,7 +276,7 @@ def _mod(inst: Instance, e: Element, *modules: Module) -> tuple:
 
 def _slim(report):
     """A membership report without its tables and natural-map witness."""
-    return replace(report, tables={}, witness=None)
+    return report.replace(tables={}, witness=None)
 
 
 def _member(inst: Instance, kind: str, x: Module, c: Module):
@@ -295,13 +296,15 @@ def _dim(inst: Instance, dim_fn):
 # Fact: over an exact zero-divisor, the annihilator equals the quotient
 
 
-def fact22_witness(x: Element, y: Element, m: Module) -> Morphism:
+def fact22_witness(x: Element, y: Element, m: Module,
+                   reduction: Optional[tuple] = None) -> Morphism:
     """The explicit isomorphism M/xM -> (0:_M x) induced by y.
 
     Well defined since y.(xM) = 0, surjective since im(y) = ker(x),
-    injective since ker(y) = xM."""
+    injective since ker(y) = xM.  ``reduction`` is ``scale_quotient(m, x)``,
+    made here when not given."""
     ann, incl = annihilator_submodule(m, x)
-    quot, _proj, section = scale_quotient(m, x)
+    quot, _proj, section = reduction or scale_quotient(m, x)
     # any section of the projection will do: two differ by a map into xM,
     # which y kills
     img = m.element_action(y) @ section
@@ -315,7 +318,7 @@ def fact22_witness(x: Element, y: Element, m: Module) -> Morphism:
 def verify_fact_a(inst: Instance):
     _require_ezd(inst, inst.m, "M", listing=True)
     try:
-        phi = fact22_witness(inst.x, inst.y, inst.m)
+        phi = fact22_witness(inst.x, inst.y, inst.m, _reduction(inst, inst.m, inst.x))
     except AssertionError as exc:
         return _fail(str(exc))
     if not phi.is_isomorphism():
@@ -799,13 +802,9 @@ def random_gated_instances(
 # the open-question searcher
 
 
-@dataclass
-class SearchConfig:
-    seed: int = 0
-    trials: int = 100
-    max_dim: int = 6
-    p: int = 2
-    bound: int = 4
+class SearchConfig(Record):
+    __slots__ = ("seed", "trials", "max_dim", "p", "bound")
+    _defaults = {"seed": 0, "trials": 100, "max_dim": 6, "p": 2, "bound": 4}
 
 
 @_verifier("open-G")

@@ -37,11 +37,11 @@ formula a module of finite projective dimension is free: pd M is -inf (M =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import Matrix, _echelon_insert, _reduce, _sparse_kernel, _sparse_rank
 from .module import Iso, Module, _restricted_actions, dual_k, is_isomorphic
+from .record import Frozen, Record
 
 __all__ = [
     "ResolutionBudgetExceeded",
@@ -224,16 +224,12 @@ class _ResolutionState:
         return _block_matrix(self.gens[i], self.algebra.mult_stack, self.field)
 
 
-@dataclass
-class FreeResolution:
+class FreeResolution(Record):
     """A truncated minimal free resolution: a view of the state kept in the
     module's ``_resolution`` slot.  The kernel of d_i is built only when
     step i+1 needs it."""
 
-    module: Module
-    betti: list
-    terminated: bool
-    _state: _ResolutionState
+    __slots__ = ("module", "betti", "terminated", "_state")
 
     @property
     def length(self) -> int:
@@ -269,12 +265,8 @@ def minimal_free_resolution(
 # Ext and Tor tables
 
 
-@dataclass(frozen=True)
-class ExtTable:
-    dims: tuple
-    bound: int
-    certified_all_beyond: bool
-    route: str
+class ExtTable(Frozen):
+    __slots__ = ("dims", "bound", "certified_all_beyond", "route")
 
     def entry(self, i: int) -> int:
         return self.dims[i]
@@ -359,9 +351,8 @@ def _escalate(name: str, m: Module, n: Module, bound: int, route, routes: dict) 
 # dimension verdicts
 
 
-@dataclass(frozen=True)
-class Exactly:
-    value: object  # NEG_INF, 0 or INF
+class Exactly(Frozen):
+    __slots__ = ("value",)  # NEG_INF, 0 or INF
 
     def __repr__(self):
         return f"Exactly({self.value})"

@@ -4,7 +4,6 @@ Each test is one criterion and emits a single summary line; run with
 ``pytest -v`` to see one pass/fail line per criterion.
 """
 
-import dataclasses
 import json
 import time
 
@@ -135,11 +134,11 @@ def test_criterion_05_semidualizing_descent_round_trip(sprime):
     inst = next(i for i in corpus() if i.name == "sprime_omega")
     reg = regular_module(inst.algebra)
     genuine = tensor_module(reg, dual_k(reg))
-    res = verify_prop_B(dataclasses.replace(inst, c=genuine))
+    res = verify_prop_B(inst.replace(c=genuine))
     assert res.status == "pass", (res.witness, res.details)
     assert "over A: True" in res.details[0]
     forged = direct_sum(reg, reg)
-    res2 = verify_prop_B(dataclasses.replace(inst, c=forged))
+    res2 = verify_prop_B(inst.replace(c=forged))
     assert res2.status == "pass", (res2.witness, res2.details)
     assert "over A: False" in res2.details[0]
     _line(5, "descent biconditional: genuine B passes, forged B fails both sides")

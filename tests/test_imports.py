@@ -1,8 +1,9 @@
 """Lint checks on the syntax tree of each ``src/ezdlab/*.py``: every
 imported name is used there or re-exported, no module-level cache, no
-numpy import outside ``Matrix.data``, and every top-level definition and
-every method of a top-level class is named somewhere in the project.  Every
-name the benchmark's tracer wraps exists.
+numpy import outside ``Matrix.data``, no ``dataclasses`` import and no
+``exec`` or ``eval`` call, and every top-level definition and every method
+of a top-level class is named somewhere in the project.  Every name the
+benchmark's tracer wraps exists.
 
 No linter ships with the project's test dependencies, so these walk the
 tree with ``ast``.
@@ -96,6 +97,34 @@ def test_numpy_only_inside_matrix_data(path):
     assert not found, f"{path.name} imports numpy at {found}"
     if allowed:
         assert [scope for scope, _ in _numpy_imports(tree)] == list(allowed)
+
+
+def _generated_code(tree):
+    """(line, what) of every import of ``dataclasses`` and every call of the
+    builtin ``exec`` or ``eval``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            yield node.lineno, "import dataclasses"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("exec", "eval")):
+            yield node.lineno, f"{node.func.id}()"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_generated_code(path):
+    """Records are plain slotted classes (``ezdlab.record``).  The
+    ``dataclass`` decorator ``exec``s generated methods for every class at
+    import, and ``dataclasses`` loads ``inspect`` and ``ast``: that was a
+    quarter of the start-up of every CLI process."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = list(_generated_code(tree))
+    assert not found, f"{path.name} generates code: {found}"
 
 
 def _is_empty_container(node):

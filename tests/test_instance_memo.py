@@ -7,7 +7,6 @@ The memo keeps resolutions between verifiers; the order test checks every
 result against ``verifier_goldens.json`` with the verifiers run backwards.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -16,6 +15,7 @@ import pytest
 from ezdlab import classes, propcheck
 from ezdlab.module import direct_sum, dual_k, free_module, residue_field_module
 from ezdlab.propcheck import PROP_VERIFIERS, load_corpus, verify_prop_B
+from ezdlab.record import FrozenRecordError
 
 GOLDEN = Path(__file__).with_name("verifier_goldens.json")
 
@@ -25,8 +25,8 @@ def test_reverse_registry_order_matches_golden():
     instances = load_corpus(bound=10)
     ci_xy = next(i for i in instances if i.name == "ci_xy")
     variants = {
-        "free-C": dataclasses.replace(ci_xy, c=free_module(ci_xy.algebra, 2)),
-        "pair-xx": dataclasses.replace(ci_xy, y=ci_xy.x),
+        "free-C": ci_xy.replace(c=free_module(ci_xy.algebra, 2)),
+        "pair-xx": ci_xy.replace(y=ci_xy.x),
     }
     rows = {}
     for pid in reversed(list(PROP_VERIFIERS)):
@@ -45,12 +45,12 @@ def test_replaced_instance_starts_with_an_empty_memo():
     assert first.status == "pass" and "over A: True" in first.details[0]
     assert ("bar", inst.c, inst.x.coords) in inst._memo
     reg = inst.regular()
-    forged = dataclasses.replace(inst, c=direct_sum(reg, reg))
+    forged = inst.replace(c=direct_sum(reg, reg))
     assert forged._memo == {}
     second = verify_prop_B(forged)
     assert second.status == "pass", (second.witness, second.details)
     assert "over A: False" in second.details[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenRecordError):
         inst.c = forged.c
 
 
@@ -76,7 +76,7 @@ def test_shared_memo_gives_the_results_of_a_fresh_instance():
         }
         for name, m in others.items():
             shared = _results(inst.share(m=m))
-            assert shared == _results(dataclasses.replace(inst, m=m)), (inst.name, name)
+            assert shared == _results(inst.replace(m=m)), (inst.name, name)
         with pytest.raises(ValueError):
             inst.share(algebra=instances[0].algebra)
         with pytest.raises(ValueError):
@@ -95,23 +95,8 @@ def test_one_pass_builds_each_base_change_once(monkeypatch):
 
     monkeypatch.setattr(propcheck, "quotient_algebra",
                         counted(quotients, propcheck.quotient_algebra))
-    # each reduction is logged with whether fact-a's witness made it
-    in_witness = []
-    inner_witness, inner_reduce = propcheck.fact22_witness, propcheck.scale_quotient
-
-    def witness(*args):
-        in_witness.append(True)
-        try:
-            return inner_witness(*args)
-        finally:
-            in_witness.pop()
-
-    def reduce(*args):
-        reductions.append((args, bool(in_witness)))
-        return inner_reduce(*args)
-
-    monkeypatch.setattr(propcheck, "fact22_witness", witness)
-    monkeypatch.setattr(propcheck, "scale_quotient", reduce)
+    monkeypatch.setattr(propcheck, "scale_quotient",
+                        counted(reductions, propcheck.scale_quotient))
     monkeypatch.setattr(classes, "_is_semidualizing",
                         counted(certificates, classes._is_semidualizing))
     for pid in sorted(PROP_VERIFIERS):
@@ -121,10 +106,9 @@ def test_one_pass_builds_each_base_change_once(monkeypatch):
     for inst in instances:
         # A/xA and A/yA, one ring when y has the coordinates of x
         assert sum(args[0] is inst.algebra for args, _ in quotients) <= 2, inst.name
-        # fact-a's witness reduces M with a section of its own; the R/xR
-        # that the other verifiers share is made by one call
-        cyclic = [args for args, by_witness in reductions
-                  if args[0] is inst.regular() and args[1] is inst.x
-                  and not by_witness]
+        # R/xR, which fact-a's witness shares with the other verifiers, is
+        # made by one call
+        cyclic = [args for args, _ in reductions
+                  if args[0] is inst.regular() and args[1] is inst.x]
         assert len(cyclic) <= 1, inst.name
     assert len(certificates) <= 20

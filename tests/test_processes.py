@@ -1,6 +1,7 @@
 """Whole processes, as a user and the benchmark start them: no CLI command
-imports numpy, and the traced benchmark worker runs every op of each
-workload, at tiny sizes, through the tracer's reads of ``Matrix.data``."""
+imports numpy, ``dataclasses`` or ``inspect``, and the traced benchmark
+worker runs every op of each workload, at tiny sizes, through the tracer's
+reads of ``Matrix.data``."""
 
 import json
 import os
@@ -45,6 +46,32 @@ def test_cli_process_never_imports_numpy(argv, code):
                           env=_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.splitlines()[-1] == "numpy imported: False", proc.stderr
+
+
+# the same run, reporting at exit which of ``dataclasses`` and ``inspect``
+# (which ``dataclasses`` imports) were loaded
+_CLI_LOADED_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: print(
+    "loaded:", [m for m in ("dataclasses", "inspect") if m in sys.modules], file=sys.stderr))
+sys.argv = ["ezdlab", *sys.argv[1:]]
+runpy.run_module("ezdlab.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["search", "--seed", "7", "--trials", "20", "--dims", "6", "--bound", "4"],
+    ["verify-paper"],
+    ["resolve", "--ring", RESOLVE_RING, "--module", "k", "--bound", "4"],
+    ["classify", "--ring", "GF(101)[x,y]/(x^2,y^2)", "--module", "k", "--c", "omega(A)"],
+    ["check", str(CORPUS / "ci_xy.ezd")],
+], ids=["help", "search", "verify-paper", "resolve", "classify", "check"])
+def test_cli_process_never_imports_dataclasses_or_inspect(argv):
+    proc = subprocess.run([sys.executable, "-c", _CLI_LOADED_AT_EXIT, *argv], cwd=ROOT,
+                          env=_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "loaded: []", proc.stderr
 
 
 @pytest.mark.parametrize("spec", [

@@ -13,7 +13,6 @@ deliberate change of a verdict or its wording:
     PYTHONPATH=src python tests/test_verifier_goldens.py > tests/verifier_goldens.json
 """
 
-import dataclasses
 import json
 import sys
 import tempfile
@@ -30,8 +29,8 @@ GOLDEN = Path(__file__).with_name("verifier_goldens.json")
 def _variants():
     inst = next(i for i in load_corpus(bound=10) if i.name == "ci_xy")
     return {
-        "free-C": dataclasses.replace(inst, c=free_module(inst.algebra, 2)),
-        "pair-xx": dataclasses.replace(inst, y=inst.x),
+        "free-C": inst.replace(c=free_module(inst.algebra, 2)),
+        "pair-xx": inst.replace(y=inst.x),
     }
 
 
