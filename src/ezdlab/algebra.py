@@ -129,7 +129,9 @@ class Algebra(Representation):
         return self.presentation.ring.nvars
 
     def __eq__(self, other):
-        return isinstance(other, Algebra) and self.presentation == other.presentation
+        # most comparisons are of one algebra with itself
+        return self is other or (isinstance(other, Algebra)
+                                 and self.presentation == other.presentation)
 
     def __hash__(self):
         return hash((self.presentation.ring, tuple(self.presentation.groebner)))

@@ -10,8 +10,8 @@ CertifiedAll only when the underlying Ext/Tor computations carry a
 finiteness certificate (a terminating resolution); otherwise bounded
 vanishing is reported as HoldsUpTo(bound).  Each table is computed at the
 predicate's bound; one that fits no resolution budget raises
-ResolutionBudgetExceeded (a ``budget`` stop) and is not retried at a
-smaller bound.
+BudgetExceeded (a ``budget`` stop) and is not retried at a smaller
+bound.
 
 The relative dimensions are decided by one exact rule, with no Ext/Tor
 table and no class verdict.  Over a local artinian algebra, a finite
@@ -176,8 +176,9 @@ class Fails(Frozen):
 
 
 class ClassMembershipReport(Record):
-    # kind: "G_C" | "A_C" | "B_C"
-    __slots__ = ("kind", "verdict", "natural_map_iso", "witness", "tables", "bound")
+    # tables: the Ext/Tor tables behind the verdict, by name; none when the
+    # natural map is not an isomorphism
+    __slots__ = ("verdict", "tables")
 
     @property
     def holds(self) -> bool:
@@ -194,7 +195,7 @@ def _verdict(tables: dict, bound: int):
     return HoldsUpTo(bound)
 
 
-def _membership(kind: str, x: Module, c: Module, bound: int,
+def _membership(x: Module, c: Module, bound: int,
                 natural_map, failure: str, tables) -> ClassMembershipReport:
     """The one test behind the three classes: C is certified, the natural
     map ``natural_map(x, c)`` is an isomorphism (else ``Fails(failure)``),
@@ -203,9 +204,9 @@ def _membership(kind: str, x: Module, c: Module, bound: int,
     _require_semidualizing(c, bound)
     f = natural_map(x, c)
     if not f.is_isomorphism():
-        return ClassMembershipReport(kind, Fails(failure), False, f, {}, bound)
+        return ClassMembershipReport(Fails(failure), {})
     built = {name: fn(a, b, bound) for name, fn, a, b in tables(f)}
-    return ClassMembershipReport(kind, _verdict(built, bound), True, f, built, bound)
+    return ClassMembershipReport(_verdict(built, bound), built)
 
 
 def biduality_map(x: Module, c: Module) -> Morphism:
@@ -223,7 +224,7 @@ def biduality_map(x: Module, c: Module) -> Morphism:
 def in_G_C(x: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Totally C-reflexive: biduality iso, Ext^{>0}(X,C) = 0 = Ext^{>0}(Hom(X,C),C)."""
     # delta's target is Hom(Hom(X,C),C)
-    return _membership("G_C", x, c, bound, biduality_map,
+    return _membership(x, c, bound, biduality_map,
                        "biduality map delta is not an isomorphism",
                        lambda delta: (("Ext(X,C)", ext, x, c),
                                       ("Ext(Hom(X,C),C)", ext, delta.target.hom_source, c)))
@@ -246,7 +247,7 @@ def gamma_map(m: Module, c: Module) -> Morphism:
 def in_A_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Auslander class: gamma iso, Tor_{>0}(C,M) = 0 = Ext^{>0}(C, C(x)M)."""
     # gamma's target is Hom(C, C(x)M)
-    return _membership("A_C", m, c, bound, gamma_map,
+    return _membership(m, c, bound, gamma_map,
                        "natural map gamma is not an isomorphism",
                        lambda gamma: (("Tor(C,M)", tor, c, m),
                                       ("Ext(C,C(x)M)", ext, c, gamma.target.hom_target)))
@@ -271,7 +272,7 @@ def xi_map(m: Module, c: Module) -> Morphism:
 def in_B_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Bass class: xi iso, Ext^{>0}(C,M) = 0 = Tor_{>0}(C, Hom(C,M))."""
     # xi's source is C (x) Hom(C, M)
-    return _membership("B_C", m, c, bound, xi_map,
+    return _membership(m, c, bound, xi_map,
                        "natural map xi is not an isomorphism",
                        lambda xi: (("Ext(C,M)", ext, c, m),
                                    ("Tor(C,Hom(C,M))", tor, c, xi.source.right)))

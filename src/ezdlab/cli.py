@@ -30,11 +30,7 @@ from .classes import (
     is_semidualizing,
     pc_pd,
 )
-from .groebner import (
-    InfiniteDimensionalError,
-    NonLocalError,
-    PairBudgetExceeded,
-)
+from .groebner import BudgetExceeded, InfiniteDimensionalError, NonLocalError
 from .module import Module, residue_field_module
 from .propcheck import (
     PROP_VERIFIERS,
@@ -43,7 +39,7 @@ from .propcheck import (
     search_counterexamples,
 )
 from .record import Record
-from .resolution import ResolutionBudgetExceeded, ext, minimal_free_resolution, tor
+from .resolution import ext, minimal_free_resolution, tor
 
 __all__ = ["main", "build_parser", "report_to_json", "UsageError"]
 
@@ -230,9 +226,9 @@ def _cmd_verify_paper(args) -> int:
     if args.prop and args.prop not in PROP_VERIFIERS:
         raise UsageError(f"unknown property id {args.prop!r}; "
                          f"known: {', '.join(sorted(PROP_VERIFIERS))}")
-    prop_ids = [args.prop] if args.prop else sorted(PROP_VERIFIERS)
+    pids = [args.prop] if args.prop else sorted(PROP_VERIFIERS)
     instances = load_corpus(bound=args.bound, seed=args.seed)
-    for pid in prop_ids:
+    for pid in pids:
         verifier = PROP_VERIFIERS[pid]
         for inst in instances:
 
@@ -287,6 +283,15 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _bound(text: str) -> int:
+    """A ``--bound`` value, read by the DSL's bound rule."""
+    value = _non_negative_int(text)
+    err = dsl.bound_error(value)
+    if err:
+        raise argparse.ArgumentTypeError(f"{text!r}, column 1: {err}")
+    return value
+
+
 def _finite_field(text: str) -> int:
     """The p of a ``GF(p)`` flag value, read by the DSL's field rule."""
     try:
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, ring=False):
-        p.add_argument("--bound", type=_non_negative_int, default=10,
+        p.add_argument("--bound", type=_bound, default=10,
                        help="homological degree bound (default 10)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", metavar="PATH",
@@ -375,7 +380,7 @@ def main(argv: Optional[list] = None) -> int:
     except (UsageError, InfiniteDimensionalError, NonLocalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResolutionBudgetExceeded, PairBudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

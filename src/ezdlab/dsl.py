@@ -16,11 +16,10 @@ statement before it must declare, so a bad element is a parse error.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, Element
-from .groebner import PairBudgetExceeded, QuotientPresentation, QuotientTooLargeError
+from .groebner import BudgetExceeded, QuotientPresentation, QuotientTooLargeError
 from .linalg import Field, prime_field_error
 from .module import (
     Module,
@@ -35,9 +34,9 @@ from .module import (
     scale_quotient,
     tensor_module,
 )
-from .poly import DEGREVLEX, LEX, PolyRing, Polynomial
+from .poly import DEGREVLEX, LEX, PolyRing
 from .record import Frozen, Record, _set
-from .resolution import ResolutionBudgetExceeded
+from .resolution import DEFAULT_RESOLUTION_BUDGET
 from .classes import (
     DEFAULT_BOUND,
     CertifiedAll,
@@ -182,9 +181,10 @@ def _tokenize(text: str):
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
+            # decimal digits in any script, exactly what int() reads
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(_Token("int", text[start:i], line, col))
             col += i - start
@@ -239,6 +239,15 @@ class _Parser:
         if tok.kind == kind and (value is None or tok.value == value):
             return self.next()
         return None
+
+    def integer(self) -> int:
+        """The integer literal that comes next: the one rule that reads a
+        number, so a literal too long for ``int()`` is an error at it."""
+        tok = self.expect("int")
+        try:
+            return int(tok.value)
+        except ValueError:
+            self.error(f"integer literal of {len(tok.value)} digits is too long", tok)
 
     # -- grammar ------------------------------------------------------
     def script(self) -> Script:
@@ -310,9 +319,9 @@ class _Parser:
             return None
         if tok.value == "GF":
             self.expect("sym", "(")
-            ptok = self.expect("int")
+            ptok = self.peek()
+            p = self.integer()
             self.expect("sym", ")")
-            p = int(ptok.value)
             err = prime_field_error(p)
             if err:
                 self.error(err, ptok)
@@ -345,7 +354,7 @@ class _Parser:
         saw_factor = False
         tok = self.peek()
         if tok.kind == "int":
-            coeff = int(self.next().value)
+            coeff = self.integer()
             saw_factor = True
             if not self.accept("sym", "*"):
                 return tuple(expo), coeff
@@ -358,7 +367,7 @@ class _Parser:
             self.next()
             e = 1
             if self.accept("sym", "^"):
-                e = int(self.expect("int").value)
+                e = self.integer()
             expo[variables.index(tok.value)] += e
             saw_factor = True
             if not self.accept("sym", "*"):
@@ -433,7 +442,7 @@ class _Parser:
     def module_arg(self):
         tok = self.peek()
         if tok.kind == "int":
-            return int(self.next().value)
+            return self.integer()
         return self.module_expr()
 
     def check_stmt(self) -> CheckStmt:
@@ -455,9 +464,23 @@ class _Parser:
         bound = None
         if self.peek().kind == "name" and self.peek().value == "bound":
             self.next()
-            bound = int(self.expect("int").value)
+            btok = self.peek()
+            bound = self.integer()
+            err = bound_error(bound)
+            if err:
+                self.error(err, btok)
         self.expect("sym", ";")
         return CheckStmt(name, tuple(args), bound, (tok.line, tok.col))
+
+
+def bound_error(bound: int) -> Optional[str]:
+    """Why a degree bound cannot be used, or None if it can.  A table is as
+    long as its bound, and a resolution that does not terminate grows by at
+    least one dimension a degree, so it meets ``DEFAULT_RESOLUTION_BUDGET``
+    before that degree anyway."""
+    if bound > DEFAULT_RESOLUTION_BUDGET:
+        return f"bound {bound} is above {DEFAULT_RESOLUTION_BUDGET}"
+    return None
 
 
 def parse_script(text: str) -> Script:
@@ -565,19 +588,11 @@ class _Env:
         self.modules: dict = {}
 
 
-def _terms_to_polynomial(ring: PolyRing, terms) -> Polynomial:
-    coeffs = {}
-    for mono, coeff in terms:
-        c = Fraction(coeff) if ring.field.p is None else coeff % ring.field.p
-        coeffs[mono] = c
-    return ring.poly(coeffs)
-
-
 def _build_ring(decl: RingDecl) -> Algebra:
     field = Field(decl.p)
     order = DEGREVLEX if decl.order == "degrevlex" else LEX
     ring = PolyRing(field, list(decl.variables), order)
-    gens = [_terms_to_polynomial(ring, g) for g in decl.generators]
+    gens = [ring.poly(dict(g)) for g in decl.generators]
     try:
         pres = QuotientPresentation(ring, gens)
     except QuotientTooLargeError as exc:
@@ -599,7 +614,7 @@ def _ref(table: dict, kind: str, arg, at):
 
 def _resolve_elem(env: _Env, decl: ElemDecl) -> Element:
     algebra = env.rings[decl.ring]
-    return algebra.element_from_poly(_terms_to_polynomial(algebra.ring, decl.poly))
+    return algebra.element_from_poly(algebra.ring.poly(dict(decl.poly)))
 
 
 def _one_ring(node, algebras):
@@ -626,6 +641,9 @@ def _eval_module(env: _Env, expr, at) -> Module:
         algebra = _ref(env.rings, "ring", args[0], expr)
         if not isinstance(args[1], int):
             raise DslError("free expects an integer rank", *expr.pos)
+        if (dim := args[1] * algebra.dim) > DEFAULT_RESOLUTION_BUDGET:
+            raise DslError(f"free module of dimension {dim} is above "
+                           f"{DEFAULT_RESOLUTION_BUDGET}", *expr.pos)
         return free_module(algebra, args[1])
     if op == "omega":
         algebra = _ref(env.rings, "ring", args[0], expr)
@@ -657,7 +675,7 @@ def table_json(t) -> dict:
 
 
 # the exceptions that stop a check short of a verdict
-STOPS = (ResolutionBudgetExceeded, PairBudgetExceeded, NotSemidualizingError)
+STOPS = (BudgetExceeded, NotSemidualizingError)
 
 
 def stop_status(exc: Exception) -> tuple:

@@ -13,6 +13,7 @@ from .poly import PolyRing, Polynomial, mono_divides, mono_lcm, mono_mul
 from .record import Record
 
 __all__ = [
+    "BudgetExceeded",
     "PairBudgetExceeded",
     "InfiniteDimensionalError",
     "NonLocalError",
@@ -22,7 +23,8 @@ __all__ = [
     "QuotientPresentation",
 ]
 
-DEFAULT_PAIR_BUDGET = 10_000
+# the S-pairs one Groebner basis may process
+PAIR_BUDGET = 10_000
 # The largest quotient dimension d accepted.  An Algebra holds d sparse
 # d x d monomial actions, each one sparse product from the one before: at
 # d = 256 (x^256, or x^16 and y^16) it builds in 0.22-0.31 s over GF(101) and
@@ -30,8 +32,12 @@ DEFAULT_PAIR_BUDGET = 10_000
 MAX_QUOTIENT_DIM = 256
 
 
-class PairBudgetExceeded(Exception):
-    """Buchberger processed more S-pairs than the configured budget."""
+class BudgetExceeded(Exception):
+    """A computation outgrew its budget: the one family of budget stops."""
+
+
+class PairBudgetExceeded(BudgetExceeded):
+    """Buchberger processed more than ``PAIR_BUDGET`` S-pairs."""
 
 
 class InfiniteDimensionalError(Exception):
@@ -46,11 +52,7 @@ class QuotientTooLargeError(Exception):
     """The staircase has more than ``MAX_QUOTIENT_DIM`` monomials."""
 
 
-def groebner_basis(
-    ring: PolyRing,
-    generators: list[Polynomial],
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> list[Polynomial]:
+def groebner_basis(ring: PolyRing, generators: list[Polynomial]) -> list[Polynomial]:
     """Reduced Groebner basis of the ideal generated by ``generators``."""
     basis = _reduce_generators(ring, generators)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -63,8 +65,8 @@ def groebner_basis(
         )
         i, j = pairs.pop(0)
         processed += 1
-        if processed > pair_budget:
-            raise PairBudgetExceeded(f"S-pair budget {pair_budget} exceeded")
+        if processed > PAIR_BUDGET:
+            raise PairBudgetExceeded(f"S-pair budget {PAIR_BUDGET} exceeded")
         lmi = basis[i].lead_monomial
         lmj = basis[j].lead_monomial
         # product criterion: coprime lead monomials give a trivial S-pair

@@ -90,31 +90,11 @@ class Field(Frozen):
                 raise ValueError(err)
         _set(self, "p", p)
 
-    @staticmethod
-    def prime(p: int) -> "Field":
-        return Field(p)
-
-    @staticmethod
-    def rationals() -> "Field":
-        return Field(None)
-
     # scalar helpers
     def canon(self, a):
         if self.p is not None:
             return int(a) % self.p
         return Fraction(a)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p is not None else -a
 
     def inv(self, a):
         if self.p is not None:
@@ -126,9 +106,6 @@ class Field(Frozen):
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     @property
     def zero(self):
         return 0 if self.p is not None else Fraction(0)
@@ -139,9 +116,6 @@ class Field(Frozen):
 
     def __str__(self) -> str:
         return f"GF({self.p})" if self.p is not None else "QQ"
-
-
-GF101 = Field.prime(101)
 
 
 def _reduce(lines: list, p: Optional[int]) -> list:

@@ -112,31 +112,26 @@ class PolyRing:
     def monomial(self, m: Monomial) -> Polynomial:
         return self.poly({tuple(m): self.field.one})
 
+    # Arithmetic runs on plain + and *; ``poly`` reduces every coefficient.
     def add(self, f: Polynomial, g: Polynomial) -> Polynomial:
         acc = dict(f.terms)
         for m, c in g.terms:
-            acc[m] = self.field.add(acc.get(m, self.field.zero), c)
+            acc[m] = acc.get(m, 0) + c
         return self.poly(acc)
 
-    def sub(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return self.add(f, self.scale(g, self.field.neg(self.field.one)))
-
     def scale(self, f: Polynomial, c) -> Polynomial:
-        c = self.field.canon(c)
-        return self.poly({m: self.field.mul(cc, c) for m, cc in f.terms})
+        return self.poly({m: cc * c for m, cc in f.terms})
 
     def mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
         acc: dict = {}
         for mf, cf in f.terms:
             for mg, cg in g.terms:
                 m = mono_mul(mf, mg)
-                acc[m] = self.field.add(acc.get(m, self.field.zero), self.field.mul(cf, cg))
+                acc[m] = acc.get(m, 0) + cf * cg
         return self.poly(acc)
 
     def term_mul(self, m: Monomial, c, f: Polynomial) -> Polynomial:
-        return self.poly(
-            {mono_mul(m, mf): self.field.mul(c, cf) for mf, cf in f.terms}
-        )
+        return self.poly({mono_mul(m, mf): c * cf for mf, cf in f.terms})
 
     def monic(self, f: Polynomial) -> Polynomial:
         if f.is_zero():
@@ -144,28 +139,29 @@ class PolyRing:
         return self.scale(f, self.field.inv(f.lead[1]))
 
     def normal_form(self, f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
-        """Full multivariate division remainder of f by ``basis``."""
+        """Full multivariate division remainder of f by ``basis``.  A popped
+        monomial never comes back, for each reduction step adds only
+        smaller ones, so its coefficient is final."""
         basis = [g for g in basis if not g.is_zero()]
+        canon = self.field.canon
         rem: dict = {}
         work = dict(f.terms)
         while work:
             m = max(work, key=self.order.key)
-            c = work.pop(m)
+            c = canon(work.pop(m))
             if c == 0:
                 continue
             for g in basis:
                 lm, lc = g.lead
                 if mono_divides(lm, m):
                     q = mono_div(m, lm)
-                    factor = self.field.div(c, lc)
+                    factor = c * self.field.inv(lc)
                     for mg, cg in g.terms[1:]:
                         mm = mono_mul(q, mg)
-                        work[mm] = self.field.sub(
-                            work.get(mm, self.field.zero), self.field.mul(factor, cg)
-                        )
+                        work[mm] = work.get(mm, 0) - factor * cg
                     break
             else:
-                rem[m] = self.field.add(rem.get(m, self.field.zero), c)
+                rem[m] = c
         return self.poly(rem)
 
     def s_poly(self, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -173,8 +169,8 @@ class PolyRing:
         lmg, lcg = g.lead
         l = mono_lcm(lmf, lmg)
         a = self.term_mul(mono_div(l, lmf), self.field.inv(lcf), f)
-        b = self.term_mul(mono_div(l, lmg), self.field.inv(lcg), g)
-        return self.sub(a, b)
+        b = self.term_mul(mono_div(l, lmg), -self.field.inv(lcg), g)
+        return self.add(a, b)
 
     # -- printing -----------------------------------------------------
     def format_monomial(self, m: Monomial) -> str:

@@ -21,17 +21,15 @@ instance's memo (``Instance.once``), under a key that names what it is
 built from, module objects and the coordinates of pair elements
 (``("bar", C, y.coords)`` is C/yC over A/yA), and lives as long as the
 instance, so a later verifier resumes the resolutions and semidualizing
-certificates an earlier one left on those modules.  Whole membership
-reports are not kept: a class verdict is stored without its Ext/Tor
-tables and natural-map witness, which would hold on to every Hom and
-tensor module behind them.  Base changes go through ``_mod``.  The open
-question is the body ``open-G``, kept out of ``PROP_VERIFIERS``: a search
-trial runs it on each configuration through ``Instance.share``, so the
-trial has one memo.  Two more live for one search, keyed by the ideal's
-reduced Groebner basis, not the text of its generators: each ideal builds
-one algebra, each (ideal, drawn radical elements) runs one trial, and a
-replayed trial's counterexample entries print the generators the
-replaying trial drew.
+certificates an earlier one left on those modules.  A class verdict is
+stored whole: its Ext/Tor tables hold dimensions, not modules.  Base
+changes go through ``_mod``.  The open question is the body ``open-G``,
+kept out of ``PROP_VERIFIERS``: a search trial runs it on each
+configuration through ``Instance.share``, so the trial has one memo.  Two
+more live for one search, keyed by the ideal's reduced Groebner basis, not
+the text of its generators: each ideal builds one algebra, each (ideal,
+drawn radical elements) runs one trial, and a replayed trial's
+counterexample entries print the generators the replaying trial drew.
 """
 
 from __future__ import annotations
@@ -44,11 +42,10 @@ from typing import Optional
 
 from .algebra import Algebra, Element
 from .groebner import (
+    BudgetExceeded,
     InfiniteDimensionalError,
     NonLocalError,
-    PairBudgetExceeded,
     QuotientPresentation,
-    QuotientTooLargeError,
 )
 from .linalg import Field, rank, solve_matrix
 from .module import (
@@ -69,14 +66,7 @@ from .module import (
     transport_to_quotient,
 )
 from .poly import PolyRing
-from .resolution import (
-    INF,
-    Exactly,
-    ResolutionBudgetExceeded,
-    ext,
-    injective_dimension,
-    tor,
-)
+from .resolution import INF, Exactly, ext, injective_dimension, tor
 from .classes import (
     DEFAULT_BOUND,
     Fails,
@@ -125,7 +115,7 @@ class Instance(Frozen):
 
     ``_memo`` holds what the verifiers derive from these fields (the ring
     as a module, R/xR, the quotients and base changes, exactness reports,
-    slim class verdicts and the P_C/I_C dimensions of M), keyed by what
+    class verdicts and the P_C/I_C dimensions of M), keyed by what
     each is built from, for as long as the instance lives.  It takes no
     part in equality or the repr.  The instance is frozen so that no field
     changes under a filled memo, and ``replace`` starts a new instance with
@@ -164,8 +154,9 @@ class Instance(Frozen):
 
 
 class VerificationResult(Record):
-    # status: "pass" | "fail" | "inconclusive"
-    __slots__ = ("prop_id", "instance", "status", "witness", "details")
+    # status: "pass" | "fail" | "inconclusive"; a verifier's id is its
+    # PROP_VERIFIERS key
+    __slots__ = ("status", "witness", "details")
     _defaults = {"witness": None, "details": ()}
 
 
@@ -227,25 +218,19 @@ def _fail(witness, *details):
     return "fail", witness, details
 
 
-def _verifier(prefix: str):
-    """Wrap a verifier body into ``verify(inst[, part]) -> VerificationResult``
-    with prop id ``prefix`` and the part joined by "-".  The body returns
-    ``_pass`` or ``_fail``; an ``_Inconclusive`` it raises becomes an
-    inconclusive result with its reason."""
+def _verifier(body):
+    """Wrap a verifier body into ``verify(inst[, part]) -> VerificationResult``.
+    The body returns ``_pass`` or ``_fail``; an ``_Inconclusive`` it raises
+    becomes an inconclusive result with its reason."""
 
-    def wrap(body):
-        @functools.wraps(body)
-        def verify(inst: Instance, *part) -> VerificationResult:
-            pid = "-".join((prefix, *part))
-            try:
-                status, witness, details = body(inst, *part)
-            except _Inconclusive as exc:
-                return VerificationResult(pid, inst.name, "inconclusive", str(exc))
-            return VerificationResult(pid, inst.name, status, witness, details)
+    @functools.wraps(body)
+    def verify(inst: Instance, *part) -> VerificationResult:
+        try:
+            return VerificationResult(*body(inst, *part))
+        except _Inconclusive as exc:
+            return VerificationResult("inconclusive", str(exc))
 
-        return verify
-
-    return wrap
+    return verify
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +259,11 @@ def _mod(inst: Instance, e: Element, *modules: Module) -> tuple:
     ))
 
 
-def _slim(report):
-    """A membership report without its tables and natural-map witness."""
-    return report.replace(tables={}, witness=None)
-
-
 def _member(inst: Instance, kind: str, x: Module, c: Module):
-    """The slim verdict of ``x`` in the class ``kind`` ("G_C", "A_C" or
+    """The membership report of ``x`` in the class ``kind`` ("G_C", "A_C" or
     "B_C") of ``c``, over the algebra they are modules over."""
     fn = {"G_C": in_G_C, "A_C": in_A_C, "B_C": in_B_C}[kind]
-    return inst.once((kind, x, c), lambda: _slim(fn(x, c, inst.bound)))
+    return inst.once((kind, x, c), lambda: fn(x, c, inst.bound))
 
 
 def _dim(inst: Instance, dim_fn):
@@ -314,7 +294,7 @@ def fact22_witness(x: Element, y: Element, m: Module,
     return Morphism(quot, ann, coords)
 
 
-@_verifier("fact-a")
+@_verifier
 def verify_fact_a(inst: Instance):
     _require_ezd(inst, inst.m, "M", listing=True)
     try:
@@ -333,7 +313,7 @@ def verify_fact_a(inst: Instance):
 # Fact: ezd on M vs vanishing of Ext/Tor against R/xR
 
 
-@_verifier("fact-b")
+@_verifier
 def verify_fact_b(inst: Instance):
     _require_ezd(inst, inst.regular(), "the ring")
     m = inst.m
@@ -362,7 +342,7 @@ def verify_fact_b(inst: Instance):
     return _pass(*details, f"condition (a) holds: {cond_a}")
 
 
-@_verifier("fact-c")
+@_verifier
 def verify_fact_c(inst: Instance):
     """Base change of Ext/Tor along A -> A/xA at the dimension level."""
     _require_ezd(inst, inst.regular(), "the ring")
@@ -403,13 +383,13 @@ def _cyclic_member(inst: Instance, kind: str):
     return _fail(rep.verdict.witness)
 
 
-@_verifier("prop-A")
+@_verifier
 def verify_prop_A(inst: Instance):
     """R/xR lies in G_C."""
     return _cyclic_member(inst, "G_C")
 
 
-@_verifier("prop-C")
+@_verifier
 def verify_prop_C(inst: Instance):
     """R/xR lies in A_C."""
     return _cyclic_member(inst, "A_C")
@@ -419,7 +399,7 @@ def verify_prop_C(inst: Instance):
 # semidualizing descends and lifts along the pair
 
 
-@_verifier("prop-B")
+@_verifier
 def verify_prop_B(inst: Instance):
     """B (the instance's C) semidualizing over A iff B/xB and B/yB are
     semidualizing over the two quotients.  Checked as a biconditional on
@@ -438,7 +418,7 @@ def verify_prop_B(inst: Instance):
     return _pass(*details)
 
 
-@_verifier("cor-dualizing")
+@_verifier
 def verify_cor_dualizing(inst: Instance):
     """If D/xD is dualizing over A/xA and D/yD semidualizing over A/yA,
     then D is dualizing over A (D is the instance's C)."""
@@ -463,7 +443,7 @@ def verify_cor_dualizing(inst: Instance):
 # membership over A vs over A/xA for modules killed by x
 
 
-@_verifier("cor-K")
+@_verifier
 def verify_cor_K(inst: Instance, which: str):
     """For an A/xA-module M: membership over A agrees with membership of
     the same module over A/xA (G for i, A for ii, B for iii)."""
@@ -484,7 +464,7 @@ def verify_cor_K(inst: Instance, which: str):
     return _pass(*details)
 
 
-@_verifier("prop-D")
+@_verifier
 def verify_prop_D(inst: Instance, which: str):
     """Membership of M/xM and M/yM over the two quotients forces
     membership of M (A for i, B for ii, G for iii)."""
@@ -507,7 +487,7 @@ def verify_prop_D(inst: Instance, which: str):
     return _fail(concl.verdict.witness)
 
 
-@_verifier("prop-J")
+@_verifier
 def verify_prop_J(inst: Instance, which: str):
     """With M in the class, membership of M/xM (over A, same C) is
     equivalent to (x,y) being ezd on the auxiliary module
@@ -537,7 +517,7 @@ def verify_prop_J(inst: Instance, which: str):
 # the classes P_C and I_C under the pair
 
 
-@_verifier("prop-E")
+@_verifier
 def verify_prop_E(inst: Instance, mode: str):
     """If M is in P_C (mode pc) or I_C (mode ic) and x acts neither as zero
     nor onto, then (x,y) is ezd on M and M/xM lands in the quotient class.
@@ -559,7 +539,7 @@ def verify_prop_E(inst: Instance, mode: str):
     return _pass(f"rank {r} over A, rank {rq} over A/xA")
 
 
-@_verifier("prop-F")
+@_verifier
 def verify_prop_F(inst: Instance, mode: str):
     """Finite P_C-pd (or I_C-id) with x acting neither zero nor onto
     forces (x,y) ezd on M."""
@@ -573,7 +553,7 @@ def verify_prop_F(inst: Instance, mode: str):
     return _fail(f"dimension {verdict!r} finite but pair not ezd on M")
 
 
-@_verifier("lemma-H")
+@_verifier
 def verify_lemma_H(inst: Instance, part: str):
     """Dimension 0 in the relative class forces Tor (parts i, ii) or Ext
     (part iii) against R/xR to vanish above 0."""
@@ -594,7 +574,7 @@ def verify_lemma_H(inst: Instance, part: str):
     return _fail(f"{name} nonzero at degree {table.last_nonzero()}")
 
 
-@_verifier("prop-G")
+@_verifier
 def verify_prop_G(inst: Instance, part: str):
     """Finite relative dimension descends to the quotient with equality in
     the local finite case.  Over these artinian algebras a finite value of
@@ -664,8 +644,7 @@ def _draw_presentation(rng: random.Random, p: int):
     same RNG steps whatever p and whatever becomes of the presentation."""
     nvars = rng.randint(1, 3)
     names = ["x", "y", "z"][:nvars]
-    field = Field(p)
-    ring = PolyRing(field, names)
+    ring = PolyRing(Field(p), names)
     gens = []
     powers = [rng.randint(2, 4 if nvars == 1 else 3) for _ in range(nvars)]
     for v, e in enumerate(powers):
@@ -681,24 +660,19 @@ def _draw_presentation(rng: random.Random, p: int):
         a, b = rng.sample(range(nvars), 2)
         ma, mb = [0] * nvars, [0] * nvars
         ma[a], mb[b] = 2, 2
-        gens.append(
-            ring.poly({tuple(ma): field.one, tuple(mb): field.canon(-1)})
-        )
+        gens.append(ring.poly({tuple(ma): 1, tuple(mb): -1}))
     return ring, gens
 
 
 def _presentation(ring: PolyRing, gens: list, max_dim: int) -> Optional[QuotientPresentation]:
-    """ring/(gens) with its reduced Groebner basis and staircase, or None
-    when it is not finite-dimensional, larger than ``MAX_QUOTIENT_DIM``,
-    or its dimension is outside 2..max_dim."""
+    """ring/(gens) of a ``_draw_presentation`` with its reduced Groebner
+    basis and staircase, or None when Buchberger exceeds its budget or the
+    dimension is outside 2..max_dim.  Every drawn variable has a pure power
+    of degree at most 4, so the quotient is local and of dimension at most
+    27."""
     try:
         pres = QuotientPresentation(ring, gens)
-    except (
-        InfiniteDimensionalError,
-        PairBudgetExceeded,
-        QuotientTooLargeError,
-        ValueError,
-    ):
+    except BudgetExceeded:
         return None
     if pres.dim < 2 or pres.dim > max_dim:
         return None
@@ -706,24 +680,23 @@ def _presentation(ring: PolyRing, gens: list, max_dim: int) -> Optional[Quotient
 
 
 def _local_algebra(pres: Optional[QuotientPresentation]) -> Optional[Algebra]:
-    """The algebra of `pres`, or None when there is none or it is not local."""
-    if pres is None:
-        return None
-    try:
-        return Algebra(pres)
-    except (NonLocalError, ValueError):
-        return None
+    """The algebra of `pres`, or None when there is none."""
+    return None if pres is None else Algebra(pres)
 
 
 def _build_algebra(ring: PolyRing, gens: list, max_dim: int) -> Optional[Algebra]:
-    """ring/(gens) as a local algebra, or None when `_presentation` or
-    `_local_algebra` rejects it."""
+    """ring/(gens) as a local algebra, or None when `_presentation` rejects
+    it."""
     return _local_algebra(_presentation(ring, gens, max_dim))
 
 
-def _radical_elements(algebra: Algebra, rng: random.Random, cap: int = 40):
+# the radical elements sampled for one algebra when they are not enumerated
+_SAMPLED_ELEMENTS = 40
+
+
+def _radical_elements(algebra: Algebra, rng: random.Random):
     """Nonzero radical elements; exhaustive for GF(2) at small dimension,
-    else a seeded sample."""
+    else a seeded sample of ``_SAMPLED_ELEMENTS`` draws."""
     field = algebra.field
     idxs = algebra.radical_indices
     out = []
@@ -735,7 +708,7 @@ def _radical_elements(algebra: Algebra, rng: random.Random, cap: int = 40):
                     coords[i] = field.one
             out.append(algebra.element(coords))
         return out
-    for _ in range(cap):
+    for _ in range(_SAMPLED_ELEMENTS):
         coords = [field.zero] * algebra.dim
         for i in idxs:
             coords[i] = field.canon(rng.randrange(field.p))
@@ -807,7 +780,7 @@ class SearchConfig(Record):
     _defaults = {"seed": 0, "trials": 100, "max_dim": 6, "p": 2, "bound": 4}
 
 
-@_verifier("open-G")
+@_verifier
 def verify_open_G(inst: Instance):
     """The open question: M in G_C with (x,y) ezd on A, C and M; is M/xM
     in G_{C/xC} over A/xA?  A fail is a counterexample."""
@@ -857,7 +830,7 @@ def _search_trial(algebra: Algebra, elems: list, bound: int):
                             "x": repr(x), "y": repr(y), "C": c_name, "M": m_name,
                             "witness": reason,
                         })
-            except (ResolutionBudgetExceeded, PairBudgetExceeded):
+            except BudgetExceeded:
                 budget_skips += 1
     return len(pairs), fully_gated, budget_skips, counterexamples
 

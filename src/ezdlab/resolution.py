@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .groebner import BudgetExceeded
 from .linalg import Matrix, _echelon_insert, _reduce, _sparse_kernel, _sparse_rank
 from .module import Iso, Module, _restricted_actions, dual_k, is_isomorphic
 from .record import Frozen, Record
@@ -64,7 +65,7 @@ DEFAULT_RESOLUTION_BUDGET = 10_000
 ROUTE_BUDGETS = (1500, DEFAULT_RESOLUTION_BUDGET)
 
 
-class ResolutionBudgetExceeded(Exception):
+class ResolutionBudgetExceeded(BudgetExceeded):
     """Total resolution dimension passed the growth cutoff."""
 
 

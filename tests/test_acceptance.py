@@ -56,8 +56,8 @@ from ezdlab.resolution import (
 
 from conftest import make_algebra, var
 
-GF2 = Field.prime(2)
-GF101 = Field.prime(101)
+GF2 = Field(2)
+GF101 = Field(101)
 
 _CORPUS = None
 
@@ -94,9 +94,9 @@ def test_criterion_02_descent_suite():
     for inst in corpus():
         ra = verify_prop_A(inst)
         rc = verify_prop_C(inst)
-        for res in (ra, rc):
+        for pid, res in (("A", ra), ("C", rc)):
             if res.status == "fail":
-                failures.append((res.prop_id, inst.name, res.witness))
+                failures.append((pid, inst.name, res.witness))
             if res.status == "pass":
                 seen.add(inst.name)
     assert not failures, failures

@@ -15,7 +15,9 @@ from ezdlab.algebra import Algebra
 from ezdlab.cli import main
 from ezdlab.groebner import InfiniteDimensionalError, NonLocalError, QuotientPresentation
 from ezdlab.linalg import Matrix
+from ezdlab.module import direct_sum, hom_module, is_isomorphic, regular_module, tensor_module
 from ezdlab.poly import PolyRing
+from ezdlab.resolution import ext
 
 from conftest import GF101, QQ, make_algebra, reference_table
 
@@ -210,3 +212,31 @@ def test_qq_hypersurface_with_a_long_exponent_checks_in_time(tmp_path, capsys):
     assert time.monotonic() - t0 < 2
     assert code == 1
     assert "dim = 22, expected 2" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# equality
+
+
+def test_an_algebra_equals_itself_without_comparing_presentations(monkeypatch):
+    """Hom, tensor, direct sums, the isomorphism test and Ext check that
+    their modules share an algebra; when both sides are one object the
+    check never compares rings and Groebner lists, and an equal twin still
+    does."""
+    spec = (["x", "y"], [{(1, 1): 1}, {(2, 0): 1, (0, 2): -1}])
+    alg, twin = make_algebra(GF101, *spec), make_algebra(GF101, *spec)
+    compared = []
+    real_eq = QuotientPresentation.__eq__
+
+    def counting_eq(self, other):
+        compared.append((self, other))
+        return real_eq(self, other)
+
+    monkeypatch.setattr(QuotientPresentation, "__eq__", counting_eq)
+    m = regular_module(alg)
+    assert alg == alg and not alg != alg
+    hom_module(m, m), tensor_module(m, m), direct_sum(m, m)
+    is_isomorphic(m, m)
+    ext(m, m, 2)
+    assert compared == []
+    assert alg == twin and len(compared) == 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ezdlab import cli, propcheck
+from ezdlab import cli, dsl, propcheck
 from ezdlab.cli import main
 from ezdlab.groebner import MAX_QUOTIENT_DIM
 
@@ -323,6 +323,75 @@ def test_bad_expression_names_its_flag(argv, expected, capsys):
     assert "line" not in err and "Traceback" not in err
 
 
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("ring R = GF(2²)[x] / (x^2);", "line 1, column 14: unexpected character '²'"),
+        (f"ring R = GF(101)[x] / ({LONG}*x^2);",
+         "line 1, column 24: integer literal of 5000 digits is too long"),
+        ("ring R = GF(101)[x] / (x^2);\nmodule M = free(R, 99999999999999999999);",
+         "line 2, column 12: free module of dimension 199999999999999999998 is above 10000"),
+        ("ring R = GF(101)[x] / (x^2);\nmodule M = free(R, 3000000);",
+         "line 2, column 12: free module of dimension 6000000 is above 10000"),
+        ("ring R = GF(101)[x] / (x^2);\ncheck semidualizing(R) bound 100000000;",
+         "line 2, column 30: bound 100000000 is above 10000"),
+    ],
+    ids=["superscript", "long-literal", "free-overflow", "free-memory", "bound"],
+)
+def test_numbers_in_a_script_are_positioned_errors(tmp_path, capsys, body, expected):
+    """Numbers that ``int()`` refuses, and free modules or bounds past the
+    resolution budget, stop the script at their token before any work."""
+    script = tmp_path / "numbers.ezd"
+    script.write_text(body + "\n")
+    code, _, err = run(["check", str(script)], capsys)
+    assert code == 2
+    assert f"parse error: {expected}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["resolve", "--ring", "GF(101)[x]/(x^²)", "--module", "k"],
+         "error: --ring 'GF(101)[x]/(x^²)', column 15: unexpected character '²'"),
+        (["resolve", "--ring", f"GF(101)[x]/({LONG}*x^2)", "--module", "k"],
+         "', column 13: integer literal of 5000 digits is too long"),
+        (["classify", *RING, "--module", "free(A, 99999999999999999999)"],
+         "error: --module 'free(A, 99999999999999999999)', column 1: free module of "
+         "dimension 199999999999999999998 is above 10000"),
+        (["resolve", *RING, "--module", "free(A, 3000000)"],
+         "error: --module 'free(A, 3000000)', column 1: free module of dimension 6000000 "
+         "is above 10000"),
+        (["ext", *RING, "--from", "A", "--to", "A", "--bound", "100000000"],
+         "argument --bound: '100000000', column 1: bound 100000000 is above 10000"),
+    ],
+    ids=["superscript", "long-literal", "free-overflow", "free-memory", "bound"],
+)
+def test_numbers_in_a_flag_name_the_flag(capsys, argv, expected):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert expected in err
+    assert "Traceback" not in err
+
+
+def test_numbers_at_the_limits_are_read(tmp_path, capsys):
+    """Decimal digits of any script read as int() reads them, and a free
+    module or a bound at the resolution budget itself is accepted."""
+    assert dsl.parse_ring("GF(101)[x]/(x^٣)") == dsl.parse_ring("GF(101)[x]/(x^3)")
+    script = tmp_path / "limits.ezd"
+    script.write_text("ring R = GF(101)[x] / (x^2);\n"
+                      "check dim(free(R, 5000), 10000) bound 10000;\n")
+    code, out, _ = run(["check", str(script)], capsys)
+    assert code == 0 and out.startswith("pass")
+
+
 def test_ext_to_zero_module(capsys):
     code, out, _ = run(["ext", *RING, "--from", "k", "--to", "free(A,0)", "--bound", "3"], capsys)
     assert code == 0
@@ -434,7 +503,8 @@ def test_verify_paper_ends_with_a_tally(capsys):
     assert code == 0 and out == ""
 
 TOKEN = re.compile(r"\w+|\S")
-STRAY = ["@", "$", "{", '"', "é", "\t", "0", "-", "1/2", "^", "(", ")", ";", ","]
+STRAY = ["@", "$", "{", '"', "é", "\t", "0", "-", "1/2", "^", "(", ")", ";", ",",
+         "²", "٣", "9" * 20, "9" * 5000]
 
 
 def _mutant(text, unit, op, where, replacement):

@@ -2,8 +2,9 @@
 imported name is used there or re-exported, no module-level cache, no
 numpy import outside ``Matrix.data``, no ``dataclasses`` import and no
 ``exec`` or ``eval`` call, and every top-level definition and every method
-of a top-level class is named somewhere in the project.  Every name the
-benchmark's tracer wraps exists.
+of a top-level class is named somewhere in the project.  A budget stop's
+own class is named only where it is defined, and ``dsl.py`` reads every
+integer token by one rule.  Every name the benchmark's tracer wraps exists.
 
 No linter ships with the project's test dependencies, so these walk the
 tree with ``ast``.
@@ -223,6 +224,48 @@ def test_no_identity_keys(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _id_calls(tree)
     assert not lines, f"{path.name} calls id() on lines {lines}"
+
+
+# each budget stop and the one module that may name it
+BUDGET_STOPS = {"PairBudgetExceeded": "groebner.py", "ResolutionBudgetExceeded": "resolution.py"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_budget_stops_are_named_only_where_defined(path):
+    """Outside its defining module no code names a budget stop's own class:
+    every handler catches their base ``BudgetExceeded``, so a new kind of
+    budget stop needs no new handler."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = set(_imported(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    foreign = sorted(n for n, home in BUDGET_STOPS.items() if n in named and path.name != home)
+    assert not foreign, f"{path.name} names {', '.join(foreign)}; catch BudgetExceeded"
+
+
+def _int_calls(node, scope=()):
+    """(enclosing class and function names, line) of every call of the
+    builtin ``int`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "int"):
+            yield scope, child.lineno
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = scope + (child.name,)
+        yield from _int_calls(child, inner)
+
+
+def test_script_numbers_are_read_by_one_rule():
+    """In ``dsl.py`` only the parser's integer rule turns a token's text
+    into an int, so every number of a script or a flag meets one error for
+    a literal ``int()`` refuses.  ``result`` converts elapsed milliseconds,
+    which are no token."""
+    tree = ast.parse((SRC / "dsl.py").read_text())
+    assert {scope for scope, _ in _int_calls(tree)} == {("_Parser", "integer"), ("result",)}
 
 
 def _traced_names():

@@ -20,9 +20,9 @@ from ezdlab.linalg import (
 
 from conftest import _int_kernel, _int_rref
 
-GF101 = Field.prime(101)
-GF2 = Field.prime(2)
-QQ = Field.rationals()
+GF101 = Field(101)
+GF2 = Field(2)
+QQ = Field(None)
 
 FIELDS = [GF101, GF2, QQ]
 

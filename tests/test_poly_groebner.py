@@ -19,7 +19,7 @@ from ezdlab.groebner import (
 from ezdlab.linalg import Field
 from ezdlab.poly import DEGREVLEX, PolyRing
 
-GF101 = Field.prime(101)
+GF101 = Field(101)
 
 
 def _ring(names):

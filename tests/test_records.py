@@ -26,9 +26,8 @@ REPRS = [
     (ExtTable((1, 0, 2), 2, False, "projective"),
      "ExtTable(dims=(1, 0, 2), bound=2, certified_all_beyond=False, route='projective')"),
     (CertifiedAll(), "CertifiedAll()"),
-    (VerificationResult("fact-a", "ci_xy", "pass"),
-     "VerificationResult(prop_id='fact-a', instance='ci_xy', status='pass', "
-     "witness=None, details=())"),
+    (VerificationResult("pass"),
+     "VerificationResult(status='pass', witness=None, details=())"),
     (SearchConfig(), "SearchConfig(seed=0, trials=100, max_dim=6, p=2, bound=4)"),
     (SemidualizingCertificate(True, True, None, 3, False),
      "SemidualizingCertificate(holds=True, homothety_iso=True, ext_table=None, bound=3, "
@@ -69,8 +68,8 @@ def test_records_of_other_types_or_values_differ():
     assert HoldsUpTo(3) != HoldsUpTo(4)
     assert Field(101) != Field(2)
     assert HoldsUpTo(3) != (3,)
-    assert VerificationResult("a", "b", "pass") == VerificationResult("a", "b", "pass")
-    assert VerificationResult("a", "b", "pass") != VerificationResult("a", "b", "fail")
+    assert VerificationResult("pass", "w") == VerificationResult("pass", "w")
+    assert VerificationResult("pass", "w") != VerificationResult("fail", "w")
 
 
 def test_frozen_records_refuse_assignment_and_mutable_ones_are_unhashable():
@@ -81,7 +80,7 @@ def test_frozen_records_refuse_assignment_and_mutable_ones_are_unhashable():
         with pytest.raises(FrozenRecordError):
             delattr(record, name)
     assert issubclass(FrozenRecordError, AttributeError)
-    result = VerificationResult("fact-a", "ci_xy", "pass")
+    result = VerificationResult("pass")
     with pytest.raises(TypeError):
         hash(result)
     result.status = "fail"
@@ -90,9 +89,9 @@ def test_frozen_records_refuse_assignment_and_mutable_ones_are_unhashable():
 
 def test_constructors_keep_their_signatures():
     assert SearchConfig(trials=5) == SearchConfig(0, 5, 6, 2, 4)
-    assert VerificationResult("a", "b", "pass", details=("d",)).witness is None
+    assert VerificationResult("pass", details=("d",)).witness is None
     for bad in [lambda: HoldsUpTo(), lambda: HoldsUpTo(3, 4), lambda: HoldsUpTo(3, bound=3),
-                lambda: HoldsUpTo(limit=3), lambda: VerificationResult("a", "b")]:
+                lambda: HoldsUpTo(limit=3), lambda: VerificationResult()]:
         with pytest.raises(TypeError):
             bad()
     with pytest.raises(ValueError):
