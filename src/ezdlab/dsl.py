@@ -654,7 +654,10 @@ def _eval_module(env: _Env, expr, at) -> Module:
     if op in ("hom", "tensor"):
         n = _eval_module(env, args[1], expr)
         _one_ring(expr, [m.algebra, n.algebra])
-        return hom_module(m, n) if op == "hom" else tensor_module(m, n)
+        try:
+            return hom_module(m, n) if op == "hom" else tensor_module(m, n)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded("line {}, column {}: {}".format(*expr.pos, exc)) from None
     if op in ("ann", "modx", "quot"):
         elems = [_ref(env.elems, "element", a, expr) for a in args[1:]]
         _one_ring(expr, [m.algebra] + [e.parent for e in elems])

@@ -19,7 +19,7 @@ import itertools
 import random
 
 from .algebra import Algebra, Element, Representation
-from .groebner import QuotientPresentation
+from .groebner import BudgetExceeded, QuotientPresentation
 from .linalg import (
     Matrix,
     _sparse_kernel,
@@ -54,6 +54,20 @@ __all__ = [
     "transport_from_quotient",
     "is_isomorphic",
 ]
+
+
+# the dimension budget: of a resolution's free modules (F_0 .. F_bound), of
+# a free module and of the k-space a Hom or tensor module is cut out of
+DEFAULT_RESOLUTION_BUDGET = 10_000
+
+
+def _check_product_budget(what: str, m: Module, n: Module):
+    """Stop a Hom or tensor of ``m`` and ``n`` before it writes a row: it
+    works in a k-space of dimension dim m * dim n."""
+    if (size := m.dim * n.dim) > DEFAULT_RESOLUTION_BUDGET:
+        raise BudgetExceeded(
+            f"{what} of modules of dimensions {m.dim} and {n.dim} needs {size} "
+            f"dims, over the budget of {DEFAULT_RESOLUTION_BUDGET}")
 
 
 class Module(Representation):
@@ -190,6 +204,7 @@ class HomModule(Module):
     def __init__(self, source: Module, target: Module):
         if source.algebra != target.algebra:
             raise ValueError("Hom requires modules over the same algebra")
+        _check_product_budget("Hom", source, target)
         field = source.algebra.field
         ns, nt = source.dim, target.dim
         # unknowns: the entries X[b, c] of an nt x ns matrix, at b * ns + c;
@@ -280,6 +295,7 @@ class TensorModule(Module):
     def __init__(self, left: Module, right: Module):
         if left.algebra != right.algebra:
             raise ValueError("tensor requires modules over the same algebra")
+        _check_product_budget("tensor", left, right)
         field = left.algebra.field
         nl, nr = left.dim, right.dim
         n = nl * nr

@@ -24,9 +24,12 @@ which Ext/Tor route fits its budget depends on the call alone.
 Ext and Tor each have two routes.  Ext resolves its first argument or the
 k-dual of its second (over a finite-dimensional algebra, k-duality turns
 injective coresolutions into projective resolutions); Tor resolves either
-argument.  Both run through one escalation (``_escalate``): both routes at
-the smaller size budget, then both at the larger, so a module whose Betti
-numbers explode falls back to the other route instead of stalling.
+argument.  Both run through one escalation (``_escalate``).  A route whose
+module is free goes first: its resolution ends at step 0 and certifies
+every degree, and over these artinian algebras only free modules have
+finite resolutions.  Then both routes run at the smaller size budget, then
+both at the larger, so a module whose Betti numbers explode falls back to
+the other route instead of stalling.
 
 Projective and injective dimensions need no resolution.  Every algebra
 here is local and artinian, so depth A = 0, and by the Auslander-Buchsbaum
@@ -41,7 +44,8 @@ from typing import Optional
 
 from .groebner import BudgetExceeded
 from .linalg import Matrix, _echelon_insert, _reduce, _sparse_kernel, _sparse_rank
-from .module import Iso, Module, _restricted_actions, dual_k, is_isomorphic
+from .module import (DEFAULT_RESOLUTION_BUDGET, Iso, Module, _restricted_actions, dual_k,
+                     is_isomorphic)
 from .record import Frozen, Record
 
 __all__ = [
@@ -61,7 +65,6 @@ __all__ = [
     "syzygy_periodicity",
 ]
 
-DEFAULT_RESOLUTION_BUDGET = 10_000
 ROUTE_BUDGETS = (1500, DEFAULT_RESOLUTION_BUDGET)
 
 
@@ -116,9 +119,9 @@ def _sparse_var_apply(var_cols: list, v: dict, d: int, p) -> dict:
         for k, y in var_cols[i % d].items():
             j = i - i % d + k
             out[j] = out.get(j, 0) + x * y
-    if p is not None:
-        out = {j: y % p for j, y in out.items()}
-    return {j: y for j, y in out.items() if y}
+    if p is None:
+        return {j: y for j, y in out.items() if y}
+    return {j: r for j, y in out.items() if (r := y % p)}
 
 
 def _pick_independent(spanning, cols: list, p) -> list:
@@ -207,9 +210,11 @@ class _ResolutionState:
         if not kernel:
             self.terminated = True
             return
-        # the kernel columns outside rad·kernel complete a basis of kernel/rad·kernel
+        # the kernel columns outside rad·kernel complete a basis of
+        # kernel/rad·kernel; a zero radical image spans nothing
         var_maps = [va.sparse_columns() for va in self.algebra.actions]
-        rad = (_sparse_var_apply(vm, v, d, p) for vm in var_maps for v in kernel)
+        rad = (img for vm in var_maps for v in kernel
+               if (img := _sparse_var_apply(vm, v, d, p)))
         picks = _pick_independent(rad, kernel, p)
         # algebra-entry form of the new differential + minimality check
         gens = Matrix.from_sparse_columns(self.field, prev_rank * d, picks)
@@ -324,14 +329,28 @@ def tor(m: Module, n: Module, bound: int, route: Optional[str] = None) -> TorTab
 def _escalate(name: str, m: Module, n: Module, bound: int, route, routes: dict) -> ExtTable:
     """The table of the first route that fits its budget: every route at
     each of ``ROUTE_BUDGETS`` in turn, or only ``route`` at the largest.
-    ``routes`` maps a route to (the module it resolves, made on its first
-    attempt; the other module; whether the complex is Hom rather than
-    tensor).  A retry resumes the resolution its module keeps."""
+    ``routes`` maps a route to (a function making the module it resolves;
+    the other module; whether the complex is Hom rather than tensor).  A
+    retry resumes the resolution its module keeps.
+
+    Free route first: with no ``route``, the routes' modules are made in
+    order until ``is_free`` accepts one, and that route goes to the front.
+    A free module's resolution ends at step 0, so its table is certified
+    in every degree; over these local artinian algebras no other module
+    has a finite resolution, so no other route can certify."""
     if m.algebra != n.algebra:
         raise ValueError(f"{name} requires modules over the same algebra")
-    names = [route] if route is not None else list(routes)
-    budgets = ROUTE_BUDGETS[-1:] if route is not None else ROUTE_BUDGETS
     resolved: dict = {}
+    if route is not None:
+        names, budgets = [route], ROUTE_BUDGETS[-1:]
+    else:
+        names, budgets = list(routes), ROUTE_BUDGETS
+        for rt in routes:
+            resolved[rt] = routes[rt][0]()
+            if is_free(resolved[rt]):
+                names.remove(rt)
+                names.insert(0, rt)
+                break
     last_err = None
     for budget in budgets:
         for rt in names:

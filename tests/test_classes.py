@@ -170,11 +170,13 @@ def test_foxby_style_transfer(square_zero, ci):
             assert in_A_C(hom_module(omega, m), omega).holds
 
 
-def test_bounded_membership_when_uncertifiable(hyper2):
-    """A/xA over k[x]/(x^2) has an infinite resolution, so G-membership in
-    the regular module is reported as bounded, never certified."""
-    m = scale_quotient(regular_module(hyper2), var(hyper2, 0))[0]
-    rep = in_G_C(m, regular_module(hyper2), 10)
+def test_bounded_membership_when_uncertifiable(sprime):
+    """Over the non-Gorenstein S' = (k[x,y]/(x,y)^2)[u]/(u^2), neither A/uA
+    nor dual_k(A) is free, so both Ext routes have infinite resolutions and
+    G-membership of A/uA in the regular module is reported as bounded,
+    never certified."""
+    m = scale_quotient(regular_module(sprime), var(sprime, 2))[0]
+    rep = in_G_C(m, regular_module(sprime), 10)
     assert rep.holds
     assert isinstance(rep.verdict, HoldsUpTo)
     assert rep.verdict.bound >= 10

@@ -126,6 +126,30 @@ def test_resolve_budget_entry_records_its_time(tmp_path, capsys):
     assert isinstance(entry["millis"], int) and entry["millis"] >= 0
 
 
+def test_hom_and_tensor_past_the_budget_stop_with_their_location(tmp_path, capsys):
+    """A Hom or tensor whose k-space passes the dimension budget is a budget
+    stop at its expression: in a declaration it ends the script with exit
+    3, in a check that check reads ``budget``; neither allocates it."""
+    script = tmp_path / "big.ezd"
+    script.write_text("ring R = GF(101)[x] / (x^2);\n"
+                      "module T = tensor(free(R, 2000), free(R, 2000));\n"
+                      "check dim(T, 4);\n")
+    code, _, err = run(["check", str(script)], capsys)
+    assert code == 3
+    assert ("budget exhausted: line 2, column 12: tensor of modules of dimensions "
+            "4000 and 4000 needs 16000000 dims, over the budget of 10000") in err
+    assert "Traceback" not in err
+    script.write_text("ring R = GF(101)[x] / (x^2);\n"
+                      "check dim(hom(free(R, 60), free(R, 90)), 4);\n")
+    out_path = tmp_path / "big.json"
+    code, _, _ = run(["check", str(script), "--json", str(out_path)], capsys)
+    assert code == 3
+    [entry] = json.loads(out_path.read_text())["results"]
+    assert (entry["status"], entry["witness"]) == (
+        "budget", "line 2, column 11: Hom of modules of dimensions 120 and 180 needs "
+        "21600 dims, over the budget of 10000")
+
+
 @pytest.mark.parametrize("argv, text", [
     (["resolve", "--module", "dualk(k)"], "betti=[1, 1, 1, 1, 1, 1]"),
     (["ext", "--from", "hom(k,A)", "--to", "k"], "dims=[1, 1, 1, 1, 1, 1]"),

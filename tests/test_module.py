@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from ezdlab import module as module_mod
+from ezdlab.groebner import BudgetExceeded
 from ezdlab.linalg import Field, Matrix, inverse
 from ezdlab.module import (
     Iso,
@@ -27,6 +29,39 @@ from ezdlab.module import (
 from ezdlab.module import _combine
 
 from conftest import GF2, GF101, QQ, make_algebra, var
+
+
+@pytest.mark.parametrize("build", [hom_module, tensor_module], ids=["hom", "tensor"])
+def test_hom_and_tensor_stop_on_the_budget_before_writing(hyper2, monkeypatch, build):
+    """Hom and tensor work in a k-space of dimension dim M * dim N: at the
+    dimension budget they are built, past it they raise BudgetExceeded
+    before any row is written."""
+    writes = []
+    inner = module_mod._kron_difference
+
+    def counted(*args):
+        writes.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(module_mod, "_kron_difference", counted)
+    monkeypatch.setattr(module_mod, "DEFAULT_RESOLUTION_BUDGET", 36)
+    six, eight = free_module(hyper2, 3), free_module(hyper2, 4)
+    # Hom(A^3, A^3) and A^3 (x) A^3 are both A^9
+    assert build(six, six).dim == 18
+    assert writes
+    writes.clear()
+    with pytest.raises(BudgetExceeded, match="needs 48 dims, over the budget of 36"):
+        build(six, eight)
+    assert writes == []
+
+
+def test_tensor_of_large_free_modules_stops_at_once(hyper2):
+    """Two free modules of 4,000 dimensions each, each under the budget,
+    would need 16,000,000 rows: the tensor stops before allocating them."""
+    big = free_module(hyper2, 2000)
+    with pytest.raises(BudgetExceeded, match="needs 16000000 dims, over the budget of 10000"):
+        tensor_module(big, big)
+    assert tensor_module(free_module(hyper2, 50), free_module(hyper2, 50)).dim == 5000
 
 
 def test_hom_tensor_dims_square_zero(square_zero):

@@ -339,13 +339,16 @@ def test_block_matrix_zero_dim_target(field):
 @pytest.mark.parametrize("field", [GF2, GF101, QQ], ids=str)
 def test_ext_tor_against_zero_module(field):
     """Ext and Tor of k against the zero module vanish, whichever side is
-    resolved."""
+    resolved.  The zero module is free, so its route goes first and
+    certifies every degree; k's route, run alone, reads the same zeros."""
     alg = make_algebra(field, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}])
     k, z = residue_field_module(alg), zero_module(alg)
-    for table in (ext(k, z, 3), ext(z, k, 3), tor(k, z, 3), tor(z, k, 3)):
+    for table in (ext(k, z, 3), ext(z, k, 3), tor(k, z, 3), tor(z, k, 3),
+                  ext(k, z, 3, route="projective"), tor(k, z, 3, route="left")):
         assert table.dims == (0, 0, 0, 0)
-    assert ext(k, z, 3).route == "projective"
-    assert tor(k, z, 3).route == "left"
+    assert ext(k, z, 3).route == "injective"
+    assert tor(k, z, 3).route == "right"
+    assert ext(k, z, 3).certified_all_beyond and tor(k, z, 3).certified_all_beyond
 
 
 @pytest.fixture
@@ -402,10 +405,9 @@ def test_budget_stop_keeps_its_kernel(hyper4, kernel_calls):
     assert len(calls) == 2
 
 
-def test_ext_builds_the_dual_once(ci, monkeypatch):
-    """When the injective route stops on its budget, the retry at the larger
-    budget resumes the dual's resolution instead of resolving a new dual;
-    the projective-first attempts build no dual."""
+@pytest.fixture
+def states_made(monkeypatch):
+    """The labels of the modules a resolution state is made for, in order."""
     made = []
     inner = resolution._ResolutionState.__init__
 
@@ -414,40 +416,64 @@ def test_ext_builds_the_dual_once(ci, monkeypatch):
         inner(self, module)
 
     monkeypatch.setattr(resolution._ResolutionState, "__init__", counted)
+    return made
+
+
+def test_ext_builds_the_dual_once(ci, states_made, monkeypatch):
+    """Neither k nor dual_k(A/xA) is free: when the injective route stops on
+    its budget, the retry at the larger budget resumes the dual's
+    resolution instead of resolving a new dual.  A free first argument
+    makes no dual, and a free dual is resolved alone."""
+    made, duals = states_made, []
+    inner_dual = resolution.dual_k
+
+    def counted_dual(module, *args, **kwargs):
+        duals.append(module.label)
+        return inner_dual(module, *args, **kwargs)
+
+    monkeypatch.setattr(resolution, "dual_k", counted_dual)
     monkeypatch.setattr(resolution, "ROUTE_BUDGETS", (2, 100))
-    table = ext(residue_field_module(ci), regular_module(ci), 10)
+    k, a = residue_field_module(ci), regular_module(ci)
+    ax = scale_quotient(a, var(ci, 0))[0]
+    # k's resolution to degree 11 needs 312 dims over this dim-4 algebra,
+    # dual_k(A/xA) ~ A/yA's only 48
+    table = ext(k, ax, 10)
     assert table.route == "injective"
-    assert made == ["k", "dual(A)"]
+    assert made == ["k", "dual(A/x)"]
+    assert duals == ["A/x"]
     made.clear()
+    duals.clear()
     monkeypatch.setattr(resolution, "ROUTE_BUDGETS", (100, 1000))
-    assert ext(residue_field_module(ci), regular_module(ci), 3).route == "projective"
-    assert made == ["k"]
+    assert ext(a, k, 3).route == "projective"
+    assert made == ["A"] and duals == []
+    made.clear()
+    table = ext(k, a, 3)
+    assert table.route == "injective" and table.certified_all_beyond
+    assert made == ["dual(A)"] and duals == ["A"]
 
 
-def test_tor_escalates_both_routes_per_budget(ci, monkeypatch):
-    """Tor tries left and right at the smaller budget, then left and right
-    at the larger one, and makes each argument's resolution state at most
-    once per call; a given route runs only at the larger budget."""
-    made, attempts = [], []
-    inner_init = resolution._ResolutionState.__init__
+def test_tor_escalates_both_routes_per_budget(ci, states_made, monkeypatch):
+    """Neither k nor A/xA is free: Tor tries left and right at the smaller
+    budget, then left and right at the larger one, and makes each
+    argument's resolution state at most once per call; a given route runs
+    only at the larger budget."""
+    made, attempts = states_made, []
     inner_resolve = resolution.minimal_free_resolution
-
-    def counted(self, module):
-        made.append(module.label)
-        inner_init(self, module)
 
     def logged(module, bound, max_total_dim):
         attempts.append((module.label, max_total_dim))
         return inner_resolve(module, bound, max_total_dim)
 
-    monkeypatch.setattr(resolution._ResolutionState, "__init__", counted)
     monkeypatch.setattr(resolution, "minimal_free_resolution", logged)
     monkeypatch.setattr(resolution, "ROUTE_BUDGETS", (2, 100))
-    # k's resolution to degree 11 needs 312 dims over this dim-4 algebra
-    table = tor(residue_field_module(ci), regular_module(ci), 10)
+    k = residue_field_module(ci)
+    ax = scale_quotient(regular_module(ci), var(ci, 0))[0]
+    # k's resolution to degree 11 needs 312 dims over this dim-4 algebra,
+    # A/xA's (Betti numbers 1, 1, 1, ...) only 48
+    table = tor(k, ax, 10)
     assert table.route == "right"
-    assert attempts == [("k", 2), ("A", 2), ("k", 100), ("A", 100)]
-    assert made == ["k", "A"]
+    assert attempts == [("k", 2), ("A/x", 2), ("k", 100), ("A/x", 100)]
+    assert made == ["k", "A/x"]
     attempts.clear()
     made.clear()
     assert tor(residue_field_module(ci), regular_module(ci), 3, route="left").route == "left"
