@@ -1,17 +1,19 @@
-"""Exact zero-divisor pairs, semidualizing certificates, the classes
+"""Exact zero-divisor pairs, semidualizing modules, the classes
 G_C / A_C / B_C, proper C-projective resolutions and the relative
 homological dimensions they define.
 
-The three class predicates are one test (``_membership``): C passes its
-semidualizing certificate, a natural map (delta for G_C, gamma for A_C,
-xi for B_C) is an isomorphism, and two Ext/Tor tables vanish in positive
-degrees.  Every predicate takes and echoes a truncation bound.  A verdict is
-CertifiedAll only when the underlying Ext/Tor computations carry a
-finiteness certificate (a terminating resolution); otherwise bounded
-vanishing is reported as HoldsUpTo(bound).  Each table is computed at the
-predicate's bound; one that fits no resolution budget raises
-BudgetExceeded (a ``budget`` stop) and is not retried at a smaller
-bound.
+Semidualizing C and the three classes are decided by one test
+(``_report``) into one verdict record, ``ClassMembershipReport(verdict,
+tables)``: a natural map is an isomorphism (the homothety chi: A ->
+Hom(C, C) for C; once C is semidualizing, delta for G_C, gamma for A_C,
+xi for B_C), and the named Ext/Tor tables vanish in positive degrees
+(Ext(C,C) for C, two for each class).  Every predicate takes and echoes a
+truncation bound.  A verdict is CertifiedAll only when the underlying
+Ext/Tor computations carry a finiteness certificate (a terminating
+resolution); otherwise bounded vanishing is reported as HoldsUpTo(bound).
+Each table is computed at the predicate's bound; one that fits no
+resolution budget raises BudgetExceeded (a ``budget`` stop) and is not
+retried at a smaller bound.
 
 The relative dimensions are decided by one exact rule, with no Ext/Tor
 table and no class verdict.  Over a local artinian algebra, a finite
@@ -53,7 +55,6 @@ from .resolution import (
 __all__ = [
     "EzdReport",
     "is_ezd_pair",
-    "SemidualizingCertificate",
     "homothety_map",
     "is_semidualizing",
     "HoldsUpTo",
@@ -111,56 +112,7 @@ def is_ezd_pair(x: Element, y: Element, module: Module) -> EzdReport:
 
 
 # ---------------------------------------------------------------------------
-# semidualizing certificates
-
-
-class SemidualizingCertificate(Record):
-    __slots__ = ("holds", "homothety_iso", "ext_table", "bound", "certified_all", "failure")
-    _defaults = {"failure": None}
-
-
-def homothety_map(c: Module) -> Morphism:
-    """chi: A -> Hom(C, C), r |-> multiplication by r on C."""
-    algebra = c.algebra
-    hcc = hom_module(c, c)
-    # column i holds the coordinates of the action of staircase monomial i
-    return Morphism(regular_module(algebra), hcc, hcc._coords(c.action_stack()))
-
-
-def is_semidualizing(c: Module, bound: int = DEFAULT_BOUND) -> SemidualizingCertificate:
-    """The certificate for C at ``bound``, kept on C so that it is made once."""
-    cert = c._semidual.get(bound)
-    if cert is None:
-        cert = c._semidual[bound] = _is_semidualizing(c, bound)
-    return cert
-
-
-def _is_semidualizing(c: Module, bound: int) -> SemidualizingCertificate:
-    if c.dim == 0:
-        return SemidualizingCertificate(False, False, None, bound, False, failure="zero module")
-    if not homothety_map(c).is_isomorphism():
-        return SemidualizingCertificate(
-            False, False, None, bound, False, failure="homothety map is not an isomorphism"
-        )
-    table = ext(c, c, bound)
-    if not table.vanishes_above(0):
-        bad = table.last_nonzero()
-        return SemidualizingCertificate(
-            False, True, table, bound, False,
-            failure=f"Ext^{bad}(C,C) has dimension {table.entry(bad)}",
-        )
-    return SemidualizingCertificate(True, True, table, bound, table.certified_all_beyond)
-
-
-def _require_semidualizing(c: Module, bound: int) -> SemidualizingCertificate:
-    cert = is_semidualizing(c, bound)
-    if not cert.holds:
-        raise NotSemidualizingError(cert.failure or "semidualizing certificate failed")
-    return cert
-
-
-# ---------------------------------------------------------------------------
-# membership reports
+# verdicts
 
 
 class HoldsUpTo(Frozen):
@@ -176,8 +128,9 @@ class Fails(Frozen):
 
 
 class ClassMembershipReport(Record):
-    # tables: the Ext/Tor tables behind the verdict, by name; none when the
-    # natural map is not an isomorphism
+    # the verdict on semidualizing C or on a class membership; tables: the
+    # Ext/Tor tables behind it, by name, none when C = 0 or the natural map
+    # is not an isomorphism
     __slots__ = ("verdict", "tables")
 
     @property
@@ -195,18 +148,53 @@ def _verdict(tables: dict, bound: int):
     return HoldsUpTo(bound)
 
 
-def _membership(x: Module, c: Module, bound: int,
-                natural_map, failure: str, tables) -> ClassMembershipReport:
-    """The one test behind the three classes: C is certified, the natural
-    map ``natural_map(x, c)`` is an isomorphism (else ``Fails(failure)``),
-    and the two tables that ``tables(map)`` names as (name, ext or tor, a,
-    b), built in that order, vanish in positive degrees."""
-    _require_semidualizing(c, bound)
-    f = natural_map(x, c)
+def _report(f: Morphism, failure: str, tables, bound: int) -> ClassMembershipReport:
+    """The one test behind semidualizing C and the three classes: the
+    natural map ``f`` is an isomorphism (else ``Fails(failure)``), and the
+    tables that ``tables(f)`` names as (name, ext or tor, a, b), built in
+    that order, vanish in positive degrees."""
     if not f.is_isomorphism():
         return ClassMembershipReport(Fails(failure), {})
     built = {name: fn(a, b, bound) for name, fn, a, b in tables(f)}
     return ClassMembershipReport(_verdict(built, bound), built)
+
+
+# ---------------------------------------------------------------------------
+# semidualizing modules
+
+
+def homothety_map(c: Module) -> Morphism:
+    """chi: A -> Hom(C, C), r |-> multiplication by r on C."""
+    algebra = c.algebra
+    hcc = hom_module(c, c)
+    # column i holds the coordinates of the action of staircase monomial i
+    return Morphism(regular_module(algebra), hcc, hcc._coords(c.action_stack()))
+
+
+def is_semidualizing(c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
+    """The verdict on C at ``bound``, kept on C so that it is made once."""
+    cert = c._semidual.get(bound)
+    if cert is None:
+        cert = c._semidual[bound] = _is_semidualizing(c, bound)
+    return cert
+
+
+def _is_semidualizing(c: Module, bound: int) -> ClassMembershipReport:
+    """C is nonzero, chi is an isomorphism and Ext^{>0}(C,C) = 0."""
+    if c.dim == 0:
+        return ClassMembershipReport(Fails("zero module"), {})
+    return _report(homothety_map(c), "homothety map is not an isomorphism",
+                   lambda chi: (("Ext(C,C)", ext, c, c),), bound)
+
+
+def _require_semidualizing(c: Module, bound: int):
+    cert = is_semidualizing(c, bound)
+    if not cert.holds:
+        raise NotSemidualizingError(cert.verdict.witness)
+
+
+# ---------------------------------------------------------------------------
+# class membership
 
 
 def biduality_map(x: Module, c: Module) -> Morphism:
@@ -224,10 +212,11 @@ def biduality_map(x: Module, c: Module) -> Morphism:
 def in_G_C(x: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Totally C-reflexive: biduality iso, Ext^{>0}(X,C) = 0 = Ext^{>0}(Hom(X,C),C)."""
     # delta's target is Hom(Hom(X,C),C)
-    return _membership(x, c, bound, biduality_map,
-                       "biduality map delta is not an isomorphism",
-                       lambda delta: (("Ext(X,C)", ext, x, c),
-                                      ("Ext(Hom(X,C),C)", ext, delta.target.hom_source, c)))
+    _require_semidualizing(c, bound)
+    return _report(biduality_map(x, c), "biduality map delta is not an isomorphism",
+                   lambda delta: (("Ext(X,C)", ext, x, c),
+                                  ("Ext(Hom(X,C),C)", ext, delta.target.hom_source, c)),
+                   bound)
 
 
 def gamma_map(m: Module, c: Module) -> Morphism:
@@ -247,10 +236,11 @@ def gamma_map(m: Module, c: Module) -> Morphism:
 def in_A_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Auslander class: gamma iso, Tor_{>0}(C,M) = 0 = Ext^{>0}(C, C(x)M)."""
     # gamma's target is Hom(C, C(x)M)
-    return _membership(m, c, bound, gamma_map,
-                       "natural map gamma is not an isomorphism",
-                       lambda gamma: (("Tor(C,M)", tor, c, m),
-                                      ("Ext(C,C(x)M)", ext, c, gamma.target.hom_target)))
+    _require_semidualizing(c, bound)
+    return _report(gamma_map(m, c), "natural map gamma is not an isomorphism",
+                   lambda gamma: (("Tor(C,M)", tor, c, m),
+                                  ("Ext(C,C(x)M)", ext, c, gamma.target.hom_target)),
+                   bound)
 
 
 def xi_map(m: Module, c: Module) -> Morphism:
@@ -272,10 +262,11 @@ def xi_map(m: Module, c: Module) -> Morphism:
 def in_B_C(m: Module, c: Module, bound: int = DEFAULT_BOUND) -> ClassMembershipReport:
     """Bass class: xi iso, Ext^{>0}(C,M) = 0 = Tor_{>0}(C, Hom(C,M))."""
     # xi's source is C (x) Hom(C, M)
-    return _membership(m, c, bound, xi_map,
-                       "natural map xi is not an isomorphism",
-                       lambda xi: (("Ext(C,M)", ext, c, m),
-                                   ("Tor(C,Hom(C,M))", tor, c, xi.source.right)))
+    _require_semidualizing(c, bound)
+    return _report(xi_map(m, c), "natural map xi is not an isomorphism",
+                   lambda xi: (("Ext(C,M)", ext, c, m),
+                               ("Tor(C,Hom(C,M))", tor, c, xi.source.right)),
+                   bound)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def _emit(report: Report, args) -> int:
         text = report_to_json(report)
         # the serialization must survive a parse/re-serialize round trip
         assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
-        with open(args.json, "w") as fh:
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
     return report.exit_code()
 
@@ -149,8 +149,7 @@ def _module_from_expr(env, flag: str, text: str) -> Module:
 
 def _cmd_check(args) -> int:
     report = Report("check", args.seed, args.bound)
-    with open(args.script) as fh:
-        script = dsl.parse_script(fh.read())
+    script = dsl.parse_script(dsl.read_script(args.script))
     _env, results = dsl.run_script(script, default_bound=args.bound, seed=args.seed)
     for r in results:
         report.add(r)
@@ -187,12 +186,6 @@ def _cmd_ext_tor(args) -> int:
     return _emit(report, args)
 
 
-def _membership(rep) -> tuple:
-    if rep.holds:
-        return "pass", type(rep.verdict).__name__, None
-    return "fail", rep.verdict.witness, None
-
-
 def _dimension(value) -> tuple:
     return "pass", str(value.value), None
 
@@ -204,15 +197,12 @@ def _cmd_classify(args) -> int:
     c_name = args.c or "A"
     c = _module_from_expr(env, "--c", c_name)
 
-    def semidualizing():
-        cert = is_semidualizing(c, args.bound)
-        return ("pass", None, None) if cert.holds else ("fail", cert.failure, None)
-
-    report.add(dsl.result(f"semidualizing({c_name})", semidualizing))
+    report.add(dsl.result(f"semidualizing({c_name})",
+                          lambda: dsl.verdict_entry(is_semidualizing(c, args.bound))))
     for label, fn, outcome in (
-        ("in_G_C", in_G_C, _membership),
-        ("in_A_C", in_A_C, _membership),
-        ("in_B_C", in_B_C, _membership),
+        ("in_G_C", in_G_C, dsl.verdict_entry),
+        ("in_A_C", in_A_C, dsl.verdict_entry),
+        ("in_B_C", in_B_C, dsl.verdict_entry),
         ("pc_pd", pc_pd, _dimension),
         ("ic_id", ic_id, _dimension),
     ):

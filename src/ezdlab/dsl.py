@@ -16,6 +16,7 @@ statement before it must declare, so a bad element is a parse error.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 from typing import Optional
 
 from .algebra import Algebra, Element
@@ -425,6 +426,16 @@ class _Parser:
                 self.error(f"unknown module constructor {tok.value!r}", tok)
             return ModuleExpr("name", (tok.value,), (tok.line, tok.col))
         op = tok.value
+        args = self.arguments()
+        arity = MODULE_OPS[op]
+        if arity >= 0 and len(args) != arity:
+            self.error(f"{op} expects {arity} argument(s), got {len(args)}", tok)
+        if arity < 0 and len(args) < -arity:
+            self.error(f"{op} expects at least {-arity} argument(s)", tok)
+        return ModuleExpr(op, tuple(args), (tok.line, tok.col))
+
+    def arguments(self) -> list:
+        """``( arg, ... )``, the argument list of a constructor or a check."""
         self.expect("sym", "(")
         args = []
         if not self.accept("sym", ")"):
@@ -432,12 +443,7 @@ class _Parser:
             while self.accept("sym", ","):
                 args.append(self.module_arg())
             self.expect("sym", ")")
-        arity = MODULE_OPS[op]
-        if arity >= 0 and len(args) != arity:
-            self.error(f"{op} expects {arity} argument(s), got {len(args)}", tok)
-        if arity < 0 and len(args) < -arity:
-            self.error(f"{op} expects at least {-arity} argument(s)", tok)
-        return ModuleExpr(op, tuple(args), (tok.line, tok.col))
+        return args
 
     def module_arg(self):
         tok = self.peek()
@@ -451,13 +457,7 @@ class _Parser:
         if tok.value not in CHECK_ARITY:
             self.error(f"unknown check {tok.value!r}", tok)
         name = tok.value
-        self.expect("sym", "(")
-        args = []
-        if not self.accept("sym", ")"):
-            args.append(self.module_arg())
-            while self.accept("sym", ","):
-                args.append(self.module_arg())
-            self.expect("sym", ")")
+        args = self.arguments()
         if len(args) != CHECK_ARITY[name]:
             want = CHECK_ARITY[name]
             self.error(f"{name} expects {want} argument(s), got {len(args)}", tok)
@@ -485,6 +485,18 @@ def bound_error(bound: int) -> Optional[str]:
 
 def parse_script(text: str) -> Script:
     return _Parser(_tokenize(text)).script()
+
+
+def read_script(path) -> str:
+    """The text of the script file at ``path``, read as UTF-8.  A byte that
+    is not UTF-8 is a ``DslError`` at the line and column where it stands."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise DslError(f"byte {data[exc.start]:#04x} is not UTF-8", line, col) from None
 
 
 def _parse_whole(text: str, rule):
@@ -677,6 +689,17 @@ def table_json(t) -> dict:
     return {"dims": list(t.dims), "bound": t.bound, "certified": t.certified_all_beyond}
 
 
+def verdict_entry(rep) -> tuple:
+    """(status, witness, tables) of a ``ClassMembershipReport``, the one
+    report form of a semidualizing or class verdict."""
+    tables = {name: table_json(t) for name, t in rep.tables.items()}
+    if isinstance(rep.verdict, CertifiedAll):
+        return "pass", "certified", tables
+    if isinstance(rep.verdict, HoldsUpTo):
+        return "pass", f"up to bound {rep.verdict.bound}", tables
+    return "fail", rep.verdict.witness, tables
+
+
 # the exceptions that stop a check short of a verdict
 STOPS = (BudgetExceeded, NotSemidualizingError)
 
@@ -713,24 +736,13 @@ def _run_check(env: _Env, stmt: CheckStmt, default_bound: int, seed: int) -> tup
             return "pass", None, None
         return "fail", ", ".join(rep.failing_checks()), None
     if stmt.name == "semidualizing":
-        c = _eval_module(env, stmt.args[0], stmt)
-        cert = is_semidualizing(c, bound)
-        if cert.holds:
-            witness = "certified" if cert.certified_all else f"up to bound {bound}"
-            return "pass", witness, {"Ext(C,C)": table_json(cert.ext_table)}
-        return "fail", cert.failure, None
+        return verdict_entry(is_semidualizing(_eval_module(env, stmt.args[0], stmt), bound))
     if stmt.name in ("in_gc", "in_ac", "in_bc"):
         m = _eval_module(env, stmt.args[0], stmt)
         c = _eval_module(env, stmt.args[1], stmt)
         _one_ring(stmt, [m.algebra, c.algebra])
         fn = {"in_gc": in_G_C, "in_ac": in_A_C, "in_bc": in_B_C}[stmt.name]
-        rep = fn(m, c, bound)
-        tables = {name: table_json(t) for name, t in rep.tables.items()}
-        if isinstance(rep.verdict, CertifiedAll):
-            return "pass", "certified", tables
-        if isinstance(rep.verdict, HoldsUpTo):
-            return "pass", f"up to bound {rep.verdict.bound}", tables
-        return "fail", rep.verdict.witness, tables
+        return verdict_entry(fn(m, c, bound))
     if stmt.name in ("isomorphic", "not_isomorphic"):
         m = _eval_module(env, stmt.args[0], stmt)
         n = _eval_module(env, stmt.args[1], stmt)

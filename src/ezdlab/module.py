@@ -72,7 +72,7 @@ def _check_product_budget(what: str, m: Module, n: Module):
 
 class Module(Representation):
     # besides the monomial actions it caches the state of its minimal free
-    # resolution and its semidualizing certificates by bound
+    # resolution and its semidualizing verdicts by bound
     __slots__ = ("algebra", "label", "_resolution", "_semidual")
 
     def __init__(self, algebra: Algebra, actions: list, label: str = ""):

@@ -194,7 +194,8 @@ def _gate_ring_and_c(inst: Instance):
     _require_ezd(inst, inst.regular(), "the ring")
     _require_ezd(inst, inst.c, "C")
     cert = is_semidualizing(inst.c, inst.bound)
-    _require(cert.holds, f"C not semidualizing: {cert.failure}")
+    if not cert.holds:
+        raise _Inconclusive(f"C not semidualizing: {cert.verdict.witness}")
 
 
 _C_BAR_NOT_SEMIDUALIZING = "C/xC not semidualizing over A/xA"
@@ -259,17 +260,11 @@ def _mod(inst: Instance, e: Element, *modules: Module) -> tuple:
     ))
 
 
-def _member(inst: Instance, kind: str, x: Module, c: Module):
-    """The membership report of ``x`` in the class ``kind`` ("G_C", "A_C" or
-    "B_C") of ``c``, over the algebra they are modules over."""
-    fn = {"G_C": in_G_C, "A_C": in_A_C, "B_C": in_B_C}[kind]
-    return inst.once((kind, x, c), lambda: fn(x, c, inst.bound))
-
-
-def _dim(inst: Instance, dim_fn):
-    """``pc_pd`` or ``ic_id`` of (M, C)."""
-    return inst.once((dim_fn.__name__, inst.m, inst.c),
-                     lambda: dim_fn(inst.m, inst.c, inst.bound))
+def _member(inst: Instance, fn, x: Module, c: Module):
+    """``fn(x, c, bound)`` for a class predicate (``in_G_C``, ``in_A_C``,
+    ``in_B_C``) or a relative dimension (``pc_pd``, ``ic_id``), over the
+    algebra ``x`` and ``c`` are modules over."""
+    return inst.once((fn.__name__, x, c), lambda: fn(x, c, inst.bound))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +370,9 @@ def verify_fact_c(inst: Instance):
 # the cyclic module R/xR lies in G_C and A_C
 
 
-def _cyclic_member(inst: Instance, kind: str):
+def _cyclic_member(inst: Instance, fn):
     _gate_ring_and_c(inst)
-    rep = _member(inst, kind, _quotient(inst, inst.regular(), inst.x), inst.c)
+    rep = _member(inst, fn, _quotient(inst, inst.regular(), inst.x), inst.c)
     if rep.holds:
         return _pass(f"verdict {rep.verdict!r}")
     return _fail(rep.verdict.witness)
@@ -386,13 +381,13 @@ def _cyclic_member(inst: Instance, kind: str):
 @_verifier
 def verify_prop_A(inst: Instance):
     """R/xR lies in G_C."""
-    return _cyclic_member(inst, "G_C")
+    return _cyclic_member(inst, in_G_C)
 
 
 @_verifier
 def verify_prop_C(inst: Instance):
     """R/xR lies in A_C."""
-    return _cyclic_member(inst, "A_C")
+    return _cyclic_member(inst, in_A_C)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +450,9 @@ def verify_cor_K(inst: Instance, which: str):
     m_bar = inst.once(("over A/eA", m, inst.x.coords),
                       lambda: transport_to_quotient(m, abar, inst.x))
     _require(is_semidualizing(c_bar, inst.bound).holds, _C_BAR_NOT_SEMIDUALIZING)
-    kind = {"i": "G_C", "ii": "A_C", "iii": "B_C"}[which]
-    over_a = _member(inst, kind, m, inst.c)
-    over_bar = _member(inst, kind, m_bar, c_bar)
+    fn = {"i": in_G_C, "ii": in_A_C, "iii": in_B_C}[which]
+    over_a = _member(inst, fn, m, inst.c)
+    over_bar = _member(inst, fn, m_bar, c_bar)
     details = (f"over A: {over_a.verdict!r}; over A/xA: {over_bar.verdict!r}",)
     if over_a.holds != over_bar.holds:
         return _fail("membership verdicts disagree across base change", *details)
@@ -471,17 +466,17 @@ def verify_prop_D(inst: Instance, which: str):
     _gate_ring_and_c(inst)
     m = inst.m
     _require_ezd(inst, m, "M")
-    kind = {"i": "A_C", "ii": "B_C", "iii": "G_C"}[which]
+    fn = {"i": in_A_C, "ii": in_B_C, "iii": in_G_C}[which]
     _, cx, mx = _mod(inst, inst.x, inst.c, m)
     _, cy, my = _mod(inst, inst.y, inst.c, m)
     _require(
         is_semidualizing(cx, inst.bound).holds and is_semidualizing(cy, inst.bound).holds,
         "C does not stay semidualizing over the quotients",
     )
-    hx = _member(inst, kind, mx, cx)
-    hy = _member(inst, kind, my, cy)
+    hx = _member(inst, fn, mx, cx)
+    hy = _member(inst, fn, my, cy)
     _require(hx.holds and hy.holds, f"hypothesis fails over A/{'y' if hx.holds else 'x'}A")
-    concl = _member(inst, kind, m, inst.c)
+    concl = _member(inst, fn, m, inst.c)
     if concl.holds:
         return _pass(f"conclusion verdict {concl.verdict!r}")
     return _fail(concl.verdict.witness)
@@ -495,15 +490,15 @@ def verify_prop_J(inst: Instance, which: str):
     _gate_ring_and_c(inst)
     m = inst.m
     _require_ezd(inst, m, "M")
-    kind = {"i": "G_C", "ii": "B_C", "iii": "A_C"}[which]
-    _require(_member(inst, kind, m, inst.c).holds, "M not verified in the class")
+    fn = {"i": in_G_C, "ii": in_B_C, "iii": in_A_C}[which]
+    _require(_member(inst, fn, m, inst.c).holds, "M not verified in the class")
     if which == "i":
         aux = hom_module(m, inst.c)
     elif which == "ii":
         aux = hom_module(inst.c, m)
     else:
         aux = tensor_module(inst.c, m)
-    left = _member(inst, kind, _quotient(inst, m, inst.x), inst.c).holds
+    left = _member(inst, fn, _quotient(inst, m, inst.x), inst.c).holds
     right = is_ezd_pair(inst.x, inst.y, aux).holds
     details = (f"M/xM in class: {left}; (x,y) ezd on auxiliary: {right}",)
     if left != right:
@@ -546,7 +541,7 @@ def verify_prop_F(inst: Instance, mode: str):
     _gate_ring_and_c(inst)
     _require_x_moves(inst)
     m = inst.m
-    verdict = _dim(inst, pc_pd if mode == "pc" else ic_id)
+    verdict = _member(inst, pc_pd if mode == "pc" else ic_id, m, inst.c)
     _require(verdict.value < INF, f"dimension not verified finite: {verdict!r}")
     if _ezd(inst, m).holds:
         return _pass(f"dimension {verdict!r}", _ARTINIAN)
@@ -560,7 +555,7 @@ def verify_lemma_H(inst: Instance, part: str):
     _gate_ring_and_c(inst)
     m = inst.m
     _require(m.dim != 0, "zero module")
-    verdict = _dim(inst, ic_id if part == "iii" else pc_pd)
+    verdict = _member(inst, ic_id if part == "iii" else pc_pd, m, inst.c)
     _require(verdict == Exactly(0), f"dimension is {verdict!r}, lemma exercised at n = 0")
     cyc = _quotient(inst, inst.regular(), inst.x)
     if part == "iii":
@@ -583,7 +578,7 @@ def verify_prop_G(inst: Instance, part: str):
     _require_x_moves(inst)
     m = inst.m
     dim_fn = ic_id if part == "iii" else pc_pd
-    verdict = _dim(inst, dim_fn)
+    verdict = _member(inst, dim_fn, m, inst.c)
     _require(verdict.value < INF, f"dimension not verified finite: {verdict!r}")
     _, m_bar, c_bar = _mod(inst, inst.x, m, inst.c)
     _require(is_semidualizing(c_bar, inst.bound).holds, _C_BAR_NOT_SEMIDUALIZING)
@@ -616,7 +611,7 @@ def load_corpus(directory: Optional[Path] = None, bound: int = DEFAULT_BOUND, se
     directory = Path(directory) if directory is not None else _default_corpus_dir()
     instances = []
     for path in sorted(directory.glob("*.ezd")):
-        decls = tuple(s for s in dsl.parse_script(path.read_text()).statements
+        decls = tuple(s for s in dsl.parse_script(dsl.read_script(path)).statements
                       if not isinstance(s, dsl.CheckStmt))
         try:
             env, _ = dsl.run_script(dsl.Script(decls))
@@ -786,10 +781,10 @@ def verify_open_G(inst: Instance):
     in G_{C/xC} over A/xA?  A fail is a counterexample."""
     _gate_ring_and_c(inst)
     _require_ezd(inst, inst.m, "M")
-    _require(_member(inst, "G_C", inst.m, inst.c).holds, "M not in G_C")
+    _require(_member(inst, in_G_C, inst.m, inst.c).holds, "M not in G_C")
     _, c_bar, m_bar = _mod(inst, inst.x, inst.c, inst.m)
     _require(is_semidualizing(c_bar, inst.bound).holds, _C_BAR_NOT_SEMIDUALIZING)
-    concl = _member(inst, "G_C", m_bar, c_bar)
+    concl = _member(inst, in_G_C, m_bar, c_bar)
     if isinstance(concl.verdict, Fails):
         return _fail(concl.verdict.witness)
     return _pass(f"verdict {concl.verdict!r}")

@@ -78,15 +78,16 @@ def test_homothety_map_is_iso(square_zero):
 def test_regular_always_semidualizing(ci):
     cert = is_semidualizing(regular_module(ci))
     assert cert.holds
-    assert cert.certified_all
+    assert isinstance(cert.verdict, CertifiedAll)
 
 
 def test_omega_semidualizing(square_zero):
     omega = dual_k(regular_module(square_zero))
     cert = is_semidualizing(omega, 12)
     assert cert.holds
-    assert cert.certified_all
-    assert cert.homothety_iso
+    assert isinstance(cert.verdict, CertifiedAll)
+    # the Ext(C,C) table is built only once chi is an isomorphism
+    assert "Ext(C,C)" in cert.tables
 
 
 def test_certificate_is_made_once_per_bound(square_zero):
@@ -275,6 +276,6 @@ def test_semidualizing_refuted_by_a_nonzero_self_ext(hyper2, monkeypatch):
     table = ExtTable((2, 0, 1, 0), 3, False, "projective")
     monkeypatch.setattr(classes, "ext", lambda m, n, bound: table)
     cert = is_semidualizing(regular_module(hyper2), 3)
-    assert not cert.holds and cert.homothety_iso
-    assert cert.ext_table is table
-    assert cert.failure == "Ext^2(C,C) has dimension 1"
+    assert not cert.holds and "Ext(C,C)" in cert.tables
+    assert cert.tables["Ext(C,C)"] is table
+    assert cert.verdict == Fails("Ext(C,C)^2 has dimension 1")

@@ -49,6 +49,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("data, where, byte", [
+    (b"\xff\xfe ring", "line 1, column 1", "0xff"),
+    ("ring A = GF(101)[x] / (x^2);\n# é\n".encode() + b"  ring \xe9;\n",
+     "line 3, column 8", "0xe9"),
+], ids=["first-byte", "after-utf8"])
+def test_script_that_is_not_utf8_is_a_positioned_error(tmp_path, capsys, data, where, byte):
+    """A script is read as UTF-8: a byte that is not UTF-8 stops it at its
+    line and column, with exit 2 and no traceback."""
+    script = tmp_path / "bad.ezd"
+    script.write_bytes(data)
+    code, _, err = run(["check", str(script)], capsys)
+    assert code == 2
+    assert f"parse error: {where}: byte {byte} is not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(["check", "/does/not/exist.ezd"], capsys)
     assert code == 2
@@ -562,3 +578,71 @@ def test_mutated_scripts_keep_the_error_contract(tmp_path_factory, path, unit, o
         code = main(["check", str(script)])
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# the five Gorenstein corpus rings and the square-zero ring, with their
+# variables
+PARITY_RINGS = [
+    ("GF(101)[x,y]/(x*y, x^2 - y^2)", "x, y"),
+    ("GF(101)[x]/(x^2)", "x"),
+    ("GF(101)[x]/(x^4)", "x"),
+    ("GF(2)[x]/(x^4)", "x"),
+    ("QQ[x]/(x^2)", "x"),
+    ("GF(101)[x,y]/(x^2, x*y, y^2)", "x, y"),
+]
+PARITY_MODULES = ["k", "A", "omega(A)"]
+PARITY_CS = ["A", "omega(A)", "k", "free(A,0)"]
+
+
+def _entries(path: Path) -> list:
+    """The report entries of a JSON report, without their ids and times."""
+    return [{k: v for k, v in r.items() if k not in ("id", "millis")}
+            for r in json.loads(path.read_text())["results"]]
+
+
+@pytest.mark.parametrize("ring, variables", PARITY_RINGS, ids=lambda v: v)
+def test_classify_spells_verdicts_as_ezd_checks_do(tmp_path, capsys, ring, variables):
+    """Every semidualizing and class verdict ``classify`` reports is the
+    entry an ``.ezd`` check of the same M, C and bound reports: the same
+    status, witness and tables."""
+    elems = [f"e{i}" for i, _ in enumerate(variables.split(", "))]
+    lines = [f"ring A = {ring};"]
+    lines += [f"elem {e} = {v} in A;" for e, v in zip(elems, variables.split(", "))]
+    lines.append(f"module k = quot(free(A, 1), {', '.join(elems)});")
+    expected = []
+    for c in PARITY_CS:
+        lines.append(f"check semidualizing({c});")
+        lines += [f"check {check}({m}, {c});"
+                  for m in PARITY_MODULES for check in ("in_gc", "in_ac", "in_bc")]
+    script = tmp_path / "parity.ezd"
+    script.write_text("\n".join(lines) + "\n")
+    run(["check", str(script), "--bound", "6", "--quiet", "--json", str(tmp_path / "check.json")],
+        capsys)
+    checks = iter(_entries(tmp_path / "check.json"))
+    for c in PARITY_CS:
+        semidualizing = next(checks)
+        for m in PARITY_MODULES:
+            out = tmp_path / "classify.json"
+            run(["classify", "--ring", ring, "--module", m, "--c", c, "--bound", "6",
+                 "--quiet", "--json", str(out)], capsys)
+            entries = _entries(out)
+            assert entries[0] == semidualizing, (m, c)
+            assert entries[1:4] == [next(checks) for _ in range(3)], (m, c)
+    assert next(checks, None) is None
+
+
+def test_a_bounded_verdict_reads_up_to_its_bound(tmp_path, capsys):
+    """A class verdict with no all-degree certificate is spelled ``up to
+    bound N``: A/uA in G_A over the non-Gorenstein S' (as in
+    ``test_bounded_membership_when_uncertifiable``)."""
+    script = tmp_path / "bounded.ezd"
+    script.write_text("ring S = GF(101)[x,y,u] / (x^2, x*y, y^2, u^2);\n"
+                      "elem eu = u in S;\n"
+                      "check in_gc(modx(free(S, 1), eu), S) bound 10;\n")
+    out = tmp_path / "bounded.json"
+    code, _, _ = run(["check", str(script), "--quiet", "--json", str(out)], capsys)
+    assert code == 0
+    [entry] = _entries(out)
+    assert entry["status"] == "pass" and entry["witness"] == "up to bound 10"
+    assert set(entry["tables"]) == {"Ext(X,C)", "Ext(Hom(X,C),C)"}
+    assert not any(t["certified"] for t in entry["tables"].values())

@@ -4,7 +4,8 @@ numpy import outside ``Matrix.data``, no ``dataclasses`` import and no
 ``exec`` or ``eval`` call, and every top-level definition and every method
 of a top-level class is named somewhere in the project.  A budget stop's
 own class is named only where it is defined, and ``dsl.py`` reads every
-integer token by one rule.  Every name the benchmark's tracer wraps exists.
+integer token by one rule.  Every file is opened or read as UTF-8.  Every
+name the benchmark's tracer wraps exists.
 
 No linter ships with the project's test dependencies, so these walk the
 tree with ``ast``.
@@ -266,6 +267,30 @@ def test_script_numbers_are_read_by_one_rule():
     which are no token."""
     tree = ast.parse((SRC / "dsl.py").read_text())
     assert {scope for scope, _ in _int_calls(tree)} == {("_Parser", "integer"), ("result",)}
+
+
+def _text_io_calls(tree):
+    """(line, name) of every ``open``, ``read_text`` or ``write_text`` call
+    that does not name ``encoding="utf-8"``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("open", "read_text", "write_text"):
+            continue
+        if not any(k.arg == "encoding" and isinstance(k.value, ast.Constant)
+                   and k.value.value == "utf-8" for k in node.keywords):
+            yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_text_files_are_utf8(path):
+    """Scripts and reports are read and written as UTF-8, whatever the
+    locale's encoding is."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = list(_text_io_calls(tree))
+    assert not found, f"{path.name} opens text without encoding=\"utf-8\": {found}"
 
 
 def _traced_names():

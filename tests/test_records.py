@@ -6,7 +6,7 @@ no part in equality or the repr."""
 
 import pytest
 
-from ezdlab.classes import CertifiedAll, Fails, HoldsUpTo, SemidualizingCertificate
+from ezdlab.classes import CertifiedAll, ClassMembershipReport, Fails, HoldsUpTo
 from ezdlab.cli import Report
 from ezdlab.dsl import CheckStmt, ModuleExpr, RingDecl
 from ezdlab.linalg import Field
@@ -29,9 +29,8 @@ REPRS = [
     (VerificationResult("pass"),
      "VerificationResult(status='pass', witness=None, details=())"),
     (SearchConfig(), "SearchConfig(seed=0, trials=100, max_dim=6, p=2, bound=4)"),
-    (SemidualizingCertificate(True, True, None, 3, False),
-     "SemidualizingCertificate(holds=True, homothety_iso=True, ext_table=None, bound=3, "
-     "certified_all=False, failure=None)"),
+    (ClassMembershipReport(HoldsUpTo(bound=3), {}),
+     "ClassMembershipReport(verdict=HoldsUpTo(bound=3), tables={})"),
     (RingDecl("R", 101, ("x",), "degrevlex", (), pos=(3, 4)),
      "RingDecl(name='R', p=101, variables=('x',), order='degrevlex', generators=())"),
     (ModuleExpr("name", ("M",), (1, 2)), "ModuleExpr(op='name', args=('M',))"),

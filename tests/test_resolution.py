@@ -176,6 +176,60 @@ def test_betti_numbers_of_k_deep():
     assert res.betti == [1, 3, 7, 16, 37, 86, 200]
 
 
+def _fit_recurrence(b):
+    """(a, b, c) with b_n = a b_{n-1} + b b_{n-2} + c b_{n-3} for n = 3..5,
+    solved exactly by Cramer's rule."""
+    rows = [[Fraction(b[n - 1]), Fraction(b[n - 2]), Fraction(b[n - 3])] for n in (3, 4, 5)]
+    rhs = [Fraction(b[n]) for n in (3, 4, 5)]
+
+    def det(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    d = det(rows)
+    return tuple(det([r[:j] + [v] + r[j + 1:] for r, v in zip(rows, rhs)]) / d
+                 for j in range(3))
+
+
+def _predicted(betti, coeffs, upto):
+    """b_0 .. b_5 continued by the recurrence ``coeffs`` through b_upto."""
+    out = list(betti[:6])
+    while len(out) <= upto:
+        out.append(sum(c * out[-1 - i] for i, c in enumerate(coeffs)))
+    return out
+
+
+def test_betti_numbers_of_k_follow_their_recurrence():
+    """An oracle independent of every step past degree 5: the Poincare
+    series of k over a monomial ring is rational (Backelin 1982), so the
+    order-3 recurrence fitted exactly on b_3 .. b_5 must predict b_6 .. b_9."""
+    res = minimal_free_resolution(residue_field_module(_cubes_and_xyz()), 9,
+                                  max_total_dim=10 ** 6)
+    coeffs = _fit_recurrence(res.betti)
+    assert coeffs == (3, -2, 1)
+    assert res.betti == _predicted(res.betti, coeffs, 9)
+    assert res.betti == [1, 3, 7, 16, 37, 86, 200, 465, 1081, 2513]
+
+
+def test_a_dropped_generator_breaks_the_recurrence(monkeypatch):
+    """The recurrence oracle sees a planted fault: one generator of F_7
+    dropped."""
+    picks = resolution._pick_independent
+    calls = []
+
+    def drop_at_step_7(spanning, cols, p):
+        out = picks(spanning, cols, p)
+        calls.append(None)  # call 1 is step 0, call n + 1 is step n
+        return out[:-1] if len(calls) == 8 else out
+
+    monkeypatch.setattr(resolution, "_pick_independent", drop_at_step_7)
+    res = minimal_free_resolution(residue_field_module(_cubes_and_xyz()), 9,
+                                  max_total_dim=10 ** 6)
+    assert len(calls) == 10 and res.betti[:7] == [1, 3, 7, 16, 37, 86, 200]
+    assert res.betti != _predicted(res.betti, _fit_recurrence(res.betti), 9)
+
+
 def test_a_deeper_resolution_changes_no_shallow_answer():
     """The budget counts only the degrees a call asks for, so the state an
     earlier, deeper call left on k changes neither Tor(k, A) nor Ext(k, A)
