@@ -6,11 +6,11 @@ relations.  Every constructor below returns a fully validated Module: the
 actions are checked to commute, and all ideal generators are evaluated
 on them in one contraction.
 
-Hom and tensor spaces are assembled from the nonzero entries of the
-actions: the linear conditions T X - X S = 0 and the tensor relations
-(a·m)(x)n - m(x)(a·n) are written straight into sparse rows, which one
-sparse elimination solves (``linalg._sparse_kernel``) or quotients by
-(``_quotient_space``); no Kronecker product is formed.
+Tensor and Hom share one construction, ``_tensor_space``: the tensor
+relations (a·m)(x)n - m(x)(a·n) are written from the nonzero entries of
+the actions straight into sparse rows, and one sparse elimination
+quotients by them (``_quotient_space``); no Kronecker product is formed.
+Hom_A(M, N) is the k-dual of the tensor space of M and the k-dual of N.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .algebra import Algebra, Element, Representation
 from .groebner import BudgetExceeded, QuotientPresentation
 from .linalg import (
     Matrix,
-    _sparse_kernel,
     _sparse_rref,
     image_basis,
     is_invertible,
@@ -197,9 +196,17 @@ def direct_sum(m: Module, n: Module, label: str = "") -> Module:
 
 
 class HomModule(Module):
-    """Hom_A(M, N) as an A-module; remembers its matrix basis."""
+    """Hom_A(M, N) as an A-module: the k-dual of M (x)_A N^v, N^v the k-dual
+    of N.  A k-linear phi: M -> N is the functional m (x) v |-> v(phi(m)),
+    which kills the tensor relations (a·m) (x) v - m (x) (v∘a) exactly when
+    phi is A-linear, that is, when it factors through the quotient's
+    projection P.  P has independent rows, so its rows are a basis of Hom,
+    read off through the section S (P S = I), and the actions are the
+    transposed quotient actions.  ``_bmat`` holds the basis homs as
+    columns, entry (j, i) at row j * dim M + i; in the tensor space it is
+    index i * dim N + j."""
 
-    __slots__ = ("hom_source", "hom_target", "basis", "_bmat", "_free")
+    __slots__ = ("hom_source", "hom_target", "_bmat", "_section")
 
     def __init__(self, source: Module, target: Module):
         if source.algebra != target.algebra:
@@ -207,26 +214,27 @@ class HomModule(Module):
         _check_product_budget("Hom", source, target)
         field = source.algebra.field
         ns, nt = source.dim, target.dim
-        # unknowns: the entries X[b, c] of an nt x ns matrix, at b * ns + c;
-        # one block of rows T X - X S = (T (x) 1 - 1 (x) S^t) vec(X) per variable
-        rows = []
-        for sa, ta in zip(source.actions, target.actions):
-            block = [{} for _ in range(nt * ns)]
-            _kron_difference(block, ta, sa.T, field.p)
-            rows += block
-        # columns are vec(phi); its rows at ``_free`` form an identity block
-        kernel = _sparse_kernel(rows, ns * nt, field.p)
-        self._bmat = Matrix.from_sparse_columns(field, ns * nt, kernel.values())
-        self._free = list(kernel)
+        proj, section, acts = _tensor_space(
+            field, ns, nt, source.actions, [ta.T for ta in target.actions])
+
+        def vec(line):
+            return {k % nt * ns + k // nt: x for k, x in line.items()}
+
+        self._bmat = Matrix.from_sparse_columns(field, ns * nt, map(vec, proj.nz))
+        # the section, transposed and indexed like _bmat, reads off coordinates
+        self._section = Matrix(field, ns * nt, map(vec, section.sparse_columns()))
         self.hom_source = source
         self.hom_target = target
-        self.basis = [self._unvec(v) for v in kernel.values()]
-        acts = [self._coords([ta @ phi for phi in self.basis]) for ta in target.actions]
         super().__init__(
             source.algebra,
-            acts,
+            [a.T for a in acts],
             label=f"Hom({source.label or 'M'},{target.label or 'N'})",
         )
+
+    @property
+    def basis(self) -> list:
+        """The basis homs, as target-dim x source-dim matrices."""
+        return [self._unvec(v) for v in self._bmat.sparse_columns()]
 
     def _unvec(self, vec: dict) -> Matrix:
         """The target-dim x source-dim matrix whose row-major vec is the
@@ -239,13 +247,11 @@ class HomModule(Module):
 
     def _coords(self, mats: list) -> Matrix:
         """Coordinates of the homs ``mats``, one column each."""
-        ns, free = self.hom_source.dim, {f: a for a, f in enumerate(self._free)}
-        vecs = [{b * ns + c: x for b, row in enumerate(m.nz) for c, x in row.items()}
-                for m in mats]
-        field = self._bmat.field
-        coords = Matrix.from_sparse_columns(
-            field, len(free), [{free[k]: x for k, x in v.items() if k in free} for v in vecs])
-        if self._bmat @ coords != Matrix.from_sparse_columns(field, self._bmat.rows, vecs):
+        ns = self.hom_source.dim
+        vecs = Matrix.from_sparse_columns(self._bmat.field, self._bmat.rows, [
+            {b * ns + c: x for b, row in enumerate(m.nz) for c, x in row.items()} for m in mats])
+        coords = self._section @ vecs
+        if self._bmat @ coords != vecs:
             raise ValueError("matrix is not in the Hom space")
         return coords
 
@@ -253,12 +259,6 @@ class HomModule(Module):
         """The hom as a target-dim x source-dim matrix, from coordinates."""
         vec = self._bmat @ coords
         return self._unvec({k: row[0] for k, row in enumerate(vec.nz) if row})
-
-    def coordinates_of(self, mat: Matrix) -> Matrix:
-        """Inverse of element_matrix; the hom must lie in the span."""
-        if (mat.rows, mat.cols) != (self.hom_target.dim, self.hom_source.dim):
-            raise ValueError("matrix has the wrong shape for the Hom space")
-        return self._coords([mat])
 
 
 def _kron_difference(rows: list, a: Matrix, b: Matrix, p, shift: int = 0):
@@ -287,6 +287,27 @@ def hom_module(source: Module, target: Module) -> HomModule:
     return HomModule(source, target)
 
 
+def _tensor_space(field, nl: int, nr: int, left_actions, right_actions):
+    """The quotient of k^nl (x) k^nr by the relations (a·m)(x)n - m(x)(a·n),
+    one per variable a, with its projection, section and the actions that
+    the left factor induces on it (see ``_quotient_space``)."""
+    n = nl * nr
+    # relation subspace: the columns of L (x) 1 - 1 (x) R side by side, one
+    # block per variable
+    rows = [{} for _ in range(n)]
+    for v, (la, ra) in enumerate(zip(left_actions, right_actions)):
+        _kron_difference(rows, la, ra, field.p, v * n)
+
+    def acted(proj):
+        # proj @ (L (x) 1), with L (x) 1 sparse: row i * nr + j of it is
+        # row i of L, spread to the columns k * nr + j
+        return [proj @ Matrix(field, n, [
+            {k * nr + j: x for k, x in row.items()} for row in la.nz for j in range(nr)
+        ]) for la in left_actions]
+
+    return _quotient_space(field, rows, n * len(left_actions), acted)
+
+
 class TensorModule(Module):
     """M (x)_A N; remembers the projection from and section into M (x)_k N."""
 
@@ -296,27 +317,10 @@ class TensorModule(Module):
         if left.algebra != right.algebra:
             raise ValueError("tensor requires modules over the same algebra")
         _check_product_budget("tensor", left, right)
-        field = left.algebra.field
-        nl, nr = left.dim, right.dim
-        n = nl * nr
-        # relation subspace: (a·m)(x)n - m(x)(a·n) over variable generators,
-        # the columns of L (x) 1 - 1 (x) R side by side, one block per variable
-        rows = [{} for _ in range(n)]
-        for v, (la, ra) in enumerate(zip(left.actions, right.actions)):
-            _kron_difference(rows, la, ra, field.p, v * n)
-
-        def acted(proj):
-            # proj @ (L (x) 1), with L (x) 1 sparse: row i * nr + j of it is
-            # row i of L, spread to the columns k * nr + j
-            return [proj @ Matrix(field, n, [
-                {k * nr + j: x for k, x in row.items()} for row in la.nz for j in range(nr)
-            ]) for la in left.actions]
-
-        proj, section, acts = _quotient_space(field, rows, n * len(left.actions), acted)
+        self.projection, self.section, acts = _tensor_space(
+            left.algebra.field, left.dim, right.dim, left.actions, right.actions)
         self.left = left
         self.right = right
-        self.projection = proj
-        self.section = section
         super().__init__(
             left.algebra,
             acts,
@@ -425,19 +429,19 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0):
         return NotIso(
             f"Hom dims differ: dim Hom(M,N)={hom_mn.dim}, dim Hom(N,M)={hom_nm.dim}"
         )
-    h = len(hom_mn.basis)
+    h = hom_mn.dim
     if h == 0:
         return NotIso("Hom(M,N) = 0 with M nonzero")
     field = m.algebra.field
 
-    def as_morphism(mat):
-        return Iso(Morphism(m, n, mat))
+    def invertible(coeffs):
+        mat = hom_mn.element_matrix(Matrix.column(field, coeffs))
+        return Iso(Morphism(m, n, mat)) if is_invertible(mat) else None
 
     if field.p is not None and field.p ** h <= _EXHAUSTIVE_CAP:
         for coeffs in itertools.product(range(field.p), repeat=h):
-            mat = _combine(field, hom_mn.basis, coeffs)
-            if is_invertible(mat):
-                return as_morphism(mat)
+            if iso := invertible(coeffs):
+                return iso
         return NotIso("no invertible element in Hom(M,N) (exhaustive)")
     rng = random.Random(seed)
     for _ in range(ISO_TRIALS):
@@ -445,12 +449,6 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0):
             coeffs = [rng.randrange(field.p) for _ in range(h)]
         else:
             coeffs = [rng.randint(-5, 5) for _ in range(h)]
-        mat = _combine(field, hom_mn.basis, coeffs)
-        if is_invertible(mat):
-            return as_morphism(mat)
+        if iso := invertible(coeffs):
+            return iso
     return Unknown(f"no invertible combination found in {ISO_TRIALS} seeded trials")
-
-
-def _combine(field, basis, coeffs):
-    terms = zip((field.canon(c) for c in coeffs), basis)
-    return Matrix.combination(field, basis[0].rows, basis[0].cols, terms)

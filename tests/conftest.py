@@ -57,6 +57,13 @@ def _int_kernel(rows, ncols, p):
     return out
 
 
+def _int_matmul(a, b, p):
+    """a @ b for lists of rows, in Python ints mod p, or in the entries'
+    own arithmetic (Fractions) when p is None."""
+    out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return [[x % p for x in row] for row in out] if p is not None else out
+
+
 def make_algebra(field, names, gen_specs):
     """Build k[names]/(ideal) from generator specs {monomial: coeff}."""
     ring = PolyRing(field, list(names))

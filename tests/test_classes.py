@@ -27,6 +27,7 @@ from ezdlab.classes import (
 )
 from ezdlab.module import (
     Module,
+    annihilator_submodule,
     direct_sum,
     dual_k,
     free_module,
@@ -169,6 +170,26 @@ def test_foxby_style_transfer(square_zero, ci):
         for m in (omega, direct_sum(omega, omega)):
             assert in_B_C(m, omega).holds
             assert in_A_C(hom_module(omega, m), omega).holds
+
+
+def test_matlis_duality_swaps_the_auslander_and_bass_classes():
+    """M is in A_C exactly when its k-dual is in B_C.  The two sides share
+    no table: A_C reads gamma into Hom(C, C (x) M), B_C reads xi out of
+    C (x) Hom(C, M^v).  Each corpus ring, C in {A, omega}, and six M."""
+    kinds = []
+    for inst in propcheck.load_corpus(bound=8):
+        a = regular_module(inst.algebra)
+        omega, k = dual_k(a), residue_field_module(inst.algebra)
+        modules = {"k": k, "A": a, "omega": omega, "A/xA": scale_quotient(a, inst.x)[0],
+                   "ann x": annihilator_submodule(a, inst.x)[0], "Hom(k,A)": hom_module(k, a)}
+        for c_name, c in (("A", a), ("omega", omega)):
+            for m_name, m in modules.items():
+                auslander = type(in_A_C(m, c, 8).verdict)
+                bass = type(in_B_C(dual_k(m), c, 8).verdict)
+                assert auslander is bass, (inst.name, c_name, m_name)
+                kinds.append(auslander)
+    # both sides are exercised: every verdict kind occurs
+    assert len(kinds) == 72 and {CertifiedAll, Fails, HoldsUpTo} <= set(kinds)
 
 
 def test_bounded_membership_when_uncertifiable(sprime):

@@ -18,7 +18,7 @@ from ezdlab.linalg import (
     solve_matrix,
 )
 
-from conftest import _int_kernel, _int_rref
+from conftest import _int_kernel, _int_matmul, _int_rref
 
 GF101 = Field(101)
 GF2 = Field(2)
@@ -174,10 +174,6 @@ def test_matmul_exact_at_largest_prime():
     a = Matrix.from_rows(Field(p), rows)
     assert (a @ a).entry(0, 0) == 30
     assert (a @ a).to_lists() == _int_matmul(rows, rows, p)
-
-
-def _int_matmul(a, b, p):
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
 @pytest.mark.parametrize("p", BIG_PRIMES)

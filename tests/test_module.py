@@ -26,7 +26,6 @@ from ezdlab.module import (
     tensor_module,
     transport_to_quotient,
 )
-from ezdlab.module import _combine
 
 from conftest import GF2, GF101, QQ, make_algebra, var
 
@@ -174,8 +173,8 @@ def test_residue_field(sprime):
 
 @pytest.mark.parametrize("field", [GF2, GF101, QQ], ids=str)
 def test_hom_coordinates_round_trip(field):
-    """Hom coordinates are read off the kernel's free rows: they invert
-    element_matrix, and a matrix outside the Hom space is refused."""
+    """Hom coordinates are read through the tensor space's section: they
+    invert element_matrix, and a matrix outside the Hom space is refused."""
     alg = make_algebra(field, ["x", "y"], [{(1, 1): 1}, {(2, 0): 1, (0, 2): -1}])
     r = regular_module(alg)
     omega = dual_k(r)
@@ -187,13 +186,13 @@ def test_hom_coordinates_round_trip(field):
             c = Matrix.column(field, [rng.randint(-3, 3) for _ in range(h.dim)])
             phi = h.element_matrix(c)
             Morphism(src, tgt, phi)  # A-linear
-            assert h.coordinates_of(phi) == c
+            assert h._coords([phi]) == c
     # projection onto the constant coordinate: sends 1 to 1 but x to 0
     e00 = Matrix.from_rows(
         field, [[int(i == j == 0) for j in range(alg.dim)] for i in range(alg.dim)]
     )
     with pytest.raises(ValueError, match="not in the Hom space"):
-        hom_module(r, r).coordinates_of(e00)
+        hom_module(r, r)._coords([e00])
 
 
 P_MAX = 2**31 - 1  # the largest prime the fields accept
@@ -227,8 +226,10 @@ def test_sums_exact_at_large_p():
     # the contraction that evaluates the ideal generators on every module
     mats = [m.monomial_action(s) for s in alg.staircase]
     assert Matrix.combination(field, 8, 8, zip(coeffs, mats)).to_lists() == expected
-    basis = [Matrix.from_rows(field, mono) for mono in monos]
-    assert _combine(field, basis, coeffs).data.tolist() == expected
+    # a combination of homs: End_A(M) is spanned by the monomial actions
+    h = hom_module(m, m)
+    combined = h._coords(mats) @ Matrix.column(field, coeffs)
+    assert h.element_matrix(combined).to_lists() == expected
 
     # structure constants near p: v_i v_j = a_ij z^2, so one entry of an
     # element's action sums four products of two residues

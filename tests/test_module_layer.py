@@ -7,7 +7,6 @@ building only the modules of their natural map."""
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import ezdlab.classes as classes
@@ -29,7 +28,7 @@ from ezdlab.module import (
 from ezdlab.propcheck import load_corpus
 from ezdlab.resolution import INF, Exactly
 
-from conftest import GF2, GF101, QQ, _int_kernel, _int_rref, make_algebra, var
+from conftest import GF2, GF101, QQ, _int_kernel, _int_matmul, _int_rref, make_algebra, var
 
 P_MAX = 2**31 - 1  # the largest prime the fields accept
 FIELDS = [GF2, GF101, Field(P_MAX), QQ]
@@ -136,22 +135,31 @@ def test_every_constructor_checks_its_representation(ci, monkeypatch):
 # Hom spaces against the Kronecker-product system
 
 
-def _kron_system(field, source, target):
-    """The rows of T (x) 1 - 1 (x) S^t for every variable, by numpy, as
-    Python ints or Fractions."""
+def _kron_system(source, target):
+    """The rows of T (x) 1 - 1 (x) S^t for every variable, as Python ints or
+    Fractions: row b * ns + c is entry (b, c) of T X - X S, in the unknowns
+    X[d, e] at d * ns + e."""
     ns, nt = source.dim, target.dim
-    eye_s, eye_t = Matrix.identity(field, ns).data, Matrix.identity(field, nt).data
     rows = []
     for sa, ta in zip(source.actions, target.actions):
-        rows += (np.kron(ta.data, eye_s) - np.kron(eye_t, sa.data.T)).tolist()
+        s, t = sa.to_lists(), ta.to_lists()
+        for b in range(nt):
+            for c in range(ns):
+                row = [0] * (nt * ns)
+                for d in range(nt):
+                    row[d * ns + c] += t[b][d]
+                for e in range(ns):
+                    row[b * ns + e] -= s[e][c]
+                rows.append(row)
     return rows
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_hom_matches_the_kronecker_kernel(field):
-    """Basis matrix and free rows against the Python-int kernel of the
-    Kronecker system: source and target of different dimensions, of
-    dimension 0, and with zero actions."""
+    """The basis matrix spans the Python-int kernel of the Kronecker system,
+    and every basis hom commutes with the actions in Python ints or
+    Fractions: source and target of different dimensions, of dimension 0,
+    and with zero actions."""
     alg = _ci(field)
     rng = random.Random(3)
     reg = Module(alg, _conjugated(field, list(alg.actions), rng))
@@ -163,13 +171,20 @@ def test_hom_matches_the_kronecker_kernel(field):
     for source in modules:
         for target in modules:
             h = hom_module(source, target)
+            pair = (source.label, target.label)
             n = source.dim * target.dim
-            rows = _kron_system(field, source, target)
-            _, pivots = _int_rref(rows, field.p)
-            assert h._bmat.data.tolist() == _int_kernel(rows, n, field.p), (
-                source.label, target.label)
-            free = [j for j in range(n) if j not in pivots]
-            assert h._free == free, (source.label, target.label)
+            rows = _kron_system(source, target)
+            kernel = [list(col) for col in zip(*_int_kernel(rows, n, field.p))]
+            columns = h._bmat.T.to_lists()
+            # equal rank, and stacking the two adds none: equal spans
+            rank = len(_int_rref(columns, field.p)[1])
+            assert rank == h.dim == len(kernel), pair
+            assert len(_int_rref(columns + kernel, field.p)[1]) == rank, pair
+            for phi in h.basis:
+                phi = phi.to_lists()
+                for sa, ta in zip(source.actions, target.actions):
+                    assert (_int_matmul(phi, sa.to_lists(), field.p)
+                            == _int_matmul(ta.to_lists(), phi, field.p)), pair
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +193,8 @@ def test_hom_matches_the_kronecker_kernel(field):
 
 def _column_by_column(h, mats):
     """The coordinates of each matrix in the Hom space, one call each."""
-    cols = [h.coordinates_of(mat).data for mat in mats]
-    field = h.algebra.field
-    return Matrix.from_rows(field, np.hstack(cols)) if cols else Matrix.zeros(field, h.dim, 0)
+    cols = [h._coords([mat]).sparse_columns()[0] for mat in mats]
+    return Matrix.from_sparse_columns(h.algebra.field, h.dim, cols)
 
 
 def _homothety_reference(c):
@@ -192,11 +206,9 @@ def _biduality_reference(x, c):
     field = x.algebra.field
     h1 = hom_module(x, c)
     h2 = hom_module(h1, c)
-    mats = [
-        Matrix.from_rows(field, np.hstack([phi.data[:, [i]] for phi in h1.basis]))
-        if h1.basis else Matrix.zeros(field, c.dim, 0)
-        for i in range(x.dim)
-    ]
+    columns = [phi.sparse_columns() for phi in h1.basis]
+    mats = [Matrix.from_sparse_columns(field, c.dim, [col[i] for col in columns])
+            for i in range(x.dim)]
     return _column_by_column(h2, mats)
 
 
@@ -204,11 +216,10 @@ def _gamma_reference(m, c):
     field = m.algebra.field
     t = tensor_module(c, m)
     h = hom_module(c, t)
-    mats = [
-        Matrix.from_rows(field, np.hstack([t.projection.data[:, [j * m.dim + i]]
-                                           for j in range(c.dim)]))
-        for i in range(m.dim)
-    ]
+    columns = t.projection.sparse_columns()
+    mats = [Matrix.from_sparse_columns(field, t.dim, [columns[j * m.dim + i]
+                                                      for j in range(c.dim)])
+            for i in range(m.dim)]
     return _column_by_column(h, mats)
 
 
